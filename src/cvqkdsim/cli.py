@@ -32,9 +32,10 @@ from .pulses import (
 )
 from .scenario import (
     EXIT_ERROR,
+    analyse_scenario,
     default_lo_pulse,
     last_positive_distance,
-    run_scenario,
+    sample_scenario,
     sweep_keyrate,
     write_sweep_csv,
 )
@@ -51,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="key=value scenario file")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out", default=None, help="directory for report.txt")
-    run.add_argument("--csv", action="store_true", help="also dump per-pulse samples")
+    run.add_argument("--csv", action="store_true",
+                     help="also dump the open-switch pulses the report used")
 
     sweep = sub.add_parser("sweep", help="Key-rate curves with/without countermeasure.")
     sweep.add_argument("--config", default=None, help="optional scenario file")
@@ -77,20 +79,15 @@ def _cmd_run(args) -> int:
         if args.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {args.seed}")
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    report = run_scenario(cfg)
+    sample = sample_scenario(cfg)
+    report = analyse_scenario(cfg, sample)
     print(report.to_text())
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(report.to_text() + "\n")
         if args.csv:
-            from .protocol import generate_alice, simulate_bob
-            from .scenario import _resolve_attack
-
-            atk = _resolve_attack(cfg)
-            x = generate_alice(cfg.pulses, cfg.channel.va, cfg.seed)
-            batch = simulate_bob(x, cfg.channel, atk, cfg.detector, cfg.seed)
-            write_pulses_csv(batch, out / "pulses.csv")
+            write_pulses_csv(sample.batch, out / "pulses.csv")
     return report.exit_code
 
 

@@ -16,17 +16,31 @@ shot noise differs from the true one.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .errors import DegenerateDataError
 
 # Above this sample count the chi-square quantiles switch to the
 # Wilson-Hilferty normal approximation; below it they are exact.
 CHI2_EXACT_MAX_M = 10_000
+
+_NORMAL = NormalDist()
+
+
+def __getattr__(name: str):
+    # scipy.stats costs about a second to import and is needed only for
+    # the exact chi-square quantiles, so it is loaded on first use.
+    if name == "stats":
+        from scipy import stats
+
+        globals()["stats"] = stats
+        return stats
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -162,8 +176,9 @@ def ml_estimate(x: np.ndarray, y: np.ndarray) -> MlEstimates:
 def _chi2_ppf(q: float, df: int) -> float:
     """Chi-square quantile; Wilson-Hilferty approximation for large df."""
     if df <= CHI2_EXACT_MAX_M:
-        return float(stats.chi2.ppf(q, df))
-    z = float(stats.norm.ppf(q))
+        # attribute lookup, so that a replacement of ``stats`` is honoured
+        return float(sys.modules[__name__].stats.chi2.ppf(q, df))
+    z = _NORMAL.inv_cdf(q)
     h = 2.0 / (9.0 * df)
     return df * (1.0 - h + z * math.sqrt(h)) ** 3
 
@@ -180,7 +195,7 @@ def confidence_bounds(
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     m = est.m
-    z = float(stats.norm.ppf(1.0 - epsilon / 2.0))
+    z = _NORMAL.inv_cdf(1.0 - epsilon / 2.0)
     half_width = z * float(np.sqrt(est.sigma2_hat / est.sum_x2))
     chi_low = _chi2_ppf(epsilon / 2.0, m - 1)
     chi_high = _chi2_ppf(1.0 - epsilon / 2.0, m - 1)

@@ -21,7 +21,6 @@ would be scheduled across workers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -242,17 +241,25 @@ def simulate_monitor(
 
 
 def write_pulses_csv(batch: PulseBatch, path: str | Path) -> None:
-    """Dump a pulse batch as CSV (index, x, y, intercepted, lo_attacked)."""
+    """Dump a pulse batch as CSV (index, x, y, intercepted, lo_attacked).
+
+    Written one ``BLOCK_SIZE`` slice at a time, with shortest-repr floats
+    and CRLF line endings, the bytes ``csv.writer`` would write.
+    """
+    row = "{},{!r},{!r},{:d},{:d}\r\n".format
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "x", "y", "intercepted", "lo_attacked"])
-        for i in range(len(batch)):
-            writer.writerow(
-                [
-                    i,
-                    repr(float(batch.x[i])),
-                    repr(float(batch.y[i])),
-                    int(batch.intercepted[i]),
-                    int(batch.lo_attacked[i]),
-                ]
+        fh.write("index,x,y,intercepted,lo_attacked\r\n")
+        for start in range(0, len(batch), BLOCK_SIZE):
+            sl = slice(start, start + BLOCK_SIZE)
+            x = np.asarray(batch.x[sl], dtype=float).tolist()
+            y = np.asarray(batch.y[sl], dtype=float).tolist()
+            fh.writelines(
+                map(
+                    row,
+                    range(start, start + len(x)),
+                    x,
+                    y,
+                    batch.intercepted[sl].tolist(),
+                    batch.lo_attacked[sl].tolist(),
+                )
             )

@@ -21,7 +21,14 @@ from .countermeasure import detect_attack, plan_monitor, realtime_shot_noise
 from .errors import ConfigError, ScenarioStageError
 from .estimation import EstimationReport, confidence_bounds, infer_channel, ml_estimate
 from .keyrate import KeyRateParams, LinkModel, SweepPoint, rate_at_distance, secret_key_rate
-from .protocol import attack_gain, generate_alice, simulate_bob, simulate_monitor
+from .protocol import (
+    AttackParams,
+    PulseBatch,
+    attack_gain,
+    generate_alice,
+    simulate_bob,
+    simulate_monitor,
+)
 from .pulses import (
     PowerMeterConfig,
     TriggerConfig,
@@ -176,22 +183,26 @@ def _resolve_attack(cfg: ScenarioConfig):
     return atk
 
 
-def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
-    """Execute the full pipeline on one configuration.
+@dataclass
+class ScenarioSample:
+    """The pulses drawn for one scenario, before any analysis.
 
-    Stage order: Alice's modulation, Bob's attacked outcomes, optional
-    monitoring pulses with the switch closed, maximum-likelihood channel
-    estimation on the non-key pulses against the calibration-line shot
-    noise, attack detection, and the key-rate comparison that yields the
-    verdict: "secure" (both the estimated and the true rate are
-    positive), "abort" (alarm raised or estimated rate non-positive) or
-    "breached" (Alice and Bob believe in a positive rate that the true
-    channel does not support).
+    ``batch`` holds the open-switch pulses, split later into the
+    estimation and key sets; ``monitor`` holds the closed-switch pulses
+    and is None when the countermeasure is off.
     """
+
+    attack: AttackParams
+    gain: float
+    batch: PulseBatch
+    monitor: PulseBatch | None
+
+
+def sample_scenario(cfg: ScenarioConfig) -> ScenarioSample:
+    """Draw Alice's modulation, Bob's attacked outcomes and the monitoring pulses."""
     ch = cfg.channel
     det = cfg.detector
     n_pulses = cfg.pulses
-    n0_line = cfg.n0_assumed
 
     with _stage("pulse-model"):
         atk = _resolve_attack(cfg)
@@ -208,18 +219,46 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
             monitor_mask = plan.mask
         else:
             monitor_mask = np.zeros(n_pulses, dtype=bool)
-        open_mask = ~monitor_mask
-        batch = simulate_bob(x[open_mask], ch, atk, det, cfg.seed)
+        batch = simulate_bob(x[~monitor_mask], ch, atk, det, cfg.seed)
 
-    n0_rt = alarm = statistic = None
-    m_monitor = int(monitor_mask.sum())
+    monitor_batch = None
     if cfg.countermeasure_enabled:
         with _stage("monitoring"):
             monitor_batch = simulate_monitor(
                 x[monitor_mask], ch, atk, det, cfg.switch.extinction, cfg.seed
             )
+    return ScenarioSample(attack=atk, gain=gain, batch=batch, monitor=monitor_batch)
+
+
+def _snu_params(
+    cfg: ScenarioConfig, va: float, transmittance: float, xi: float, n0: float
+) -> KeyRateParams:
+    """Key-rate inputs of the configured receiver, variances divided by the shot noise ``n0``."""
+    return KeyRateParams(
+        va=va / n0,
+        transmittance=transmittance,
+        eta=cfg.channel.eta,
+        xi=xi / n0,
+        v_el=cfg.channel.v_el / n0,
+        beta=cfg.beta,
+    )
+
+
+def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioReport:
+    """Monitoring, estimation, key rates and verdict on a drawn sample."""
+    ch = cfg.channel
+    atk = sample.attack
+    batch = sample.batch
+    n_pulses = cfg.pulses
+    n0_line = cfg.n0_assumed
+
+    n0_rt = alarm = statistic = None
+    m_monitor = 0
+    if sample.monitor is not None:
+        m_monitor = len(sample.monitor)
+        with _stage("monitoring"):
             var_open = float(np.mean(batch.y**2))
-            var_closed = float(np.mean(monitor_batch.y**2))
+            var_closed = float(np.mean(sample.monitor.y**2))
             rt = realtime_shot_noise(
                 var_open,
                 var_closed,
@@ -261,25 +300,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         return rate_factor * raw if raw > 0.0 else raw
 
     with _stage("key-rate"):
-        xi_hat_snu = xi_hat / n0_line
-        est_params = KeyRateParams(
-            va=estimates.va_hat,
-            transmittance=min(max(t_hat, 0.0), 1.0),
-            eta=ch.eta,
-            xi=max(xi_hat_snu, 0.0),
-            v_el=ch.v_el,
-            beta=cfg.beta,
+        # Alice and Bob normalize by the calibration line, the truth by the real shot noise.
+        est_params = _snu_params(
+            cfg, estimates.va_hat, min(max(t_hat, 0.0), 1.0), max(xi_hat, 0.0), n0_line
         )
         est_breakdown = secret_key_rate(est_params)
         k_estimated = usable_rate(est_breakdown.key_rate)
 
-        true_params = KeyRateParams(
-            va=ch.va / ch.n0,
-            transmittance=ch.transmittance,
-            eta=ch.eta,
-            xi=(ch.xi + 2.0 * atk.mu * ch.n0) / ch.n0,
-            v_el=ch.v_el / ch.n0,
-            beta=cfg.beta,
+        true_params = _snu_params(
+            cfg, ch.va, ch.transmittance, ch.xi + 2.0 * atk.mu * ch.n0, ch.n0
         )
         k_true = usable_rate(secret_key_rate(true_params).key_rate)
 
@@ -299,7 +328,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         i_ab_estimated=est_breakdown.i_ab,
         chi_be_estimated=est_breakdown.chi_be,
         transmittance_hat=t_hat,
-        xi_hat_snu=xi_hat_snu,
+        xi_hat_snu=xi_hat / n0_line,
         estimation=report,
         n0_line=n0_line,
         n0_rt=n0_rt,
@@ -309,10 +338,25 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         m_estimation=m_est,
         n_key=n_key,
         delta_ns=atk.delta_ns,
-        gain=gain,
+        gain=sample.gain,
         seed=cfg.seed,
         config_hash=cfg.config_hash(),
     )
+
+
+def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
+    """Execute the full pipeline on one configuration.
+
+    Stage order: Alice's modulation, Bob's attacked outcomes, optional
+    monitoring pulses with the switch closed, maximum-likelihood channel
+    estimation on the non-key pulses against the calibration-line shot
+    noise, attack detection, and the key-rate comparison that yields the
+    verdict: "secure" (both the estimated and the true rate are
+    positive), "abort" (alarm raised or estimated rate non-positive) or
+    "breached" (Alice and Bob believe in a positive rate that the true
+    channel does not support).
+    """
+    return analyse_scenario(cfg, sample_scenario(cfg))
 
 
 def sweep_keyrate(cfg: ScenarioConfig) -> tuple[list[SweepPoint], list[SweepPoint]]:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from cvqkdsim import (
     xi_under_calibration,
 )
 from cvqkdsim.errors import DegenerateDataError
+from cvqkdsim.estimation import _chi2_ppf
 
 
 def simulate_linear_model(m, t, sigma2, va, rng):
@@ -234,3 +239,83 @@ class TestEstimationReport:
                 n0_assumed=1.0,
                 epsilon=0.05,
             )
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+
+
+class TestScipyOnlyForExactQuantiles:
+    def test_large_scenario_never_imports_scipy(self):
+        proc = _run_python(
+            "import sys\n"
+            "import cvqkdsim\n"
+            "report = cvqkdsim.run_scenario(cvqkdsim.parse_config('pulses = 30000\\n'))\n"
+            "assert report.m_estimation > cvqkdsim.estimation.CHI2_EXACT_MAX_M\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert proc.stdout.strip() == "[]"
+
+    def test_exact_branch_loads_scipy_stats(self):
+        proc = _run_python(
+            "import sys\n"
+            "import cvqkdsim\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+            "est = cvqkdsim.MlEstimates(t_hat=0.5, sigma2_hat=1.2, va_hat=5.0, m=500)\n"
+            "cvqkdsim.confidence_bounds(est, 1e-3)\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        assert proc.stdout.strip() == "True"
+
+    @pytest.mark.parametrize("m", [2, 101, 10_000])
+    def test_exact_bounds_equal_scipy_chi2(self, m):
+        from scipy import stats
+
+        est = MlEstimates(t_hat=0.5, sigma2_hat=1.2, va_hat=5.0, m=m)
+        eps = 1e-3
+        bounds = confidence_bounds(est, eps)
+        chi_low = stats.chi2.ppf(eps / 2.0, m - 1)
+        chi_high = stats.chi2.ppf(1.0 - eps / 2.0, m - 1)
+        for key, value in (("sigma2", est.sigma2_hat), ("va", est.va_hat)):
+            assert bounds[key] == (m * value / chi_high, m * value / chi_low)
+
+    def test_exact_path_calls_a_replaced_stats(self, monkeypatch):
+        # the benchmark tracer swaps in a counting proxy the same way
+        import types
+
+        import cvqkdsim.estimation as estimation
+
+        real = estimation.stats
+        calls = []
+
+        def ppf(q, df):
+            calls.append((q, df))
+            return real.chi2.ppf(q, df)
+
+        proxy = types.SimpleNamespace(chi2=types.SimpleNamespace(ppf=ppf))
+        monkeypatch.setattr(estimation, "stats", proxy)
+        confidence_bounds(MlEstimates(t_hat=0.5, sigma2_hat=1.2, va_hat=5.0, m=500), 1e-3)
+        assert [df for _, df in calls] == [499, 499]
+        confidence_bounds(MlEstimates(t_hat=0.5, sigma2_hat=1.2, va_hat=5.0, m=50_000), 1e-3)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("eps", np.geomspace(1e-12, 0.5, 25))
+    def test_normal_quantile_matches_scipy(self, eps):
+        from scipy import stats
+
+        # t_hat = 0 makes the upper bound the half-width itself, free of cancellation
+        est = MlEstimates(t_hat=0.0, sigma2_hat=1.2, va_hat=5.0, m=50_000)
+        z = float(stats.norm.ppf(1.0 - eps / 2.0))
+        _, high = confidence_bounds(est, eps)["t"]
+        half_width = z * math.sqrt(est.sigma2_hat / est.sum_x2)
+        assert high == pytest.approx(half_width, rel=1e-14, abs=0)
+        for q in (eps / 2.0, 1.0 - eps / 2.0):
+            z = float(stats.norm.ppf(q))
+            df = 49_999
+            h = 2.0 / (9.0 * df)
+            expected = df * (1.0 - h + z * math.sqrt(h)) ** 3
+            assert _chi2_ppf(q, df) == pytest.approx(expected, rel=1e-14, abs=0)

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from cvqkdsim import (
     simulate_monitor,
     write_pulses_csv,
 )
+from cvqkdsim import protocol
 from cvqkdsim.protocol import BLOCK_SIZE, attack_gain, mean_attack_gain
 
 CH = ChannelParams(va=5.0, transmittance=0.5, eta=0.5, xi=0.1, v_el=0.01)
@@ -181,3 +183,31 @@ def test_pulse_csv_dump(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[1]) == pytest.approx(batch.x[0])
+
+
+def _reference_pulses_csv(batch, path):
+    """The original row-by-row csv.writer dump, kept as the byte reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "x", "y", "intercepted", "lo_attacked"])
+        for i in range(len(batch)):
+            writer.writerow(
+                [
+                    i,
+                    repr(float(batch.x[i])),
+                    repr(float(batch.y[i])),
+                    int(batch.intercepted[i]),
+                    int(batch.lo_attacked[i]),
+                ]
+            )
+
+
+def test_pulse_csv_dump_matches_row_by_row_writer(tmp_path, monkeypatch):
+    x = generate_alice(1000, CH.va, seed=16)
+    batch = simulate_bob(x, CH, AttackParams(mu=0.5, nu=0.5, delta_ns=10.0), DET, seed=16)
+    batch.x[:6] = [-0.0, 5e-324, 1e300, float("inf"), float("nan"), 1.0]
+    _reference_pulses_csv(batch, tmp_path / "reference.csv")
+    # small blocks, so that the dump crosses several block boundaries
+    monkeypatch.setattr(protocol, "BLOCK_SIZE", 64)
+    write_pulses_csv(batch, tmp_path / "pulses.csv")
+    assert (tmp_path / "pulses.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

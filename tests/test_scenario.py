@@ -1,16 +1,32 @@
+import dataclasses
+import math
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cvqkdsim import parse_config, run_scenario, serialize_config, sweep_keyrate
+from cvqkdsim import (
+    KeyRateParams,
+    PulseBatch,
+    load_config,
+    mutual_information,
+    parse_config,
+    run_scenario,
+    secret_key_rate,
+    serialize_config,
+    sweep_keyrate,
+)
 from cvqkdsim.cli import main
 from cvqkdsim.errors import ConfigError
 from cvqkdsim.scenario import (
     EXIT_ABORT,
     EXIT_BREACHED,
     EXIT_SECURE,
+    analyse_scenario,
     last_positive_distance,
+    sample_scenario,
     trigger_delay_from_attenuation,
 )
 
@@ -241,3 +257,84 @@ def test_monitoring_discards_pulses_from_estimation():
     report = run_scenario(cfg)
     assert report.m_monitor == pytest.approx(0.2 * cfg.pulses, rel=0.05)
     assert report.m_estimation + report.n_key + report.m_monitor == cfg.pulses
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_run_csv_dumps_the_pulses_the_report_used(tmp_path, capsys):
+    cfg_path = tmp_path / "countermeasure.cfg"
+    text = (CONFIGS / "countermeasure-example.cfg").read_text()
+    cfg_path.write_text(text.replace("pulses = 2000000", "pulses = 20000"))
+    out = tmp_path / "out"
+    main(["run", "--config", str(cfg_path), "--out", str(out), "--csv"])
+    printed = capsys.readouterr().out.strip()
+    report = dict(line.split("=", 1) for line in printed.splitlines())
+    rows = np.loadtxt(out / "pulses.csv", delimiter=",", skiprows=1)
+    assert int(report["m_monitor"]) > 0
+    assert len(rows) == int(report["m_estimation"]) + int(report["n_key"])
+
+    cfg = load_config(cfg_path)
+    sample = sample_scenario(cfg)
+    np.testing.assert_array_equal(rows[:, 1], sample.batch.x)
+    np.testing.assert_array_equal(rows[:, 2], sample.batch.y)
+    # the dumped columns alone reproduce the printed report
+    dumped = PulseBatch(
+        x=rows[:, 1], y=rows[:, 2], intercepted=rows[:, 3] == 1, lo_attacked=rows[:, 4] == 1
+    )
+    reanalysed = analyse_scenario(cfg, dataclasses.replace(sample, batch=dumped))
+    assert reanalysed.to_text() == printed == run_scenario(cfg).to_text()
+
+
+NO_ATTACK = "pulses = 400000\nseed = 3\nva = 5.0\nxi = 0.1\nvel = 0.01\n"
+
+
+def _scaled(text: str, c: float) -> str:
+    """The same channel with every variance, shot noise included, multiplied by c."""
+    return text.replace("va = 5.0", f"va = {5.0 * c!r}").replace(
+        "xi = 0.1", f"xi = {0.1 * c!r}"
+    ).replace("vel = 0.01", f"vel = {0.01 * c!r}") + f"n0 = {c!r}\nn0_assumed = {c!r}\n"
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+def test_rates_do_not_depend_on_the_unit_of_variance(c):
+    base = run_scenario(parse_config(_scaled(NO_ATTACK, 1.0)))
+    scaled = run_scenario(parse_config(_scaled(NO_ATTACK, c)))
+    for key in ("k_estimated", "k_true", "i_ab_estimated", "chi_be_estimated", "xi_hat_snu"):
+        assert getattr(scaled, key) == pytest.approx(getattr(base, key), rel=1e-9, abs=1e-12)
+
+
+def _estimated_se(report, cfg, fn):
+    """Delta-method SE of fn(estimated key-rate inputs) over (va_hat, t_hat, sigma2_hat)."""
+    est = report.estimation.estimates
+    ch, n0, m = cfg.channel, cfg.n0_assumed, est.m
+    point = [est.va_hat, est.t_hat, est.sigma2_hat]
+    se = [point[0] * math.sqrt(2.0 / m), math.sqrt(point[2] / (m * point[0])),
+          point[2] * math.sqrt(2.0 / m)]
+
+    def at(va, t, s2):
+        xi = (s2 - n0 - ch.v_el) / t**2
+        return fn(KeyRateParams(va=va / n0, transmittance=min(t * t / ch.eta, 1.0), eta=ch.eta,
+                                xi=max(xi, 0.0) / n0, v_el=ch.v_el / n0, beta=cfg.beta))
+
+    var = 0.0
+    for i, s in enumerate(se):
+        up, down = list(point), list(point)
+        up[i] += 1e-3 * s
+        down[i] -= 1e-3 * s
+        var += ((at(*up) - at(*down)) / 2e-3) ** 2
+    return math.sqrt(var)
+
+
+@pytest.mark.parametrize("n0", [0.5, 2.0])
+def test_estimated_rates_track_truth_when_shot_noise_rescaled(n0):
+    cfg = parse_config(NO_ATTACK + f"n0 = {n0!r}\nn0_assumed = {n0!r}\n")
+    report = run_scenario(cfg)
+    ch = cfg.channel
+    truth = KeyRateParams(va=ch.va / n0, transmittance=ch.transmittance, eta=ch.eta,
+                          xi=ch.xi / n0, v_el=ch.v_el / n0, beta=cfg.beta)
+    i_true = mutual_information(truth)
+    se_i = _estimated_se(report, cfg, mutual_information)
+    assert abs(report.i_ab_estimated - i_true) <= 5.0 * se_i
+    se_k = _estimated_se(report, cfg, lambda p: secret_key_rate(p).key_rate)
+    assert abs(report.k_estimated - report.k_true) <= 5.0 * se_k
