@@ -19,7 +19,7 @@ import numpy as np
 from .config import load_config, parse_config
 from .errors import ConfigError, ScenarioStageError
 from .keyrate import max_secure_distance
-from .protocol import write_pulses_csv
+from .protocol import pulses_csv
 from .pulses import (
     DetectorModel,
     craft_equal_power_pulse,
@@ -35,6 +35,7 @@ from .scenario import (
     analyse_scenario,
     default_lo_pulse,
     last_positive_distance,
+    run_scenario,
     sample_scenario,
     sweep_keyrate,
     write_sweep_csv,
@@ -79,15 +80,17 @@ def _cmd_run(args) -> int:
         if args.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {args.seed}")
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    sample = sample_scenario(cfg)
-    report = analyse_scenario(cfg, sample)
-    print(report.to_text())
-    if args.out:
-        out = Path(args.out)
+    out = Path(args.out) if args.out else None
+    if out:
         out.mkdir(parents=True, exist_ok=True)
+    if out and args.csv:
+        with pulses_csv(out / "pulses.csv") as append:
+            report = analyse_scenario(cfg, sample_scenario(cfg, on_open=append))
+    else:
+        report = run_scenario(cfg)
+    print(report.to_text())
+    if out:
         (out / "report.txt").write_text(report.to_text() + "\n")
-        if args.csv:
-            write_pulses_csv(sample.batch, out / "pulses.csv")
     return report.exit_code
 
 

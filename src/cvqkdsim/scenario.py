@@ -10,24 +10,26 @@ supports.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .countermeasure import detect_attack, plan_monitor, realtime_shot_noise
+from .countermeasure import detect_attack, monitor_mask_blocks, realtime_shot_noise
 from .errors import ConfigError, ScenarioStageError
-from .estimation import EstimationReport, confidence_bounds, infer_channel, ml_estimate
+from .estimation import EstimationReport, confidence_bounds, infer_channel, ml_from_moments
 from .keyrate import KeyRateParams, LinkModel, SweepPoint, rate_at_distance, secret_key_rate
 from .protocol import (
+    BLOCK_SIZE,
     AttackParams,
     PulseBatch,
+    alice_block,
     attack_gain,
-    generate_alice,
-    simulate_bob,
-    simulate_monitor,
+    bob_block,
+    monitor_block,
 )
 from .pulses import (
     PowerMeterConfig,
@@ -45,9 +47,8 @@ EXIT_BREACHED = 3
 
 VERDICT_EXIT_CODES = {"secure": EXIT_SECURE, "abort": EXIT_ABORT, "breached": EXIT_BREACHED}
 
-# Seed-stream tags for the scenario-level draws (monitor mask, data split).
+# Seed-stream tag of the monitor mask, the one scenario-level draw.
 _TAG_MONITOR_MASK = 100
-_TAG_PARTITION = 101
 
 # Nominal LO pulse: linear rise, flat top, linear fall (ns grid).
 _RISE_NS = 30
@@ -184,22 +185,81 @@ def _resolve_attack(cfg: ScenarioConfig):
 
 
 @dataclass
-class ScenarioSample:
-    """The pulses drawn for one scenario, before any analysis.
+class Moments:
+    """Counts and sums of one scenario's pulses: all that the analysis reads.
 
-    ``batch`` holds the open-switch pulses, split later into the
-    estimation and key sets; ``monitor`` holds the closed-switch pulses
-    and is None when the countermeasure is off.
+    ``est_*`` cover the estimation set, ``open_yy`` every open-switch
+    pulse and ``monitor_yy`` the closed-switch pulses.  Open pulses are
+    added in pulse order; the first ``key_target`` of them form the key
+    set and the rest the estimation set, unless fewer than two follow
+    them, in which case the last two open pulses (kept in ``tail_x`` and
+    ``tail_y``) are the estimation set.
     """
+
+    key_target: int
+    n_open: int = 0
+    open_yy: float = 0.0
+    m_est: int = 0
+    est_xx: float = 0.0
+    est_xy: float = 0.0
+    est_yy: float = 0.0
+    est_x: float = 0.0
+    est_y: float = 0.0
+    m_monitor: int = 0
+    monitor_yy: float = 0.0
+    tail_x: np.ndarray = field(default_factory=lambda: np.empty(0))
+    tail_y: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def add_open(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Add the next open-switch pulses, in pulse order."""
+        split = min(max(self.key_target - self.n_open, 0), x.size)
+        key_y, est_x, est_y = y[:split], x[split:], y[split:]
+        self.n_open += x.size
+        est_yy = float(est_y @ est_y)
+        self.open_yy += float(key_y @ key_y) + est_yy
+        if est_x.size:
+            self.m_est += est_x.size
+            self.est_xx += float(est_x @ est_x)
+            self.est_xy += float(est_x @ est_y)
+            self.est_yy += est_yy
+            self.est_x += float(est_x.sum())
+            self.est_y += float(est_y.sum())
+        self.tail_x = np.concatenate([self.tail_x, x[-2:]])[-2:]
+        self.tail_y = np.concatenate([self.tail_y, y[-2:]])[-2:]
+
+    def add_monitor(self, y: np.ndarray) -> None:
+        """Add closed-switch outcomes."""
+        self.m_monitor += y.size
+        self.monitor_yy += float(y @ y)
+
+    def estimation_set(self) -> tuple[int, float, float, float, float, float]:
+        """(m, sum x^2, sum xy, sum y^2, sum x, sum y) of the estimation set."""
+        if self.m_est >= 2:
+            return (self.m_est, self.est_xx, self.est_xy, self.est_yy, self.est_x, self.est_y)
+        x, y = self.tail_x, self.tail_y
+        return (x.size, float(x @ x), float(x @ y), float(y @ y), float(x.sum()), float(y.sum()))
+
+
+@dataclass
+class ScenarioSample:
+    """The resolved attack, its timing gain and the moments of the drawn pulses."""
 
     attack: AttackParams
     gain: float
-    batch: PulseBatch
-    monitor: PulseBatch | None
+    moments: Moments
 
 
-def sample_scenario(cfg: ScenarioConfig) -> ScenarioSample:
-    """Draw Alice's modulation, Bob's attacked outcomes and the monitoring pulses."""
+def sample_scenario(
+    cfg: ScenarioConfig, on_open: Callable[[PulseBatch], None] | None = None
+) -> ScenarioSample:
+    """Draw the scenario one pulse block at a time, keeping only its moments.
+
+    Per block: Alice's modulation, the monitor mask, Bob's attacked
+    outcomes on the open-switch pulses and the monitoring outcomes on
+    the closed-switch ones.  ``on_open``, when given, receives each
+    block's open-switch pulses as they are drawn.  Memory does not grow
+    with the pulse count.
+    """
     ch = cfg.channel
     det = cfg.detector
     n_pulses = cfg.pulses
@@ -208,26 +268,36 @@ def sample_scenario(cfg: ScenarioConfig) -> ScenarioSample:
         atk = _resolve_attack(cfg)
         gain = attack_gain(atk, det)
 
-    with _stage("modulation"):
-        x = generate_alice(n_pulses, ch.va, cfg.seed)
-
-    with _stage("channel-simulation"):
-        if cfg.countermeasure_enabled:
-            plan = plan_monitor(
-                n_pulses, cfg.monitor_fraction, _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
-            )
-            monitor_mask = plan.mask
-        else:
-            monitor_mask = np.zeros(n_pulses, dtype=bool)
-        batch = simulate_bob(x[~monitor_mask], ch, atk, det, cfg.seed)
-
-    monitor_batch = None
+    # The key set is the first open pulses and the estimation set the rest.
+    # Eve's per-pulse choices are i.i.d. and independent of position, so this
+    # positional split is as good as a random one; an attack that depended
+    # on position would need a random split again.
+    moments = Moments(key_target=int(round(cfg.key_fraction * n_pulses)))
+    masks = None
     if cfg.countermeasure_enabled:
-        with _stage("monitoring"):
-            monitor_batch = simulate_monitor(
-                x[monitor_mask], ch, atk, det, cfg.switch.extinction, cfg.seed
-            )
-    return ScenarioSample(attack=atk, gain=gain, batch=batch, monitor=monitor_batch)
+        masks = monitor_mask_blocks(
+            n_pulses, cfg.monitor_fraction, _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
+        )
+    for block, start in enumerate(range(0, n_pulses, BLOCK_SIZE)):
+        size = min(BLOCK_SIZE, n_pulses - start)
+        with _stage("modulation"):
+            x = alice_block(size, ch.va, cfg.seed, block)
+        with _stage("channel-simulation"):
+            x_open = x
+            if masks is not None:
+                closed = next(masks)
+                x_open = x[~closed]
+            y, intercepted, lo_attacked = bob_block(x_open, ch, atk, gain, cfg.seed, block)
+            moments.add_open(x_open, y)
+        if on_open is not None:
+            on_open(PulseBatch(x=x_open, y=y, intercepted=intercepted, lo_attacked=lo_attacked))
+        if masks is not None:
+            with _stage("monitoring"):
+                y_closed, _, _ = monitor_block(
+                    x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block
+                )
+                moments.add_monitor(y_closed)
+    return ScenarioSample(attack=atk, gain=gain, moments=moments)
 
 
 def _snu_params(
@@ -248,39 +318,32 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
     """Monitoring, estimation, key rates and verdict on a drawn sample."""
     ch = cfg.channel
     atk = sample.attack
-    batch = sample.batch
-    n_pulses = cfg.pulses
+    moments = sample.moments
     n0_line = cfg.n0_assumed
 
     n0_rt = alarm = statistic = None
-    m_monitor = 0
-    if sample.monitor is not None:
-        m_monitor = len(sample.monitor)
+    m_monitor = moments.m_monitor
+    if cfg.countermeasure_enabled:
         with _stage("monitoring"):
-            var_open = float(np.mean(batch.y**2))
-            var_closed = float(np.mean(sample.monitor.y**2))
+            if m_monitor < 2:
+                raise ConfigError(f"{m_monitor} monitoring pulses drawn, need at least 2")
             rt = realtime_shot_noise(
-                var_open,
-                var_closed,
+                moments.open_yy / moments.n_open,
+                moments.monitor_yy / m_monitor,
                 cfg.switch.extinction,
                 ch.v_el,
-                m_open=len(batch),
+                m_open=moments.n_open,
                 m_closed=m_monitor,
             )
             n0_rt = rt.n0_rt
             alarm, statistic = detect_attack(n0_rt, n0_line, m_monitor, cfg.z_threshold)
 
     with _stage("estimation"):
-        n_open = len(batch)
-        n_key = min(int(round(cfg.key_fraction * n_pulses)), n_open - 2)
-        m_est = n_open - n_key
-        if m_est < 2:
+        if moments.n_open < 2:
             raise ConfigError("too few pulses left for estimation")
-        order = np.random.default_rng(
-            _sub_seed(cfg.seed, _TAG_PARTITION)
-        ).permutation(n_open)
-        est_idx = order[:m_est]
-        estimates = ml_estimate(batch.x[est_idx], batch.y[est_idx])
+        m_est, *sums = moments.estimation_set()
+        n_key = moments.n_open - m_est
+        estimates = ml_from_moments(m_est, *sums)
         intervals = confidence_bounds(estimates, cfg.epsilon)
         t_hat, xi_hat = infer_channel(estimates, n0_line, ch.eta, ch.v_el)
         report = EstimationReport(

@@ -9,6 +9,7 @@ from cvqkdsim import (
     AttackParams,
     ChannelParams,
     DetectorModel,
+    MonitorPlan,
     SwitchModel,
     detect_attack,
     effective_eta,
@@ -18,8 +19,9 @@ from cvqkdsim import (
     second_hd_shot_noise,
     simulate_monitor,
 )
+from cvqkdsim.countermeasure import monitor_mask_blocks
 from cvqkdsim.errors import SingularSystemError
-from cvqkdsim.protocol import attack_gain, mean_attack_gain
+from cvqkdsim.protocol import BLOCK_SIZE, attack_gain, mean_attack_gain
 
 
 class TestPlanMonitor:
@@ -37,9 +39,25 @@ class TestPlanMonitor:
         b = plan_monitor(5000, 0.1, seed=3)
         np.testing.assert_array_equal(a.mask, b.mask)
 
+    def test_blocks_join_to_one_draw_of_the_seeded_generator(self):
+        n = 2 * BLOCK_SIZE + 5
+        blocks = list(monitor_mask_blocks(n, 0.1, seed=6))
+        assert [b.size for b in blocks] == [BLOCK_SIZE, BLOCK_SIZE, 5]
+        expected = np.random.default_rng(6).random(n) < 0.1
+        np.testing.assert_array_equal(np.concatenate(blocks), expected)
+        np.testing.assert_array_equal(plan_monitor(n, 0.1, seed=6).mask, expected)
+        assert plan_monitor(0, 0.1, seed=6).mask.dtype == bool
+
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
             plan_monitor(10, 1.5, seed=1)
+        with pytest.raises(ValueError):
+            MonitorPlan(mask=np.zeros(10, dtype=bool), fraction=-0.1)
+
+    def test_off_target_mask_constructs(self):
+        # an unlucky draw is still a draw: no error may depend on the seed
+        plan = MonitorPlan(mask=np.ones(10_000, dtype=bool), fraction=0.1)
+        assert plan.n_monitor == 10_000
 
 
 class TestRealtimeShotNoise:

@@ -81,6 +81,15 @@ class TestMlEstimate:
         corr = np.corrcoef(t_hats, s2_hats)[0, 1]
         assert abs(corr) < 5.0 / math.sqrt(trials)
 
+    def test_noise_free_lines_give_zero_not_negative_variance(self):
+        # sum(y^2) - sum(xy)^2/sum(x^2) rounds below zero on about a third of these
+        rng = np.random.default_rng(24)
+        for _ in range(2000):
+            x = rng.standard_normal(int(rng.integers(2, 50)))
+            y = rng.uniform(-3.0, 3.0) * x
+            est = ml_estimate(x, y)
+            assert 0.0 <= est.sigma2_hat <= 1e-14 * float(y @ y) / est.m
+
 
 class TestConfidenceBounds:
     def test_zero_residual_gives_zero_width_t_interval(self):

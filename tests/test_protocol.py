@@ -172,6 +172,40 @@ class TestSimulateMonitor:
             simulate_monitor(np.ones(10), CH, AttackParams(), DET, extinction=1.0, seed=1)
 
 
+@pytest.mark.parametrize("extinction", [None, 0.3])
+def test_each_attack_class_follows_its_gaussian_law(extinction):
+    """Per (intercepted, LO-attacked) class: mean y^2 and mean xy against closed forms.
+
+    ``None`` is ``simulate_bob``; a number is ``simulate_monitor`` at that
+    extinction, which passes that share of the signal-path variance.  The
+    electronic noise is large, so that a timing gain applied to it shows.
+    """
+    ch = ChannelParams(va=5.0, transmittance=0.5, eta=0.5, xi=0.1, v_el=0.5)
+    atk = AttackParams(mu=0.5, nu=0.5, delta_ns=10.0)
+    n = 400_000
+    x = generate_alice(n, ch.va, seed=17)
+    if extinction is None:
+        batch = simulate_bob(x, ch, atk, DET, seed=17)
+        share = 1.0
+    else:
+        batch = simulate_monitor(x, ch, atk, DET, extinction=extinction, seed=17)
+        share = extinction
+    g = attack_gain(atk, DET)
+    eta_t = ch.eta * ch.transmittance
+    for intercepted in (False, True):
+        for lo_attacked in (False, True):
+            sel = (batch.intercepted == intercepted) & (batch.lo_attacked == lo_attacked)
+            m = int(sel.sum())
+            gain = g if lo_attacked else 1.0
+            noise = gain * (share * eta_t * (2.0 * ch.n0 * intercepted + ch.xi) + ch.n0)
+            var_y = share * eta_t * ch.va + noise + ch.v_el
+            cov = math.sqrt(share * eta_t) * ch.va
+            mean_y2 = float(np.mean(batch.y[sel] ** 2))
+            mean_xy = float(np.mean(batch.x[sel] * batch.y[sel]))
+            assert abs(mean_y2 - var_y) < 5.0 * var_se(var_y, m)
+            assert abs(mean_xy - cov) < 5.0 * math.sqrt((ch.va * var_y + cov**2) / m)
+
+
 def test_pulse_csv_dump(tmp_path):
     x = generate_alice(500, CH.va, seed=15)
     batch = simulate_bob(x, CH, AttackParams(mu=0.5), DET, seed=15)

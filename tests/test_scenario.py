@@ -2,6 +2,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,15 @@ import pytest
 
 from cvqkdsim import (
     KeyRateParams,
-    PulseBatch,
+    generate_alice,
     load_config,
     mutual_information,
     parse_config,
+    plan_monitor,
     run_scenario,
     secret_key_rate,
     serialize_config,
+    simulate_bob,
     sweep_keyrate,
 )
 from cvqkdsim.cli import main
@@ -24,6 +27,9 @@ from cvqkdsim.scenario import (
     EXIT_ABORT,
     EXIT_BREACHED,
     EXIT_SECURE,
+    _TAG_MONITOR_MASK,
+    Moments,
+    _sub_seed,
     analyse_scenario,
     last_positive_distance,
     sample_scenario,
@@ -158,6 +164,72 @@ class TestRunScenario:
         assert report.n_key == 25000
         assert report.m_estimation == 75000
 
+    def test_two_pulses_left_for_estimation_when_key_fraction_takes_the_rest(self):
+        # key_fraction + monitor_fraction > 1: the key set takes all but two open pulses
+        cfg = parse_config(
+            "pulses = 20000\nseed = 4\nkey_fraction = 0.95\ncountermeasure = on\n"
+        )
+        report = run_scenario(cfg)
+        assert report.m_estimation == 2
+        assert report.m_estimation + report.n_key + report.m_monitor == cfg.pulses
+
+    def test_open_pulses_are_the_protocol_samplers_draws(self):
+        cfg = parse_config(BREACH.replace("pulses = 400000", "pulses = 150000"))
+        blocks = []
+        sample_scenario(cfg, on_open=blocks.append)
+        x = generate_alice(cfg.pulses, cfg.channel.va, cfg.seed)
+        batch = simulate_bob(x, cfg.channel, cfg.attack, cfg.detector, cfg.seed)
+        np.testing.assert_array_equal(np.concatenate([b.x for b in blocks]), x)
+        np.testing.assert_array_equal(np.concatenate([b.y for b in blocks]), batch.y)
+
+    def test_monitor_mask_is_the_planned_one(self):
+        cfg = parse_config(BREACH.replace("pulses = 400000", "pulses = 150000")
+                           + "countermeasure = on\n")
+        blocks = []
+        sample = sample_scenario(cfg, on_open=blocks.append)
+        plan = plan_monitor(cfg.pulses, cfg.monitor_fraction,
+                            _sub_seed(cfg.seed, _TAG_MONITOR_MASK))
+        x = generate_alice(cfg.pulses, cfg.channel.va, cfg.seed)
+        np.testing.assert_array_equal(np.concatenate([b.x for b in blocks]), x[~plan.mask])
+        assert sample.moments.m_monitor == plan.n_monitor
+
+
+class TestMoments:
+    X = np.arange(1.0, 11.0)
+    Y = 0.5 * X - 3.0
+
+    @pytest.mark.parametrize("key_target,first_est", [(0, 0), (4, 4), (8, 8), (9, 8), (20, 8)])
+    @pytest.mark.parametrize("chunks", [1, 3, 10])
+    def test_key_set_first_then_estimation_set(self, key_target, first_est, chunks):
+        moments = Moments(key_target=key_target)
+        for idx in np.array_split(np.arange(self.X.size), chunks):
+            moments.add_open(self.X[idx], self.Y[idx])
+        x, y = self.X[first_est:], self.Y[first_est:]
+        expected = (x.size, x @ x, x @ y, y @ y, x.sum(), y.sum())
+        assert moments.estimation_set() == pytest.approx(expected, rel=1e-15)
+        assert moments.n_open == self.X.size
+        assert moments.open_yy == pytest.approx(self.Y @ self.Y, rel=1e-15)
+
+
+def _peak_traced_bytes(pulses: int) -> int:
+    cfg = parse_config(
+        f"pulses = {pulses}\nseed = 3\nmu = 0.5\nnu = 0.5\ndelta_ns = 10.0\n"
+        "countermeasure = on\n"
+    )
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_pulse_count():
+    small = _peak_traced_bytes(2**17)
+    large = _peak_traced_bytes(2**20)
+    assert large < 16 * 2**20
+    assert large <= 1.5 * small
+
 
 class TestSweep:
     def test_grid_row_count_and_crossings(self):
@@ -275,14 +347,23 @@ def test_run_csv_dumps_the_pulses_the_report_used(tmp_path, capsys):
     assert len(rows) == int(report["m_estimation"]) + int(report["n_key"])
 
     cfg = load_config(cfg_path)
-    sample = sample_scenario(cfg)
-    np.testing.assert_array_equal(rows[:, 1], sample.batch.x)
-    np.testing.assert_array_equal(rows[:, 2], sample.batch.y)
-    # the dumped columns alone reproduce the printed report
-    dumped = PulseBatch(
-        x=rows[:, 1], y=rows[:, 2], intercepted=rows[:, 3] == 1, lo_attacked=rows[:, 4] == 1
+    blocks = []
+    sample = sample_scenario(cfg, on_open=blocks.append)
+    x, y = np.ascontiguousarray(rows[:, 1]), np.ascontiguousarray(rows[:, 2])
+    np.testing.assert_array_equal(x, np.concatenate([b.x for b in blocks]))
+    np.testing.assert_array_equal(y, np.concatenate([b.y for b in blocks]))
+    np.testing.assert_array_equal(rows[:, 3] == 1, np.concatenate([b.intercepted for b in blocks]))
+    np.testing.assert_array_equal(rows[:, 4] == 1, np.concatenate([b.lo_attacked for b in blocks]))
+    # the dumped columns alone, added block by block as the run added them,
+    # reproduce the printed report
+    drawn = sample.moments
+    dumped = Moments(
+        key_target=drawn.key_target, m_monitor=drawn.m_monitor, monitor_yy=drawn.monitor_yy
     )
-    reanalysed = analyse_scenario(cfg, dataclasses.replace(sample, batch=dumped))
+    cuts = np.cumsum([len(b) for b in blocks])[:-1]
+    for xb, yb in zip(np.split(x, cuts), np.split(y, cuts)):
+        dumped.add_open(xb, yb)
+    reanalysed = analyse_scenario(cfg, dataclasses.replace(sample, moments=dumped))
     assert reanalysed.to_text() == printed == run_scenario(cfg).to_text()
 
 
