@@ -332,6 +332,13 @@ def test_monitoring_discards_pulses_from_estimation():
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["quantitative-example", "countermeasure-example"])
+def test_shipped_config_report_matches_its_golden_file(name):
+    report = run_scenario(load_config(CONFIGS / f"{name}.cfg"))
+    assert (report.to_text() + "\n").encode() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 def test_run_csv_dumps_the_pulses_the_report_used(tmp_path, capsys):
