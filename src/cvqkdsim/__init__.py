@@ -2,12 +2,9 @@
 
 from .config import ScenarioConfig, SweepSettings, load_config, parse_config, serialize_config
 from .countermeasure import (
-    MonitorPlan,
-    ShotNoiseEstimate,
     SwitchModel,
     detect_attack,
     effective_eta,
-    plan_monitor,
     realtime_shot_noise,
     second_hd_shot_noise,
 )
@@ -38,7 +35,6 @@ from .protocol import (
     generate_alice,
     simulate_bob,
     simulate_monitor,
-    write_pulses_csv,
 )
 from .pulses import (
     CalibrationLine,

@@ -10,7 +10,9 @@ identical object.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import get_type_hints
 
 from .countermeasure import SwitchModel
 from .errors import ConfigError
@@ -31,37 +33,42 @@ def _format_bool(value: bool) -> str:
     return "on" if value else "off"
 
 
-# key -> (converter, default or None when required, human-readable range, check)
+# key -> (space-separated field paths in ScenarioConfig, converter, default
+# or None when required, human-readable range, check)
 _KEY_TABLE: dict[str, tuple] = {
-    "pulses": (int, None, ">= 10", lambda v: v >= 10),
-    "seed": (int, 1, ">= 0", lambda v: v >= 0),
-    "key_fraction": (float, 0.5, "in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "epsilon": (float, 0.05, "in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "va": (float, 5.0, ">= 0", lambda v: v >= 0.0),
-    "transmittance": (float, 0.5, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "eta": (float, 0.5, "in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    "xi": (float, 0.1, ">= 0", lambda v: v >= 0.0),
-    "vel": (float, 0.01, ">= 0", lambda v: v >= 0.0),
-    "n0": (float, 1.0, "> 0", lambda v: v > 0.0),
-    "mu": (float, 0.0, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "nu": (float, 0.0, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "alpha": (float, 1.0, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "delta_ns": (float, 0.0, ">= 0", lambda v: v >= 0.0),
-    "window_ns": (float, 100.0, "> 0", lambda v: v > 0.0),
-    "tau_ns": (float, DEFAULT_TAU_NS, "> 0", lambda v: v > 0.0),
-    "slope_cal": (float, 1.0, "> 0", lambda v: v > 0.0),
-    "n0_assumed": (float, 1.0, "> 0", lambda v: v > 0.0),
-    "countermeasure": (_parse_bool, False, "on or off", lambda v: True),
-    "monitor_fraction": (float, 0.1, "in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "switch_loss_db": (float, 2.7, ">= 0", lambda v: v >= 0.0),
-    "extinction": (float, 0.0, "in [0, 1)", lambda v: 0.0 <= v < 1.0),
-    "z_threshold": (float, 5.0, "> 0", lambda v: v > 0.0),
-    "beta": (float, 0.948, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "snr_target": (float, 0.075, "> 0", lambda v: v > 0.0),
-    "xi_bob": (float, 0.001, ">= 0", lambda v: v >= 0.0),
-    "loss_db_per_km": (float, 0.2, "> 0", lambda v: v > 0.0),
-    "sweep_d_max_km": (float, 120.0, "> 0", lambda v: v > 0.0),
-    "sweep_step_km": (float, 1.0, "> 0", lambda v: v > 0.0),
+    "pulses": ("pulses", int, None, ">= 10", lambda v: v >= 10),
+    "seed": ("seed", int, 1, ">= 0", lambda v: v >= 0),
+    "key_fraction": ("key_fraction", float, 0.5, "in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "epsilon": ("epsilon", float, 0.05, "in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "va": ("channel.va", float, 5.0, ">= 0", lambda v: v >= 0.0),
+    "transmittance": (
+        "channel.transmittance", float, 0.5, "in [0, 1]", lambda v: 0.0 <= v <= 1.0
+    ),
+    "eta": ("channel.eta", float, 0.5, "in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "xi": ("channel.xi", float, 0.1, ">= 0", lambda v: v >= 0.0),
+    "vel": ("channel.v_el detector.v_el", float, 0.01, ">= 0", lambda v: v >= 0.0),
+    "n0": ("channel.n0", float, 1.0, "> 0", lambda v: v > 0.0),
+    "mu": ("attack.mu", float, 0.0, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "nu": ("attack.nu", float, 0.0, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "alpha": ("attack.alpha", float, 1.0, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "delta_ns": ("attack.delta_ns", float, 0.0, ">= 0", lambda v: v >= 0.0),
+    "window_ns": ("detector.window_ns", float, 100.0, "> 0", lambda v: v > 0.0),
+    "tau_ns": ("detector.tau_ns", float, DEFAULT_TAU_NS, "> 0", lambda v: v > 0.0),
+    "slope_cal": ("detector.slope_cal", float, 1.0, "> 0", lambda v: v > 0.0),
+    "n0_assumed": ("n0_assumed", float, 1.0, "> 0", lambda v: v > 0.0),
+    "countermeasure": (
+        "countermeasure_enabled", _parse_bool, False, "on or off", lambda v: True
+    ),
+    "monitor_fraction": ("monitor_fraction", float, 0.1, "in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "switch_loss_db": ("switch.loss_db", float, 2.7, ">= 0", lambda v: v >= 0.0),
+    "extinction": ("switch.extinction", float, 0.0, "in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "z_threshold": ("z_threshold", float, 5.0, "> 0", lambda v: v > 0.0),
+    "beta": ("beta", float, 0.948, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "snr_target": ("sweep.snr_target", float, 0.075, "> 0", lambda v: v > 0.0),
+    "xi_bob": ("sweep.xi_bob", float, 0.001, ">= 0", lambda v: v >= 0.0),
+    "loss_db_per_km": ("sweep.loss_db_per_km", float, 0.2, "> 0", lambda v: v > 0.0),
+    "sweep_d_max_km": ("sweep.d_max_km", float, 120.0, "> 0", lambda v: v > 0.0),
+    "sweep_step_km": ("sweep.step_km", float, 1.0, "> 0", lambda v: v > 0.0),
 }
 
 
@@ -69,113 +76,55 @@ _KEY_TABLE: dict[str, tuple] = {
 class SweepSettings:
     """Distance-sweep parameters for the key-rate comparison curves."""
 
-    snr_target: float = 0.075
-    xi_bob: float = 0.001
-    loss_db_per_km: float = 0.2
-    d_max_km: float = 120.0
-    step_km: float = 1.0
+    snr_target: float
+    xi_bob: float
+    loss_db_per_km: float
+    d_max_km: float
+    step_km: float
 
 
 @dataclass
 class ScenarioConfig:
-    """Fully validated end-to-end scenario description."""
+    """Fully validated end-to-end scenario description.
+
+    Built by :func:`parse_config`; ``_KEY_TABLE`` gives each field its
+    config key and default.
+    """
 
     channel: ChannelParams
     attack: AttackParams
     detector: DetectorModel
     pulses: int
-    key_fraction: float = 0.5
-    seed: int = 1
-    beta: float = 0.948
-    epsilon: float = 0.05
-    n0_assumed: float = 1.0
-    countermeasure_enabled: bool = False
-    monitor_fraction: float = 0.1
-    switch: SwitchModel = field(default_factory=SwitchModel)
-    z_threshold: float = 5.0
-    sweep: SweepSettings = field(default_factory=SweepSettings)
+    key_fraction: float
+    seed: int
+    beta: float
+    epsilon: float
+    n0_assumed: float
+    countermeasure_enabled: bool
+    monitor_fraction: float
+    switch: SwitchModel
+    z_threshold: float
+    sweep: SweepSettings
 
     def config_hash(self) -> str:
         return hashlib.sha256(serialize_config(self).encode()).hexdigest()[:16]
 
 
-def _values_from_config(cfg: ScenarioConfig) -> dict:
-    return {
-        "pulses": cfg.pulses,
-        "seed": cfg.seed,
-        "key_fraction": cfg.key_fraction,
-        "epsilon": cfg.epsilon,
-        "va": cfg.channel.va,
-        "transmittance": cfg.channel.transmittance,
-        "eta": cfg.channel.eta,
-        "xi": cfg.channel.xi,
-        "vel": cfg.channel.v_el,
-        "n0": cfg.channel.n0,
-        "mu": cfg.attack.mu,
-        "nu": cfg.attack.nu,
-        "alpha": cfg.attack.alpha,
-        "delta_ns": cfg.attack.delta_ns,
-        "window_ns": cfg.detector.window_ns,
-        "tau_ns": cfg.detector.tau_ns,
-        "slope_cal": cfg.detector.slope_cal,
-        "n0_assumed": cfg.n0_assumed,
-        "countermeasure": cfg.countermeasure_enabled,
-        "monitor_fraction": cfg.monitor_fraction,
-        "switch_loss_db": cfg.switch.loss_db,
-        "extinction": cfg.switch.extinction,
-        "z_threshold": cfg.z_threshold,
-        "beta": cfg.beta,
-        "snr_target": cfg.sweep.snr_target,
-        "xi_bob": cfg.sweep.xi_bob,
-        "loss_db_per_km": cfg.sweep.loss_db_per_km,
-        "sweep_d_max_km": cfg.sweep.d_max_km,
-        "sweep_step_km": cfg.sweep.step_km,
-    }
+# field name -> type, for building the nested records
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
 
 
 def _config_from_values(values: dict) -> ScenarioConfig:
-    return ScenarioConfig(
-        channel=ChannelParams(
-            va=values["va"],
-            transmittance=values["transmittance"],
-            eta=values["eta"],
-            xi=values["xi"],
-            v_el=values["vel"],
-            n0=values["n0"],
-        ),
-        attack=AttackParams(
-            mu=values["mu"],
-            nu=values["nu"],
-            alpha=values["alpha"],
-            delta_ns=values["delta_ns"],
-        ),
-        detector=DetectorModel(
-            window_ns=values["window_ns"],
-            tau_ns=values["tau_ns"],
-            slope_cal=values["slope_cal"],
-            v_el=values["vel"],
-        ),
-        pulses=values["pulses"],
-        key_fraction=values["key_fraction"],
-        seed=values["seed"],
-        beta=values["beta"],
-        epsilon=values["epsilon"],
-        n0_assumed=values["n0_assumed"],
-        countermeasure_enabled=values["countermeasure"],
-        monitor_fraction=values["monitor_fraction"],
-        switch=SwitchModel(
-            loss_db=values["switch_loss_db"],
-            extinction=values["extinction"],
-        ),
-        z_threshold=values["z_threshold"],
-        sweep=SweepSettings(
-            snr_target=values["snr_target"],
-            xi_bob=values["xi_bob"],
-            loss_db_per_km=values["loss_db_per_km"],
-            d_max_km=values["sweep_d_max_km"],
-            step_km=values["sweep_step_km"],
-        ),
-    )
+    """Place each key's value at its field paths, building the nested records."""
+    top: dict = {}
+    nested: dict[str, dict] = {}
+    for key, value in values.items():
+        for path in _KEY_TABLE[key][0].split():
+            group, _, name = path.rpartition(".")
+            (nested.setdefault(group, {}) if group else top)[name] = value
+    for group, kwargs in nested.items():
+        top[group] = _FIELD_TYPES[group](**kwargs)
+    return ScenarioConfig(**top)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -202,7 +151,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"line {lineno}: duplicate key {key!r} (first on line {lines_seen[key]})"
             )
         lines_seen[key] = lineno
-        converter, _, bounds, check = _KEY_TABLE[key]
+        _, converter, _, bounds, check = _KEY_TABLE[key]
         try:
             value = converter(value_text)
         except ValueError:
@@ -212,7 +161,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if not check(value):
             raise ConfigError(f"line {lineno}: {key} must be {bounds}, got {value}")
         values[key] = value
-    for key, (converter, default, _, _) in _KEY_TABLE.items():
+    for key, (_, _, default, _, _) in _KEY_TABLE.items():
         if key not in values:
             if default is None:
                 raise ConfigError(f"missing required key {key!r}")
@@ -225,14 +174,10 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical text form; ``parse_config`` returns an identical object."""
-    values = _values_from_config(cfg)
     lines = []
-    for key in _KEY_TABLE:
-        value = values[key]
-        if isinstance(value, bool):
-            lines.append(f"{key} = {_format_bool(value)}")
-        else:
-            lines.append(f"{key} = {value!r}")
+    for key, (paths, *_) in _KEY_TABLE.items():
+        value = attrgetter(paths.split()[0])(cfg)
+        lines.append(f"{key} = {_format_bool(value) if isinstance(value, bool) else repr(value)}")
     return "\n".join(lines) + "\n"
 
 

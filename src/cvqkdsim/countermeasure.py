@@ -22,24 +22,6 @@ from .protocol import BLOCK_SIZE
 
 
 @dataclass
-class MonitorPlan:
-    """Seeded per-pulse monitoring mask (True = signal path blocked)."""
-
-    mask: np.ndarray
-    fraction: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
-        # any realized mask is a valid draw, however far its share is from the target
-        self.mask = np.asarray(self.mask, dtype=bool)
-
-    @property
-    def n_monitor(self) -> int:
-        return int(self.mask.sum())
-
-
-@dataclass
 class SwitchModel:
     """Optical switch on Bob's signal path."""
 
@@ -51,22 +33,6 @@ class SwitchModel:
             raise ValueError(f"loss_db must be >= 0, got {self.loss_db}")
         if not 0.0 <= self.extinction < 1.0:
             raise ValueError(f"extinction must be in [0, 1), got {self.extinction}")
-
-
-@dataclass
-class ShotNoiseEstimate:
-    """Result of inverting the open/closed variance measurements."""
-
-    n0_rt: float
-    s_rt: float
-    m_open: int
-    m_closed: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.n0_rt):
-            raise ValueError("n0_rt must be finite")
-        if self.m_open < 2 or self.m_closed < 2:
-            raise ValueError("sample counts must be >= 2")
 
 
 def monitor_mask_blocks(n: int, fraction: float, seed: int) -> Iterator[np.ndarray]:
@@ -87,32 +53,23 @@ def monitor_mask_blocks(n: int, fraction: float, seed: int) -> Iterator[np.ndarr
     )
 
 
-def plan_monitor(n: int, fraction: float, seed: int) -> MonitorPlan:
-    """I.i.d. Bernoulli(fraction) monitoring mask over ``n`` pulses."""
-    mask = np.concatenate([np.zeros(0, dtype=bool), *monitor_mask_blocks(n, fraction, seed)])
-    return MonitorPlan(mask=mask, fraction=fraction)
-
-
 def realtime_shot_noise(
-    var_open: float,
-    var_closed: float,
-    extinction: float,
-    v_el: float,
-    m_open: int = 2,
-    m_closed: int = 2,
-) -> ShotNoiseEstimate:
-    """Solve the two-measurement system for shot noise and signal noise.
+    var_open: float, var_closed: float, extinction: float, v_el: float
+) -> tuple[float, float]:
+    """Solve the two-measurement system for (shot noise, signal noise).
 
     var_open   = S + N0 + v_el        (switch open)
     var_closed = extinction*S + N0 + v_el   (switch closed)
 
-    v_el is taken from calibration and trusted.
+    v_el is taken from calibration and trusted.  Returns (n0_rt, s_rt).
     """
     if extinction == 1.0:
         raise SingularSystemError("extinction of 1 makes the system singular")
     s_rt = (var_open - var_closed) / (1.0 - extinction)
     n0_rt = var_closed - v_el - extinction * s_rt
-    return ShotNoiseEstimate(n0_rt=n0_rt, s_rt=s_rt, m_open=m_open, m_closed=m_closed)
+    if not math.isfinite(n0_rt):
+        raise ValueError("n0_rt must be finite")
+    return n0_rt, s_rt
 
 
 def second_hd_shot_noise(var_hd2: float, kappa: float, v_el2: float) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -48,10 +48,10 @@ def __getattr__(name: str):
 class MlEstimates:
     """Point estimates of the normal linear model y = t*x + z."""
 
+    m: int
     t_hat: float
     sigma2_hat: float
     va_hat: float
-    m: int
 
     def __post_init__(self):
         if self.m < 2:
@@ -66,6 +66,31 @@ class MlEstimates:
         return self.m * self.va_hat
 
 
+def record_lines(record) -> list[str]:
+    """``name=value`` lines of a report record, one per field, in field order.
+
+    A nested record contributes its own lines in place, each prefixed
+    with its field's ``metadata["prefix"]``; an interval map ``{key:
+    (low, high)}`` contributes ``key_low`` and ``key_high``.  Strings
+    print bare, every other value through ``repr``.
+    """
+    lines = []
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            prefix = f.metadata.get("prefix", "")
+            lines += [prefix + line for line in record_lines(value)]
+        elif isinstance(value, dict):
+            lines += [
+                f"{key}_{side}={bound!r}"
+                for key, bounds in value.items()
+                for side, bound in zip(("low", "high"), bounds)
+            ]
+        else:
+            lines.append(f"{f.name}={value if isinstance(value, str) else repr(value)}")
+    return lines
+
+
 @dataclass
 class EstimationReport:
     """Channel estimates with confidence intervals.
@@ -76,12 +101,11 @@ class EstimationReport:
     """
 
     estimates: MlEstimates
-    t_hat_squared: float
     transmittance_hat: float
     xi_hat: float
-    intervals: dict[str, tuple[float, float]]
     n0_assumed: float
     epsilon: float
+    intervals: dict[str, tuple[float, float]]
 
     def __post_init__(self):
         points = {
@@ -97,51 +121,9 @@ class EstimationReport:
                     f"{low} <= {point} <= {high}"
                 )
 
-    _TEXT_KEYS = (
-        "m",
-        "t_hat",
-        "sigma2_hat",
-        "va_hat",
-        "transmittance_hat",
-        "xi_hat",
-        "n0_assumed",
-        "epsilon",
-    )
-
-    def _flat(self) -> dict[str, float]:
-        flat = {
-            "m": self.estimates.m,
-            "t_hat": self.estimates.t_hat,
-            "sigma2_hat": self.estimates.sigma2_hat,
-            "va_hat": self.estimates.va_hat,
-            "transmittance_hat": self.transmittance_hat,
-            "xi_hat": self.xi_hat,
-            "n0_assumed": self.n0_assumed,
-            "epsilon": self.epsilon,
-        }
-        for key in ("t", "sigma2", "va"):
-            low, high = self.intervals[key]
-            flat[f"{key}_low"] = low
-            flat[f"{key}_high"] = high
-        return flat
-
     def to_text(self) -> str:
-        """Flat key=value block, one entry per line, stable order."""
-        flat = self._flat()
-        keys = list(self._TEXT_KEYS) + [
-            f"{k}_{side}" for k in ("t", "sigma2", "va") for side in ("low", "high")
-        ]
-        return "\n".join(f"{k}={flat[k]!r}" for k in keys)
-
-    @classmethod
-    def csv_header(cls) -> list[str]:
-        return list(cls._TEXT_KEYS) + [
-            f"{k}_{side}" for k in ("t", "sigma2", "va") for side in ("low", "high")
-        ]
-
-    def to_csv_row(self) -> list:
-        flat = self._flat()
-        return [flat[k] for k in self.csv_header()]
+        """Flat key=value block, one entry per line, in field order."""
+        return "\n".join(record_lines(self))
 
 
 def ml_from_moments(

@@ -305,9 +305,3 @@ def pulses_csv(path: str | Path):
             written += len(batch)
 
         yield append
-
-
-def write_pulses_csv(batch: PulseBatch, path: str | Path) -> None:
-    """Dump a pulse batch as CSV (index, x, y, intercepted, lo_attacked)."""
-    with pulses_csv(path) as append:
-        append(batch)

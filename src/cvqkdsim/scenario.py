@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,13 @@ import numpy as np
 from .config import ScenarioConfig
 from .countermeasure import detect_attack, monitor_mask_blocks, realtime_shot_noise
 from .errors import ConfigError, ScenarioStageError
-from .estimation import EstimationReport, confidence_bounds, infer_channel, ml_from_moments
+from .estimation import (
+    EstimationReport,
+    confidence_bounds,
+    infer_channel,
+    ml_from_moments,
+    record_lines,
+)
 from .keyrate import KeyRateParams, LinkModel, SweepPoint, rate_at_distance, secret_key_rate
 from .protocol import (
     BLOCK_SIZE,
@@ -107,7 +113,6 @@ class ScenarioReport:
     chi_be_estimated: float
     transmittance_hat: float
     xi_hat_snu: float
-    estimation: EstimationReport
     n0_line: float
     n0_rt: float | None
     alarm: bool | None
@@ -119,6 +124,7 @@ class ScenarioReport:
     gain: float
     seed: int
     config_hash: str
+    estimation: EstimationReport = field(metadata={"prefix": "est_"})
 
     @property
     def exit_code(self) -> int:
@@ -126,54 +132,7 @@ class ScenarioReport:
 
     def to_text(self) -> str:
         """Flat key=value block; bit-identical for identical seed and config."""
-        lines = [
-            f"verdict={self.verdict}",
-            f"k_estimated={self.k_estimated!r}",
-            f"k_true={self.k_true!r}",
-            f"i_ab_estimated={self.i_ab_estimated!r}",
-            f"chi_be_estimated={self.chi_be_estimated!r}",
-            f"transmittance_hat={self.transmittance_hat!r}",
-            f"xi_hat_snu={self.xi_hat_snu!r}",
-            f"n0_line={self.n0_line!r}",
-            f"n0_rt={self.n0_rt!r}",
-            f"alarm={self.alarm!r}",
-            f"alarm_statistic={self.alarm_statistic!r}",
-            f"m_monitor={self.m_monitor!r}",
-            f"m_estimation={self.m_estimation!r}",
-            f"n_key={self.n_key!r}",
-            f"delta_ns={self.delta_ns!r}",
-            f"gain={self.gain!r}",
-            f"seed={self.seed!r}",
-            f"config_hash={self.config_hash}",
-        ]
-        lines += [f"est_{line}" for line in self.estimation.to_text().splitlines()]
-        return "\n".join(lines)
-
-    _CSV_KEYS = (
-        "verdict",
-        "k_estimated",
-        "k_true",
-        "transmittance_hat",
-        "xi_hat_snu",
-        "n0_line",
-        "n0_rt",
-        "alarm",
-        "alarm_statistic",
-        "m_monitor",
-        "m_estimation",
-        "n_key",
-        "delta_ns",
-        "gain",
-        "seed",
-        "config_hash",
-    )
-
-    @classmethod
-    def csv_header(cls) -> list[str]:
-        return list(cls._CSV_KEYS)
-
-    def to_csv_row(self) -> list:
-        return [getattr(self, key) for key in self._CSV_KEYS]
+        return "\n".join(record_lines(self))
 
 
 def _resolve_attack(cfg: ScenarioConfig):
@@ -326,17 +285,16 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
     if cfg.countermeasure_enabled:
         with _stage("monitoring"):
             if m_monitor < 2:
-                raise ConfigError(f"{m_monitor} monitoring pulses drawn, need at least 2")
-            rt = realtime_shot_noise(
-                moments.open_yy / moments.n_open,
-                moments.monitor_yy / m_monitor,
-                cfg.switch.extinction,
-                ch.v_el,
-                m_open=moments.n_open,
-                m_closed=m_monitor,
-            )
-            n0_rt = rt.n0_rt
-            alarm, statistic = detect_attack(n0_rt, n0_line, m_monitor, cfg.z_threshold)
+                # the shot noise cannot be checked, so the key cannot be trusted
+                alarm = True
+            else:
+                n0_rt, _ = realtime_shot_noise(
+                    moments.open_yy / moments.n_open,
+                    moments.monitor_yy / m_monitor,
+                    cfg.switch.extinction,
+                    ch.v_el,
+                )
+                alarm, statistic = detect_attack(n0_rt, n0_line, m_monitor, cfg.z_threshold)
 
     with _stage("estimation"):
         if moments.n_open < 2:
@@ -348,7 +306,6 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
         t_hat, xi_hat = infer_channel(estimates, n0_line, ch.eta, ch.v_el)
         report = EstimationReport(
             estimates=estimates,
-            t_hat_squared=estimates.t_hat**2,
             transmittance_hat=t_hat,
             xi_hat=xi_hat,
             intervals=intervals,
@@ -461,17 +418,7 @@ def write_sweep_csv(points: list[SweepPoint], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["d_km", "T", "V_A", "i_ab", "chi_be", "K"])
-        for p in points:
-            writer.writerow(
-                [
-                    repr(p.distance_km),
-                    repr(p.transmittance),
-                    repr(p.va),
-                    repr(p.i_ab),
-                    repr(p.chi_be),
-                    repr(p.key_rate),
-                ]
-            )
+        writer.writerows(map(repr, astuple(p)) for p in points)
 
 
 def last_positive_distance(points: list[SweepPoint]) -> float | None:

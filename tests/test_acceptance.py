@@ -26,7 +26,6 @@ from cvqkdsim import (
     max_secure_distance,
     measure_power,
     ml_estimate,
-    plan_monitor,
     realtime_shot_noise,
     simulate_bob,
     simulate_calibration_points,
@@ -233,15 +232,13 @@ def _alarm_trial(attacked: bool, seed: int, z_threshold: float = 5.0) -> bool:
     monitor_batch = simulate_monitor(
         x[n_open:], QE_CHANNEL, atk, QE_DETECTOR, extinction=0.0, seed=seed
     )
-    estimate = realtime_shot_noise(
+    n0_rt, _ = realtime_shot_noise(
         float(np.mean(open_batch.y**2)),
         float(np.mean(monitor_batch.y**2)),
         0.0,
         QE_CHANNEL.v_el,
-        m_open=n_open,
-        m_closed=n_monitor,
     )
-    alarm, _ = detect_attack(estimate.n0_rt, 1.0, n_monitor, z_threshold)
+    alarm, _ = detect_attack(n0_rt, 1.0, n_monitor, z_threshold)
     return alarm
 
 

@@ -9,12 +9,10 @@ from cvqkdsim import (
     AttackParams,
     ChannelParams,
     DetectorModel,
-    MonitorPlan,
     SwitchModel,
     detect_attack,
     effective_eta,
     generate_alice,
-    plan_monitor,
     realtime_shot_noise,
     second_hd_shot_noise,
     simulate_monitor,
@@ -24,20 +22,24 @@ from cvqkdsim.errors import SingularSystemError
 from cvqkdsim.protocol import BLOCK_SIZE, attack_gain, mean_attack_gain
 
 
+def _mask(n: int, fraction: float, seed: int) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype=bool), *monitor_mask_blocks(n, fraction, seed)])
+
+
 class TestPlanMonitor:
+    """The monitoring plan: the mask ``monitor_mask_blocks`` draws."""
+
     def test_zero_fraction_selects_nothing(self):
-        assert plan_monitor(1000, 0.0, seed=1).n_monitor == 0
+        assert not _mask(1000, 0.0, seed=1).any()
 
     def test_count_within_binomial_bound(self):
         n, fraction = 100_000, 0.1
-        plan = plan_monitor(n, fraction, seed=2)
+        n_monitor = int(_mask(n, fraction, seed=2).sum())
         sigma = math.sqrt(n * fraction * (1.0 - fraction))
-        assert abs(plan.n_monitor - n * fraction) < 5.0 * sigma
+        assert abs(n_monitor - n * fraction) < 5.0 * sigma
 
     def test_deterministic_for_seed(self):
-        a = plan_monitor(5000, 0.1, seed=3)
-        b = plan_monitor(5000, 0.1, seed=3)
-        np.testing.assert_array_equal(a.mask, b.mask)
+        np.testing.assert_array_equal(_mask(5000, 0.1, seed=3), _mask(5000, 0.1, seed=3))
 
     def test_blocks_join_to_one_draw_of_the_seeded_generator(self):
         n = 2 * BLOCK_SIZE + 5
@@ -45,30 +47,24 @@ class TestPlanMonitor:
         assert [b.size for b in blocks] == [BLOCK_SIZE, BLOCK_SIZE, 5]
         expected = np.random.default_rng(6).random(n) < 0.1
         np.testing.assert_array_equal(np.concatenate(blocks), expected)
-        np.testing.assert_array_equal(plan_monitor(n, 0.1, seed=6).mask, expected)
-        assert plan_monitor(0, 0.1, seed=6).mask.dtype == bool
+        assert list(monitor_mask_blocks(0, 0.1, seed=6)) == []
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
-            plan_monitor(10, 1.5, seed=1)
+            monitor_mask_blocks(10, 1.5, seed=1)
         with pytest.raises(ValueError):
-            MonitorPlan(mask=np.zeros(10, dtype=bool), fraction=-0.1)
-
-    def test_off_target_mask_constructs(self):
-        # an unlucky draw is still a draw: no error may depend on the seed
-        plan = MonitorPlan(mask=np.ones(10_000, dtype=bool), fraction=0.1)
-        assert plan.n_monitor == 10_000
+            monitor_mask_blocks(10, -0.1, seed=1)
 
 
 class TestRealtimeShotNoise:
     def test_ideal_blocking_is_triangular(self):
-        est = realtime_shot_noise(3.51, 1.51, extinction=0.0, v_el=0.01)
-        assert est.n0_rt == pytest.approx(1.5)
-        assert est.s_rt == pytest.approx(2.0)
+        n0_rt, s_rt = realtime_shot_noise(3.51, 1.51, extinction=0.0, v_el=0.01)
+        assert n0_rt == pytest.approx(1.5)
+        assert s_rt == pytest.approx(2.0)
 
     def test_equal_variances_mean_no_signal(self):
-        est = realtime_shot_noise(1.2, 1.2, extinction=0.0, v_el=0.01)
-        assert est.s_rt == 0.0
+        _, s_rt = realtime_shot_noise(1.2, 1.2, extinction=0.0, v_el=0.01)
+        assert s_rt == 0.0
 
     @given(
         s=st.floats(0.0, 10.0),
@@ -80,17 +76,17 @@ class TestRealtimeShotNoise:
     def test_inverts_forward_model_exactly(self, s, n0, v_el, extinction):
         var_open = s + n0 + v_el
         var_closed = extinction * s + n0 + v_el
-        est = realtime_shot_noise(var_open, var_closed, extinction, v_el)
-        assert est.n0_rt == pytest.approx(n0, rel=1e-9, abs=1e-9)
-        assert est.s_rt == pytest.approx(s, rel=1e-9, abs=1e-9)
+        n0_rt, s_rt = realtime_shot_noise(var_open, var_closed, extinction, v_el)
+        assert n0_rt == pytest.approx(n0, rel=1e-9, abs=1e-9)
+        assert s_rt == pytest.approx(s, rel=1e-9, abs=1e-9)
 
     def test_unit_extinction_is_singular(self):
         with pytest.raises(SingularSystemError):
             realtime_shot_noise(2.0, 2.0, extinction=1.0, v_el=0.0)
 
-    def test_counts_validated(self):
-        with pytest.raises(ValueError):
-            realtime_shot_noise(2.0, 1.0, 0.0, 0.0, m_open=1, m_closed=10)
+    def test_non_finite_estimate_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            realtime_shot_noise(2.0, float("nan"), 0.0, 0.0)
 
 
 class TestSecondHomodyne:
@@ -180,15 +176,13 @@ class TestMonitoredShotNoiseInvariant:
         m = 200_000
         x = generate_alice(m, ch.va, seed)
         batch = simulate_monitor(x, ch, atk, det, extinction=0.0, seed=seed)
-        est = realtime_shot_noise(
+        n0_rt, _ = realtime_shot_noise(
             float(np.mean(batch.y**2)) + 1.0,  # open variance unused at zero extinction
             float(np.mean(batch.y**2)),
             0.0,
             ch.v_el,
-            m_open=m,
-            m_closed=m,
         )
-        return est.n0_rt, mean_attack_gain(atk, det)
+        return n0_rt, mean_attack_gain(atk, det)
 
     @pytest.mark.parametrize("nu,delta", [(0.3, 10.0), (1.0, 10.0), (0.5, 25.0)])
     def test_attacked_estimate_below_calibration_line(self, nu, delta):

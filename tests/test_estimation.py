@@ -217,12 +217,11 @@ class TestEstimationReport:
         t_hat, xi_hat = infer_channel(est, 1.0, 0.5, 0.01)
         return EstimationReport(
             estimates=est,
-            t_hat_squared=est.t_hat**2,
             transmittance_hat=t_hat,
             xi_hat=xi_hat,
-            intervals=intervals,
             n0_assumed=1.0,
             epsilon=0.05,
+            intervals=intervals,
         )
 
     def test_text_block_round_trips_keys(self):
@@ -230,18 +229,17 @@ class TestEstimationReport:
         entries = dict(line.split("=", 1) for line in text.splitlines())
         assert float(entries["t_hat"]) == 0.5
         assert float(entries["xi_hat"]) == pytest.approx((1.2 - 1.0 - 0.01) / 0.25)
-        assert set(EstimationReport.csv_header()) == set(entries)
-
-    def test_csv_row_matches_header(self):
-        report = self._report()
-        assert len(report.to_csv_row()) == len(EstimationReport.csv_header())
+        assert list(entries) == [
+            "m", "t_hat", "sigma2_hat", "va_hat", "transmittance_hat", "xi_hat",
+            "n0_assumed", "epsilon", "t_low", "t_high", "sigma2_low", "sigma2_high",
+            "va_low", "va_high",
+        ]
 
     def test_rejects_interval_not_bracketing_estimate(self):
         est = MlEstimates(t_hat=0.5, sigma2_hat=1.2, va_hat=5.0, m=1000)
         with pytest.raises(ValueError):
             EstimationReport(
                 estimates=est,
-                t_hat_squared=0.25,
                 transmittance_hat=0.5,
                 xi_hat=0.0,
                 intervals={"t": (0.6, 0.7), "sigma2": (1.0, 1.4), "va": (4.0, 6.0)},

@@ -11,10 +11,9 @@ from cvqkdsim import (
     generate_alice,
     simulate_bob,
     simulate_monitor,
-    write_pulses_csv,
 )
 from cvqkdsim import protocol
-from cvqkdsim.protocol import BLOCK_SIZE, attack_gain, mean_attack_gain
+from cvqkdsim.protocol import BLOCK_SIZE, attack_gain, mean_attack_gain, pulses_csv
 
 CH = ChannelParams(va=5.0, transmittance=0.5, eta=0.5, xi=0.1, v_el=0.01)
 DET = DetectorModel()
@@ -210,7 +209,8 @@ def test_pulse_csv_dump(tmp_path):
     x = generate_alice(500, CH.va, seed=15)
     batch = simulate_bob(x, CH, AttackParams(mu=0.5), DET, seed=15)
     path = tmp_path / "pulses.csv"
-    write_pulses_csv(batch, path)
+    with pulses_csv(path) as append:
+        append(batch)
     lines = path.read_text().splitlines()
     assert lines[0] == "index,x,y,intercepted,lo_attacked"
     assert len(lines) == 501
@@ -243,5 +243,6 @@ def test_pulse_csv_dump_matches_row_by_row_writer(tmp_path, monkeypatch):
     _reference_pulses_csv(batch, tmp_path / "reference.csv")
     # small blocks, so that the dump crosses several block boundaries
     monkeypatch.setattr(protocol, "BLOCK_SIZE", 64)
-    write_pulses_csv(batch, tmp_path / "pulses.csv")
+    with pulses_csv(tmp_path / "pulses.csv") as append:
+        append(batch)
     assert (tmp_path / "pulses.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -14,7 +14,6 @@ from cvqkdsim import (
     load_config,
     mutual_information,
     parse_config,
-    plan_monitor,
     run_scenario,
     secret_key_rate,
     serialize_config,
@@ -22,6 +21,7 @@ from cvqkdsim import (
     sweep_keyrate,
 )
 from cvqkdsim.cli import main
+from cvqkdsim.countermeasure import monitor_mask_blocks
 from cvqkdsim.errors import ConfigError
 from cvqkdsim.scenario import (
     EXIT_ABORT,
@@ -45,6 +45,54 @@ nu = 1.0
 delta_ns = 10.0
 xi = 0.1
 """
+
+DEFAULT = parse_config("pulses = 1000\n")
+DEFAULT_TEXT = serialize_config(DEFAULT)
+
+# config key -> (value text, parsed value, the ScenarioConfig fields it sets);
+# every value is in range and differs from the default
+KEY_CASES = {
+    "pulses": ("1234", 1234, ["pulses"]),
+    "seed": ("9", 9, ["seed"]),
+    "key_fraction": ("0.3", 0.3, ["key_fraction"]),
+    "epsilon": ("0.01", 0.01, ["epsilon"]),
+    "va": ("4.0", 4.0, ["channel.va"]),
+    "transmittance": ("0.25", 0.25, ["channel.transmittance"]),
+    "eta": ("0.75", 0.75, ["channel.eta"]),
+    "xi": ("0.2", 0.2, ["channel.xi"]),
+    "vel": ("0.02", 0.02, ["channel.v_el", "detector.v_el"]),
+    "n0": ("1.5", 1.5, ["channel.n0"]),
+    "mu": ("0.25", 0.25, ["attack.mu"]),
+    "nu": ("0.5", 0.5, ["attack.nu"]),
+    "alpha": ("0.75", 0.75, ["attack.alpha"]),
+    "delta_ns": ("5.0", 5.0, ["attack.delta_ns"]),
+    "window_ns": ("80.0", 80.0, ["detector.window_ns"]),
+    "tau_ns": ("40.0", 40.0, ["detector.tau_ns"]),
+    "slope_cal": ("2.0", 2.0, ["detector.slope_cal"]),
+    "n0_assumed": ("1.25", 1.25, ["n0_assumed"]),
+    "countermeasure": ("on", True, ["countermeasure_enabled"]),
+    "monitor_fraction": ("0.2", 0.2, ["monitor_fraction"]),
+    "switch_loss_db": ("1.5", 1.5, ["switch.loss_db"]),
+    "extinction": ("0.05", 0.05, ["switch.extinction"]),
+    "z_threshold": ("4.0", 4.0, ["z_threshold"]),
+    "beta": ("0.9", 0.9, ["beta"]),
+    "snr_target": ("0.1", 0.1, ["sweep.snr_target"]),
+    "xi_bob": ("0.002", 0.002, ["sweep.xi_bob"]),
+    "loss_db_per_km": ("0.25", 0.25, ["sweep.loss_db_per_km"]),
+    "sweep_d_max_km": ("100.0", 100.0, ["sweep.d_max_km"]),
+    "sweep_step_km": ("2.0", 2.0, ["sweep.step_km"]),
+}
+
+
+def _flat_fields(cfg) -> dict:
+    """Every leaf field of a config, keyed by its dotted path."""
+    flat = {}
+    for name, value in dataclasses.asdict(cfg).items():
+        if isinstance(value, dict):
+            flat.update({f"{name}.{leaf}": v for leaf, v in value.items()})
+        else:
+            flat[name] = value
+    return flat
 
 
 class TestParseConfig:
@@ -95,6 +143,31 @@ class TestParseConfig:
         assert cfg.config_hash() == parse_config(BREACH).config_hash()
         other = parse_config(BREACH.replace("seed = 7", "seed = 8"))
         assert cfg.config_hash() != other.config_hash()
+
+    def test_key_cases_cover_every_config_key(self):
+        default_keys = [line.split(" = ")[0] for line in DEFAULT_TEXT.splitlines()]
+        assert list(KEY_CASES) == default_keys
+
+    @pytest.mark.parametrize("key", list(KEY_CASES))
+    def test_every_key_lands_on_its_path(self, key):
+        text, value, paths = KEY_CASES[key]
+        base = "pulses = 1000\n" if key != "pulses" else ""
+        cfg = parse_config(f"{base}{key} = {text}\n")
+        flat, flat_default = _flat_fields(cfg), _flat_fields(DEFAULT)
+        assert {path for path in flat if flat[path] != flat_default[path]} == set(paths)
+        for path in paths:
+            assert flat[path] == value
+        assert f"\n{key} = {text}\n" in "\n" + serialize_config(cfg)
+        assert cfg.config_hash() != DEFAULT.config_hash()
+
+    def test_readme_table_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+        rows = [line.split(" | ")[:2] for line in table.split("\n\n", 1)[0].splitlines()]
+        documented = [(key.strip("|` "), default.strip("`")) for key, default in rows]
+        expected = [tuple(line.split(" = ")) for line in DEFAULT_TEXT.splitlines()]
+        expected[0] = ("pulses", "required")
+        assert documented == expected
 
 
 class TestTriggerDelayFromAttenuation:
@@ -187,11 +260,27 @@ class TestRunScenario:
                            + "countermeasure = on\n")
         blocks = []
         sample = sample_scenario(cfg, on_open=blocks.append)
-        plan = plan_monitor(cfg.pulses, cfg.monitor_fraction,
-                            _sub_seed(cfg.seed, _TAG_MONITOR_MASK))
+        mask = np.concatenate(list(monitor_mask_blocks(
+            cfg.pulses, cfg.monitor_fraction, _sub_seed(cfg.seed, _TAG_MONITOR_MASK))))
         x = generate_alice(cfg.pulses, cfg.channel.va, cfg.seed)
-        np.testing.assert_array_equal(np.concatenate([b.x for b in blocks]), x[~plan.mask])
-        assert sample.moments.m_monitor == plan.n_monitor
+        np.testing.assert_array_equal(np.concatenate([b.x for b in blocks]), x[~mask])
+        assert sample.moments.m_monitor == mask.sum()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_too_few_monitor_pulses_abort(self, seed):
+        # about one monitor pulse expected: seeds 0, 2 and 4 draw fewer than two
+        cfg = parse_config(
+            f"pulses = 100\ncountermeasure = on\nmonitor_fraction = 0.01\nseed = {seed}\n"
+        )
+        report = run_scenario(cfg)
+        if seed in (0, 2, 4):
+            assert report.m_monitor < 2
+            assert (report.verdict, report.exit_code, report.alarm) == ("abort", EXIT_ABORT, True)
+            assert report.n0_rt is None and report.alarm_statistic is None
+        else:
+            expected = {1: ("abort", 2, 0.39208509960008564), 3: ("secure", 3, 1.4150670945022328)}
+            assert (report.verdict, report.m_monitor, report.n0_rt) == expected[seed]
+            assert report.alarm is False
 
 
 class TestMoments:
@@ -312,16 +401,12 @@ def test_component_errors_name_the_failing_stage():
         run_scenario(cfg)
 
 
-def test_scenario_csv_row_carries_countermeasure_results():
-    from cvqkdsim.scenario import ScenarioReport
-
+def test_scenario_text_carries_countermeasure_results():
     report = run_scenario(parse_config(BREACH + "countermeasure = on\n"))
-    header = ScenarioReport.csv_header()
-    row = report.to_csv_row()
-    assert len(row) == len(header)
+    entries = dict(line.split("=", 1) for line in report.to_text().splitlines())
     for key in ("n0_rt", "n0_line", "alarm", "alarm_statistic"):
-        assert key in header
-    assert row[header.index("alarm")] is True
+        assert entries[key] == repr(getattr(report, key))
+    assert entries["alarm"] == "True"
 
 
 def test_monitoring_discards_pulses_from_estimation():
