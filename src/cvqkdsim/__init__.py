@@ -6,7 +6,6 @@ from .countermeasure import (
     detect_attack,
     effective_eta,
     realtime_shot_noise,
-    second_hd_shot_noise,
 )
 from .estimation import (
     EstimationReport,
@@ -48,7 +47,6 @@ from .pulses import (
     discharge_tau,
     fit_calibration_line,
     measure_power,
-    read_waveform_csv,
     simulate_calibration_points,
     trigger_time,
     write_waveform_csv,

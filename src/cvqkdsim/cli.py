@@ -38,6 +38,7 @@ from .scenario import (
     run_scenario,
     sample_scenario,
     sweep_keyrate,
+    sweep_receivers,
     write_sweep_csv,
 )
 
@@ -54,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out", default=None, help="directory for report.txt")
     run.add_argument("--csv", action="store_true",
-                     help="also dump the open-switch pulses the report used")
+                     help="also dump the open-switch pulses the report used to "
+                          "<out>/pulses.csv (needs --out)")
 
     sweep = sub.add_parser("sweep", help="Key-rate curves with/without countermeasure.")
     sweep.add_argument("--config", default=None, help="optional scenario file")
@@ -75,6 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.csv and not args.out:
+        raise ConfigError("--csv needs --out: the pulse dump goes to <out>/pulses.csv")
     cfg = load_config(args.config)
     if args.seed is not None:
         if args.seed < 0:
@@ -83,7 +87,7 @@ def _cmd_run(args) -> int:
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-    if out and args.csv:
+    if args.csv:
         with pulses_csv(out / "pulses.csv") as append:
             report = analyse_scenario(cfg, sample_scenario(cfg, on_open=append))
     else:
@@ -104,22 +108,7 @@ def _cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(plain, out / "keyrate_no_countermeasure.csv")
     write_sweep_csv(protected, out / "keyrate_countermeasure.csv")
-    d_plain = max_secure_distance(
-        eta=cfg.channel.eta,
-        v_el=cfg.channel.v_el,
-        beta=cfg.beta,
-        snr_target=cfg.sweep.snr_target,
-        xi_bob=cfg.sweep.xi_bob,
-    )
-    d_protected = max_secure_distance(
-        eta=cfg.channel.eta,
-        v_el=cfg.channel.v_el,
-        beta=cfg.beta,
-        snr_target=cfg.sweep.snr_target,
-        xi_bob=cfg.sweep.xi_bob,
-        monitor_fraction=cfg.monitor_fraction,
-        switch=cfg.switch,
-    )
+    d_plain, d_protected = (max_secure_distance(**r) for r in sweep_receivers(cfg))
     print(f"grid_last_positive_no_countermeasure_km={last_positive_distance(plain)!r}")
     print(f"grid_last_positive_countermeasure_km={last_positive_distance(protected)!r}")
     print(f"max_secure_distance_no_countermeasure_km={d_plain!r}")

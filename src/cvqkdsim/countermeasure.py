@@ -1,17 +1,15 @@
 """Real-time shot-noise monitoring and attack detection.
 
-Two measurement techniques are supported: blocking the signal path on a
-random subset of pulses with an optical switch, and a second homodyne
-detector on the LO path with calibrated relative sensitivity.  In both
-cases two noise measurements are inverted as a linear system to separate
-the shot noise from the signal-plus-excess variance, and the real-time
-shot noise is compared against the calibration-line prediction.
+An optical switch blocks the signal path on a random subset of pulses.
+The noise measured with the switch open and closed is inverted as a
+linear system to separate the shot noise from the signal-plus-excess
+variance, and the real-time shot noise is compared against the
+calibration-line prediction.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -70,25 +68,6 @@ def realtime_shot_noise(
     if not math.isfinite(n0_rt):
         raise ValueError("n0_rt must be finite")
     return n0_rt, s_rt
-
-
-def second_hd_shot_noise(var_hd2: float, kappa: float, v_el2: float) -> float:
-    """Shot noise on the primary detector scale from the auxiliary detector.
-
-    ``kappa`` is the calibrated relative sensitivity of the two homodyne
-    detectors.  A reading below the auxiliary electronic noise yields a
-    negative estimate, which is reported as-is with a warning.
-    """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    if var_hd2 < v_el2:
-        warnings.warn(
-            "auxiliary variance below its electronic noise; "
-            "negative shot-noise estimate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return kappa * (var_hd2 - v_el2)
 
 
 def effective_eta(eta: float, loss_db: float) -> float:

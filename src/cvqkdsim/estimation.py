@@ -121,10 +121,6 @@ class EstimationReport:
                     f"{low} <= {point} <= {high}"
                 )
 
-    def to_text(self) -> str:
-        """Flat key=value block, one entry per line, in field order."""
-        return "\n".join(record_lines(self))
-
 
 def ml_from_moments(
     m: int, sum_xx: float, sum_xy: float, sum_yy: float, sum_x: float, sum_y: float

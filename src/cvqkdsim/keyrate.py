@@ -27,12 +27,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .countermeasure import SwitchModel, effective_eta
 from .errors import NumericalDomainError
 
 DISCRIMINANT_TOL = 1e-9
 EIGENVALUE_TOL = 1e-9
+
+# Bracket and bisection resolution of the maximum-distance search (km).
+SEARCH_MAX_KM = 500.0
+SEARCH_RESOLUTION_KM = 0.1
 
 
 @dataclass
@@ -203,6 +208,15 @@ def va_for_snr(snr: float, transmittance: float, eta: float, xi: float, v_el: fl
     return snr * (1.0 + v_el + eta_t * xi) / eta_t
 
 
+def discounted_rate(key_rate: float, monitor_fraction: float) -> float:
+    """Key rate left when a share ``monitor_fraction`` of the pulses is discarded for monitoring.
+
+    Discarded monitoring pulses only shrink a positive extractable rate;
+    a non-positive rate yields no key either way and stays undiscounted.
+    """
+    return key_rate * (1.0 - monitor_fraction) if key_rate > 0.0 else key_rate
+
+
 @dataclass
 class SweepPoint:
     """One distance sample of a key-rate sweep."""
@@ -250,18 +264,13 @@ def rate_at_distance(
         beta=beta,
     )
     breakdown = secret_key_rate(params)
-    # discarded monitoring pulses only shrink a positive extractable rate;
-    # a non-positive rate yields no key either way and stays undiscounted
-    rate = breakdown.key_rate
-    if rate > 0.0:
-        rate *= 1.0 - monitor_fraction
     return SweepPoint(
         distance_km=distance_km,
         transmittance=transmittance,
         va=va,
         i_ab=breakdown.i_ab,
         chi_be=breakdown.chi_be,
-        key_rate=rate,
+        key_rate=discounted_rate(breakdown.key_rate, monitor_fraction),
     )
 
 
@@ -275,45 +284,35 @@ def max_secure_distance(
     link: LinkModel | None = None,
     monitor_fraction: float = 0.0,
     switch: SwitchModel | None = None,
-    d_max_km: float = 500.0,
-    resolution_km: float = 0.1,
 ) -> float | None:
     """Largest distance with a positive key rate, by bisection.
 
     Returns None when the rate is already non-positive at zero distance,
-    and ``d_max_km`` when the rate never crosses zero inside the bracket.
+    and ``SEARCH_MAX_KM`` when the rate never crosses zero inside the
+    bracket.
     """
     if not snr_target > 0:
         raise ValueError(f"snr_target must be > 0, got {snr_target}")
+    point = partial(
+        rate_at_distance, eta=eta, v_el=v_el, beta=beta, snr_target=snr_target,
+        xi_bob=xi_bob, link=link, monitor_fraction=monitor_fraction, switch=switch,
+    )
 
-    def rate(d: float) -> float:
-        return rate_at_distance(
-            d,
-            eta=eta,
-            v_el=v_el,
-            beta=beta,
-            snr_target=snr_target,
-            xi_bob=xi_bob,
-            link=link,
-            monitor_fraction=monitor_fraction,
-            switch=switch,
-        ).key_rate
-
-    if rate(0.0) <= 0.0:
+    if point(0.0).key_rate <= 0.0:
         return None
     low, high = 0.0, None
     d = 10.0
-    while d <= d_max_km:
-        if rate(d) <= 0.0:
+    while d <= SEARCH_MAX_KM:
+        if point(d).key_rate <= 0.0:
             high = d
             break
         low = d
         d += 10.0
     if high is None:
-        return d_max_km
-    while high - low > resolution_km:
+        return SEARCH_MAX_KM
+    while high - low > SEARCH_RESOLUTION_KM:
         mid = 0.5 * (low + high)
-        if rate(mid) > 0.0:
+        if point(mid).key_rate > 0.0:
             low = mid
         else:
             high = mid

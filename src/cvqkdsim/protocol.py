@@ -277,9 +277,9 @@ def pulses_csv(path: str | Path):
     """Open a pulse dump (index, x, y, intercepted, lo_attacked) for appending.
 
     Yields a function that appends one batch's rows, numbered on from
-    the rows already written.  Rows are written one ``BLOCK_SIZE`` slice
-    at a time, with shortest-repr floats and CRLF line endings, the
-    bytes ``csv.writer`` would write.
+    the rows already written, with shortest-repr floats and CRLF line
+    endings, the bytes ``csv.writer`` would write.  The scenario loop
+    hands it one pulse block at a time, which bounds the rows in memory.
     """
     row = "{},{!r},{!r},{:d},{:d}\r\n".format
     with open(path, "w", newline="") as fh:
@@ -288,20 +288,16 @@ def pulses_csv(path: str | Path):
 
         def append(batch: PulseBatch) -> None:
             nonlocal written
-            for start in range(0, len(batch), BLOCK_SIZE):
-                sl = slice(start, start + BLOCK_SIZE)
-                x = np.asarray(batch.x[sl], dtype=float).tolist()
-                y = np.asarray(batch.y[sl], dtype=float).tolist()
-                fh.writelines(
-                    map(
-                        row,
-                        range(written + start, written + start + len(x)),
-                        x,
-                        y,
-                        batch.intercepted[sl].tolist(),
-                        batch.lo_attacked[sl].tolist(),
-                    )
+            fh.writelines(
+                map(
+                    row,
+                    range(written, written + len(batch)),
+                    np.asarray(batch.x, dtype=float).tolist(),
+                    np.asarray(batch.y, dtype=float).tolist(),
+                    batch.intercepted.tolist(),
+                    batch.lo_attacked.tolist(),
                 )
+            )
             written += len(batch)
 
         yield append

@@ -167,9 +167,6 @@ class CalibrationLine:
         if not self.slope > 0:
             raise ValueError(f"slope must be > 0, got {self.slope}")
 
-    def predict(self, power: float) -> float:
-        return self.slope * power + self.intercept
-
 
 def measure_power(waveform: Waveform, cfg: PowerMeterConfig) -> float:
     """Weighted power of the trailing measurement window.
@@ -362,21 +359,3 @@ def write_waveform_csv(waveform: Waveform, path: str | Path) -> None:
         writer.writerow(["time_ns", "intensity"])
         for t, v in zip(waveform.times(), waveform.samples):
             writer.writerow([repr(float(t)), repr(float(v))])
-
-
-def read_waveform_csv(path: str | Path) -> Waveform:
-    """Read a waveform written by :func:`write_waveform_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["time_ns", "intensity"]:
-            raise ValueError(f"{path}: expected header 'time_ns,intensity'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least 2 samples")
-    times = np.array([t for t, _ in rows])
-    values = np.array([v for _, v in rows])
-    dt = times[1] - times[0]
-    if dt <= 0 or not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-9):
-        raise ValueError(f"{path}: sample times must be uniformly spaced")
-    return Waveform(values, float(dt), float(times[0]))

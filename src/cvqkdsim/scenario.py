@@ -27,7 +27,14 @@ from .estimation import (
     ml_from_moments,
     record_lines,
 )
-from .keyrate import KeyRateParams, LinkModel, SweepPoint, rate_at_distance, secret_key_rate
+from .keyrate import (
+    KeyRateParams,
+    LinkModel,
+    SweepPoint,
+    discounted_rate,
+    rate_at_distance,
+    secret_key_rate,
+)
 from .protocol import (
     BLOCK_SIZE,
     AttackParams,
@@ -280,6 +287,11 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
     moments = sample.moments
     n0_line = cfg.n0_assumed
 
+    # checked before monitoring, which divides by the open-pulse count
+    with _stage("estimation"):
+        if moments.n_open < 2:
+            raise ConfigError("too few pulses left for estimation")
+
     n0_rt = alarm = statistic = None
     m_monitor = moments.m_monitor
     if cfg.countermeasure_enabled:
@@ -297,8 +309,6 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
                 alarm, statistic = detect_attack(n0_rt, n0_line, m_monitor, cfg.z_threshold)
 
     with _stage("estimation"):
-        if moments.n_open < 2:
-            raise ConfigError("too few pulses left for estimation")
         m_est, *sums = moments.estimation_set()
         n_key = moments.n_open - m_est
         estimates = ml_from_moments(m_est, *sums)
@@ -313,11 +323,7 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
             epsilon=cfg.epsilon,
         )
 
-    rate_factor = 1.0 - cfg.monitor_fraction if cfg.countermeasure_enabled else 1.0
-
-    def usable_rate(raw: float) -> float:
-        # discarded monitoring pulses only shrink a positive extractable rate
-        return rate_factor * raw if raw > 0.0 else raw
+    monitor_fraction = cfg.monitor_fraction if cfg.countermeasure_enabled else 0.0
 
     with _stage("key-rate"):
         # Alice and Bob normalize by the calibration line, the truth by the real shot noise.
@@ -325,12 +331,12 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
             cfg, estimates.va_hat, min(max(t_hat, 0.0), 1.0), max(xi_hat, 0.0), n0_line
         )
         est_breakdown = secret_key_rate(est_params)
-        k_estimated = usable_rate(est_breakdown.key_rate)
+        k_estimated = discounted_rate(est_breakdown.key_rate, monitor_fraction)
 
         true_params = _snu_params(
             cfg, ch.va, ch.transmittance, ch.xi + 2.0 * atk.mu * ch.n0, ch.n0
         )
-        k_true = usable_rate(secret_key_rate(true_params).key_rate)
+        k_true = discounted_rate(secret_key_rate(true_params).key_rate, monitor_fraction)
 
     if alarm:
         verdict = "abort"
@@ -379,39 +385,37 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     return analyse_scenario(cfg, sample_scenario(cfg))
 
 
+def sweep_receivers(cfg: ScenarioConfig) -> tuple[dict, dict]:
+    """Receiver keywords of ``rate_at_distance`` and ``max_secure_distance`` for the sweep.
+
+    The first set is the configured receiver on the configured fibre;
+    the second adds the countermeasure's monitoring fraction and switch.
+    """
+    plain = dict(
+        eta=cfg.channel.eta,
+        v_el=cfg.channel.v_el,
+        beta=cfg.beta,
+        snr_target=cfg.sweep.snr_target,
+        xi_bob=cfg.sweep.xi_bob,
+        link=LinkModel(loss_db_per_km=cfg.sweep.loss_db_per_km),
+    )
+    return plain, {**plain, "monitor_fraction": cfg.monitor_fraction, "switch": cfg.switch}
+
+
 def sweep_keyrate(cfg: ScenarioConfig) -> tuple[list[SweepPoint], list[SweepPoint]]:
-    """Key-rate curves over distance, without and with the countermeasure."""
+    """Key-rate curves over distance, without and with the countermeasure.
+
+    The grid runs from 0 in steps of ``step_km`` and never past ``d_max_km``.
+    """
     sweep = cfg.sweep
-    link = LinkModel(loss_db_per_km=sweep.loss_db_per_km)
-    n_steps = int(round(sweep.d_max_km / sweep.step_km))
+    # floor, with a tolerance so that 0.3 / 0.1 = 2.9999999999999996 still gives 3 steps
+    n_steps = int(sweep.d_max_km / sweep.step_km + 1e-9)
     distances = [i * sweep.step_km for i in range(n_steps + 1)]
-    plain = [
-        rate_at_distance(
-            d,
-            eta=cfg.channel.eta,
-            v_el=cfg.channel.v_el,
-            beta=cfg.beta,
-            snr_target=sweep.snr_target,
-            xi_bob=sweep.xi_bob,
-            link=link,
-        )
-        for d in distances
-    ]
-    protected = [
-        rate_at_distance(
-            d,
-            eta=cfg.channel.eta,
-            v_el=cfg.channel.v_el,
-            beta=cfg.beta,
-            snr_target=sweep.snr_target,
-            xi_bob=sweep.xi_bob,
-            link=link,
-            monitor_fraction=cfg.monitor_fraction,
-            switch=cfg.switch,
-        )
-        for d in distances
-    ]
-    return plain, protected
+    plain, protected = sweep_receivers(cfg)
+    return (
+        [rate_at_distance(d, **plain) for d in distances],
+        [rate_at_distance(d, **protected) for d in distances],
+    )
 
 
 def write_sweep_csv(points: list[SweepPoint], path: str | Path) -> None:

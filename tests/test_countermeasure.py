@@ -14,7 +14,6 @@ from cvqkdsim import (
     effective_eta,
     generate_alice,
     realtime_shot_noise,
-    second_hd_shot_noise,
     simulate_monitor,
 )
 from cvqkdsim.countermeasure import monitor_mask_blocks
@@ -87,32 +86,6 @@ class TestRealtimeShotNoise:
     def test_non_finite_estimate_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             realtime_shot_noise(2.0, float("nan"), 0.0, 0.0)
-
-
-class TestSecondHomodyne:
-    def test_unit_sensitivity_identity(self):
-        assert second_hd_shot_noise(1.3, kappa=1.0, v_el2=0.0) == pytest.approx(1.3)
-
-    def test_reading_at_electronic_noise_gives_zero(self):
-        assert second_hd_shot_noise(0.02, kappa=0.8, v_el2=0.02) == 0.0
-
-    def test_recovers_shot_noise_from_samples(self):
-        rng = np.random.default_rng(30)
-        n0_true, kappa, v_el2, m = 1.0, 0.8, 0.02, 100_000
-        var_true = n0_true / kappa + v_el2
-        samples = rng.standard_normal(m) * math.sqrt(var_true)
-        estimate = second_hd_shot_noise(float(np.mean(samples**2)), kappa, v_el2)
-        se = kappa * var_true * math.sqrt(2.0 / m)
-        assert abs(estimate - n0_true) < 5.0 * se
-
-    def test_warns_on_negative_estimate(self):
-        with pytest.warns(RuntimeWarning):
-            value = second_hd_shot_noise(0.01, kappa=0.8, v_el2=0.02)
-        assert value < 0.0
-
-    def test_kappa_validation(self):
-        with pytest.raises(ValueError):
-            second_hd_shot_noise(1.0, kappa=0.0, v_el2=0.0)
 
 
 class TestEffectiveEta:

@@ -19,7 +19,7 @@ from cvqkdsim import (
     xi_under_calibration,
 )
 from cvqkdsim.errors import DegenerateDataError
-from cvqkdsim.estimation import _chi2_ppf
+from cvqkdsim.estimation import _chi2_ppf, record_lines
 
 
 def simulate_linear_model(m, t, sigma2, va, rng):
@@ -225,8 +225,7 @@ class TestEstimationReport:
         )
 
     def test_text_block_round_trips_keys(self):
-        text = self._report().to_text()
-        entries = dict(line.split("=", 1) for line in text.splitlines())
+        entries = dict(line.split("=", 1) for line in record_lines(self._report()))
         assert float(entries["t_hat"]) == 0.5
         assert float(entries["xi_hat"]) == pytest.approx((1.2 - 1.0 - 0.01) / 0.25)
         assert list(entries) == [

@@ -14,6 +14,7 @@ from cvqkdsim import (
     secret_key_rate,
     va_for_snr,
 )
+from cvqkdsim.keyrate import discounted_rate
 
 FIG5 = dict(eta=0.6, v_el=0.01, beta=0.948, snr_target=0.075, xi_bob=0.001)
 
@@ -158,6 +159,18 @@ class TestMaxSecureDistance:
         base = max_secure_distance(**FIG5)
         discounted = max_secure_distance(**FIG5, monitor_fraction=0.5)
         assert abs(base - discounted) <= 0.2
+
+
+@pytest.mark.parametrize("rate", [0.25, 1e-12])
+def test_monitoring_discount_scales_a_positive_rate(rate):
+    assert discounted_rate(rate, 0.1) == rate * 0.9
+    assert discounted_rate(rate, 0.0) == rate
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.3])
+def test_monitoring_discount_leaves_a_non_positive_rate(rate):
+    assert discounted_rate(rate, 0.1) == rate
+    assert discounted_rate(rate, 0.0) == rate
 
 
 def test_link_model():

@@ -12,8 +12,13 @@ from cvqkdsim import (
     simulate_bob,
     simulate_monitor,
 )
-from cvqkdsim import protocol
-from cvqkdsim.protocol import BLOCK_SIZE, attack_gain, mean_attack_gain, pulses_csv
+from cvqkdsim.protocol import (
+    BLOCK_SIZE,
+    PulseBatch,
+    attack_gain,
+    mean_attack_gain,
+    pulses_csv,
+)
 
 CH = ChannelParams(va=5.0, transmittance=0.5, eta=0.5, xi=0.1, v_el=0.01)
 DET = DetectorModel()
@@ -236,13 +241,16 @@ def _reference_pulses_csv(batch, path):
             )
 
 
-def test_pulse_csv_dump_matches_row_by_row_writer(tmp_path, monkeypatch):
+def test_pulse_csv_dump_matches_row_by_row_writer(tmp_path):
     x = generate_alice(1000, CH.va, seed=16)
     batch = simulate_bob(x, CH, AttackParams(mu=0.5, nu=0.5, delta_ns=10.0), DET, seed=16)
     batch.x[:6] = [-0.0, 5e-324, 1e300, float("inf"), float("nan"), 1.0]
     _reference_pulses_csv(batch, tmp_path / "reference.csv")
-    # small blocks, so that the dump crosses several block boundaries
-    monkeypatch.setattr(protocol, "BLOCK_SIZE", 64)
+    # appended in small blocks, so that the row numbering crosses several appends
     with pulses_csv(tmp_path / "pulses.csv") as append:
-        append(batch)
+        for start in range(0, len(batch), 64):
+            sl = slice(start, start + 64)
+            append(
+                PulseBatch(batch.x[sl], batch.y[sl], batch.intercepted[sl], batch.lo_attacked[sl])
+            )
     assert (tmp_path / "pulses.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

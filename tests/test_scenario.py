@@ -26,6 +26,7 @@ from cvqkdsim.errors import ConfigError
 from cvqkdsim.scenario import (
     EXIT_ABORT,
     EXIT_BREACHED,
+    EXIT_ERROR,
     EXIT_SECURE,
     _TAG_MONITOR_MASK,
     Moments,
@@ -283,6 +284,22 @@ class TestRunScenario:
             assert report.alarm is False
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_too_few_open_pulses_fail_before_monitoring(self, seed, tmp_path, capsys):
+        # about one open pulse expected: seeds 0, 2, 4 and 5 draw fewer than two
+        cfg_text = f"pulses = 10\ncountermeasure = on\nmonitor_fraction = 0.9\nseed = {seed}\n"
+        if seed in (0, 2, 4, 5):
+            cfg_path = tmp_path / "few.cfg"
+            cfg_path.write_text(cfg_text)
+            assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
+            assert "too few pulses left for estimation" in capsys.readouterr().err
+        else:
+            report = run_scenario(parse_config(cfg_text))
+            expected = {1: ("secure", 6, 1.8818606385224175), 3: ("abort", 6, 1.6415336099675457)}
+            assert (report.verdict, report.m_monitor, report.n0_rt) == expected[seed]
+            assert (report.m_estimation, report.n_key, report.alarm) == (2, 2, False)
+
+
 class TestMoments:
     X = np.arange(1.0, 11.0)
     Y = 0.5 * X - 3.0
@@ -328,6 +345,15 @@ class TestSweep:
         assert 75.0 <= last_positive_distance(plain) <= 85.0
         assert 65.0 <= last_positive_distance(protected) <= 75.0
 
+    @pytest.mark.parametrize(
+        "d_max,step,last,count", [(10.0, 6.0, 6.0, 2), (0.3, 0.1, 0.3, 4), (120.0, 1.0, 120.0, 121)]
+    )
+    def test_grid_ends_at_or_before_d_max(self, d_max, step, last, count):
+        cfg = parse_config(f"pulses = 1000\nsweep_d_max_km = {d_max}\nsweep_step_km = {step}\n")
+        for curve in sweep_keyrate(cfg):
+            assert len(curve) == count
+            assert curve[-1].distance_km == pytest.approx(last, rel=1e-12)
+
     def test_unprotected_curve_dominates(self):
         cfg = parse_config("pulses = 1000\neta = 0.6\n")
         plain, protected = sweep_keyrate(cfg)
@@ -368,6 +394,22 @@ class TestCli:
             assert lines[0] == "d_km,T,V_A,i_ab,chi_be,K"
             assert len(lines) == 122
         assert "max_secure_distance" in capsys.readouterr().out
+
+    def test_sweep_distances_use_the_configured_fibre_loss(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text("pulses = 1000\neta = 0.6\nloss_db_per_km = 0.4\n")
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        for curve in ("no_countermeasure", "countermeasure"):
+            grid_last = float(printed[f"grid_last_positive_{curve}_km"])
+            assert grid_last < 50.0
+            assert grid_last <= float(printed[f"max_secure_distance_{curve}_km"]) < grid_last + 1.0
+
+    def test_run_csv_needs_out(self, tmp_path, capsys):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text("pulses = 1000\n")
+        assert main(["run", "--config", str(cfg_path), "--csv"]) == EXIT_ERROR
+        assert "--out" in capsys.readouterr().err
 
     def test_pulse_demo(self, tmp_path, capsys):
         assert main(["pulse-demo", "--shift-ns", "10", "--out", str(tmp_path)]) == 0
