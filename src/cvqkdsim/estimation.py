@@ -122,6 +122,16 @@ class EstimationReport:
                 )
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of ``a*b`` over two 1-d arrays, in an order that does not depend on the host.
+
+    ``a @ b`` goes to BLAS, whose summation order (and so the last bits)
+    changes with its thread count; einsum's own loop does not.  Every
+    sum of products the estimates are built from goes through here.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
 def ml_from_moments(
     m: int, sum_xx: float, sum_xy: float, sum_yy: float, sum_x: float, sum_y: float
 ) -> MlEstimates:
@@ -156,7 +166,7 @@ def ml_estimate(x: np.ndarray, y: np.ndarray) -> MlEstimates:
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     return ml_from_moments(
-        x.size, float(x @ x), float(x @ y), float(y @ y), float(x.sum()), float(y.sum())
+        x.size, dot(x, x), dot(x, y), dot(y, y), float(x.sum()), float(y.sum())
     )
 
 

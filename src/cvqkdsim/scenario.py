@@ -23,6 +23,7 @@ from .errors import ConfigError, ScenarioStageError
 from .estimation import (
     EstimationReport,
     confidence_bounds,
+    dot,
     infer_channel,
     ml_from_moments,
     record_lines,
@@ -181,12 +182,12 @@ class Moments:
         split = min(max(self.key_target - self.n_open, 0), x.size)
         key_y, est_x, est_y = y[:split], x[split:], y[split:]
         self.n_open += x.size
-        est_yy = float(est_y @ est_y)
-        self.open_yy += float(key_y @ key_y) + est_yy
+        est_yy = dot(est_y, est_y)
+        self.open_yy += dot(key_y, key_y) + est_yy
         if est_x.size:
             self.m_est += est_x.size
-            self.est_xx += float(est_x @ est_x)
-            self.est_xy += float(est_x @ est_y)
+            self.est_xx += dot(est_x, est_x)
+            self.est_xy += dot(est_x, est_y)
             self.est_yy += est_yy
             self.est_x += float(est_x.sum())
             self.est_y += float(est_y.sum())
@@ -196,14 +197,14 @@ class Moments:
     def add_monitor(self, y: np.ndarray) -> None:
         """Add closed-switch outcomes."""
         self.m_monitor += y.size
-        self.monitor_yy += float(y @ y)
+        self.monitor_yy += dot(y, y)
 
     def estimation_set(self) -> tuple[int, float, float, float, float, float]:
         """(m, sum x^2, sum xy, sum y^2, sum x, sum y) of the estimation set."""
         if self.m_est >= 2:
             return (self.m_est, self.est_xx, self.est_xy, self.est_yy, self.est_x, self.est_y)
         x, y = self.tail_x, self.tail_y
-        return (x.size, float(x @ x), float(x @ y), float(y @ y), float(x.sum()), float(y.sum()))
+        return (x.size, dot(x, x), dot(x, y), dot(y, y), float(x.sum()), float(y.sum()))
 
 
 @dataclass

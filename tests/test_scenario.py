@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -295,7 +296,7 @@ class TestRunScenario:
             assert "too few pulses left for estimation" in capsys.readouterr().err
         else:
             report = run_scenario(parse_config(cfg_text))
-            expected = {1: ("secure", 6, 1.8818606385224175), 3: ("abort", 6, 1.6415336099675457)}
+            expected = {1: ("secure", 6, 1.8818606385224173), 3: ("abort", 6, 1.6415336099675455)}
             assert (report.verdict, report.m_monitor, report.n0_rt) == expected[seed]
             assert (report.m_estimation, report.n_key, report.alarm) == (2, 2, False)
 
@@ -466,6 +467,22 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_shipped_config_report_matches_its_golden_file(name):
     report = run_scenario(load_config(CONFIGS / f"{name}.cfg"))
     assert (report.to_text() + "\n").encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name,code", [("quantitative-example", EXIT_BREACHED), ("countermeasure-example", EXIT_ABORT)]
+)
+def test_shipped_config_report_does_not_depend_on_the_blas_thread_count(name, code, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvqkdsim", "run", "--config", str(CONFIGS / f"{name}.cfg"),
+         "--out", str(tmp_path)],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert (tmp_path / "report.txt").read_bytes() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 def test_run_csv_dumps_the_pulses_the_report_used(tmp_path, capsys):
