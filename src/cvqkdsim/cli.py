@@ -184,6 +184,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioStageError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        print(f"error ({args.command}): out of memory", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # a fault of the program, still reported without a traceback
+        print(f"error ({args.command}): {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError
-from .protocol import BLOCK_SIZE
+from .protocol import pulse_blocks
 
 
 @dataclass
@@ -46,9 +46,7 @@ def monitor_mask_blocks(n: int, fraction: float, seed: int) -> Iterator[np.ndarr
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
-    return (
-        rng.random(min(BLOCK_SIZE, n - start)) < fraction for start in range(0, n, BLOCK_SIZE)
-    )
+    return (rng.random(size) < fraction for _, _, size in pulse_blocks(n))
 
 
 def realtime_shot_noise(

@@ -17,18 +17,24 @@ closed-form bias formulas for every (mu, nu, delay) configuration.
 Draw-order contract.  Pulses are processed in blocks of ``BLOCK_SIZE``,
 and block k of each stream draws from its own generator, seeded from
 (seed, stream, k), so a block's draws do not depend on how many blocks
-precede or follow it.  Alice's block k draws one standard normal per
-pulse.  Bob's block k (stream 1), given the block's pulses, draws one
-uniform per pulse for the intercept flags, one per pulse for the
-LO-attack flags, then one standard normal per pulse; the monitor's
-block k (stream 2) draws the same way for its closed-switch pulses.
-``simulate_bob`` and ``simulate_monitor`` cut their input into blocks of
-``BLOCK_SIZE``; a scenario hands block k only the open (or closed)
-pulses of its k-th block of Alice's pulses.
+precede or follow it, nor on when or on which thread they are drawn.
+Alice's block k draws one standard normal per pulse.  Bob's block k
+(stream 1), given the block's pulses, draws one uniform per pulse for
+the intercept flags, one per pulse for the LO-attack flags, then one
+standard normal per pulse; the monitor's block k (stream 2) draws the
+same way for its closed-switch pulses.  ``simulate_bob`` and
+``simulate_monitor`` cut their input into blocks of ``BLOCK_SIZE``; a
+scenario hands block k only the open (or closed) pulses of its k-th
+block of Alice's pulses.  ``map_blocks`` draws the blocks on every CPU
+at once and hands their results back in block order, so whatever is
+summed over blocks is summed in the same order on any host.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -39,6 +45,111 @@ from .pulses import DetectorModel, detector_gain
 
 # Pulses per independently-seeded generation block.
 BLOCK_SIZE = 1 << 16
+
+
+def pulse_blocks(n: int) -> Iterable[tuple[int, int, int]]:
+    """(block, start, size) of each ``BLOCK_SIZE`` block of ``n`` pulses, in order."""
+    starts = range(0, n, BLOCK_SIZE)
+    return ((k, start, min(BLOCK_SIZE, n - start)) for k, start in enumerate(starts))
+
+
+@dataclass
+class _Task:
+    """One job of ``map_blocks``, the slot it uses and, once run, its outcome."""
+
+    job: object
+    slot: object
+    done: bool = False
+    result: object = None
+    error: BaseException | None = None
+
+
+def map_blocks(
+    fn: Callable, jobs: Iterable, fold: Callable | None = None, scratch: Callable | None = None
+) -> None:
+    """Run ``fn(job, buffers)`` for every job on every CPU; ``fold`` the results in job order.
+
+    The calling thread and one pool thread per further CPU of this
+    process's affinity share the jobs; numpy's generators and ufuncs
+    release the GIL, so they run at the same time.  At most one job per
+    CPU is in flight: job k gets slot k mod CPUs, whose ``buffers`` are
+    made once per slot by ``scratch()`` (None without it) and handed to
+    job k + CPUs only after ``fold(result of job k)`` has returned.  So a
+    run's memory depends on the CPU count, not on the job count or on
+    timing.  ``jobs`` is read and ``fold`` called on the calling thread
+    only.  An exception raised by ``fn`` is re-raised here once every
+    pool thread has stopped.  One CPU, or one job, means no pool thread.
+    """
+    import threading
+
+    lanes = len(os.sched_getaffinity(0))
+    slots = [scratch() if scratch else None for _ in range(lanes)]
+    jobs = iter(jobs)
+    window: deque[_Task] = deque()  # the jobs in flight, in job order
+    todo: deque[_Task] = deque()  # those of them no thread has taken yet
+    cond = threading.Condition()
+    threads: list[threading.Thread] = []
+    stopping = False
+
+    def run(task: _Task) -> None:
+        try:
+            task.result = fn(task.job, task.slot)
+        except BaseException as exc:
+            task.error = exc
+        with cond:
+            task.done = True
+            cond.notify_all()
+
+    def pool_thread() -> None:
+        while True:
+            with cond:
+                while not (todo or stopping):
+                    cond.wait()
+                if stopping:
+                    return
+                task = todo.popleft()
+            run(task)
+
+    def submit(slot) -> None:
+        for job in jobs:  # the next job, if there is one
+            task = _Task(job, slot)
+            window.append(task)
+            with cond:
+                todo.append(task)
+                cond.notify()
+            if len(threads) < len(window) - 1:
+                # one pool thread per job in flight beyond the caller's, started on demand
+                threads.append(threading.Thread(target=pool_thread, daemon=True))
+                threads[-1].start()
+            return
+
+    try:
+        for slot in slots:
+            submit(slot)
+        while window:
+            head = window.popleft()
+            while True:
+                with cond:
+                    if not (head.done or todo):
+                        # every job in flight is taken: wait for the oldest one
+                        while not head.done:
+                            cond.wait()
+                    if head.done:
+                        break
+                    task = todo.popleft()
+                run(task)
+            if head.error is not None:
+                raise head.error
+            if fold is not None:
+                fold(head.result)
+            submit(head.slot)
+    finally:
+        with cond:
+            stopping = True
+            cond.notify_all()
+        for thread in threads:
+            thread.join()
+
 
 # Stream identifiers for seed splitting; fixed for reproducibility.
 _STREAM_ALICE = 0
@@ -123,9 +234,11 @@ def _rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
 
 
-def alice_block(size: int, va: float, seed: int, block: int) -> np.ndarray:
-    """Alice's quadratures for pulse block ``block`` (``size`` pulses)."""
-    x = _rng(seed, _STREAM_ALICE, block).standard_normal(size)
+def alice_block(
+    size: int, va: float, seed: int, block: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Alice's quadratures for pulse block ``block`` (``size`` pulses), into ``out`` if given."""
+    x = _rng(seed, _STREAM_ALICE, block).standard_normal(size, out=out)
     x *= np.sqrt(va)
     return x
 
@@ -137,9 +250,12 @@ def generate_alice(n: int, va: float, seed: int) -> np.ndarray:
     if va < 0:
         raise ValueError(f"va must be >= 0, got {va}")
     out = np.empty(n)
-    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
-        size = min(BLOCK_SIZE, n - start)
-        out[start : start + size] = alice_block(size, va, seed, block)
+
+    def draw(job, _):
+        block, start, size = job
+        alice_block(size, va, seed, block, out=out[start : start + size])
+
+    map_blocks(draw, pulse_blocks(n))
     return out
 
 
@@ -163,8 +279,10 @@ def _simulate_block(
     atk: AttackParams,
     gain: float,
     signal_scale: float,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    scratch: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One seeded block of Bob outcomes.
+    """One seeded block of Bob outcomes, written to ``out`` (y, intercepted, lo_attacked) if given.
 
     Draw order, part of the reproducibility contract: ``x.size``
     uniforms for the intercept flags, ``x.size`` uniforms for the
@@ -176,27 +294,47 @@ def _simulate_block(
         sqrt(g*(signal_scale**2*eta*T*2*n0*intercepted + n0 + eta*T*xi) + v_el),
 
     with g the timing gain on LO-attacked pulses and 1 otherwise: the
-    law of the resend, optical and electronic noise summed.
+    law of the resend, optical and electronic noise summed.  ``scratch``,
+    a float array of at least ``x.size``, holds the uniforms and the
+    per-pulse factors, so that the block allocates no array of its size.
     """
     size = x.size
+    if out is None:
+        out = (np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=bool))
+    y, intercepted, lo_attacked = out
+    scratch = np.empty(size) if scratch is None else scratch[:size]
     eta_t = ch.eta * ch.transmittance
-    intercepted = rng.random(size) < atk.mu
-    lo_attacked = rng.random(size) < atk.nu
-    z = rng.standard_normal(size)
+    np.less(rng.random(out=scratch), atk.mu, out=intercepted)
+    np.less(rng.random(out=scratch), atk.nu, out=lo_attacked)
+    rng.standard_normal(out=y)
     resend = signal_scale**2 * eta_t * 2.0 * ch.n0
     optical = ch.n0 + eta_t * ch.xi
     # noise standard deviation per class, indexed by intercepted + 2*lo_attacked
     sd = np.sqrt([g * (r + optical) + ch.v_el for g in (1.0, gain) for r in (0.0, resend)])
-    z *= sd[intercepted + 2 * lo_attacked]
-    z += signal_scale * np.sqrt(eta_t) * x
-    return z, intercepted, lo_attacked
+    index = lo_attacked.view(np.uint8) << 1
+    index |= intercepted.view(np.uint8)
+    # "clip" never buffers ``out``, as the default "raise" does; index is 0-3
+    y *= np.take(sd, index, out=scratch, mode="clip")
+    y += np.multiply(x, signal_scale * np.sqrt(eta_t), out=scratch)
+    return y, intercepted, lo_attacked
 
 
 def bob_block(
-    x: np.ndarray, ch: ChannelParams, atk: AttackParams, gain: float, seed: int, block: int
+    x: np.ndarray,
+    ch: ChannelParams,
+    atk: AttackParams,
+    gain: float,
+    seed: int,
+    block: int,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bob's outcomes, intercept and LO-attack flags for the pulses ``x`` of block ``block``."""
-    return _simulate_block(_rng(seed, _STREAM_BOB, block), x, ch, atk, gain, 1.0)
+    """Bob's outcomes, intercept and LO-attack flags for the pulses ``x`` of block ``block``.
+
+    ``out`` and ``scratch`` as in ``_simulate_block``.
+    """
+    rng = _rng(seed, _STREAM_BOB, block)
+    return _simulate_block(rng, x, ch, atk, gain, 1.0, out, scratch)
 
 
 def monitor_block(
@@ -207,26 +345,33 @@ def monitor_block(
     extinction: float,
     seed: int,
     block: int,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-switch outcomes for the pulses ``x`` of block ``block``.
 
     The switch transmits the fraction ``extinction`` of the signal-path
     variance (signal, resend noise and channel excess); shot noise
-    arises at the detector and keeps the pulse's timing gain.
+    arises at the detector and keeps the pulse's timing gain.  ``out``
+    and ``scratch`` as in ``_simulate_block``.
     """
     blocked = replace(ch, xi=ch.xi * extinction)
     rng = _rng(seed, _STREAM_MONITOR, block)
-    return _simulate_block(rng, x, blocked, atk, gain, float(np.sqrt(extinction)))
+    return _simulate_block(rng, x, blocked, atk, gain, float(np.sqrt(extinction)), out, scratch)
 
 
-def _batch(x, simulate) -> PulseBatch:
-    """Outcomes of ``simulate(x_block, block)`` over the ``BLOCK_SIZE`` blocks of ``x``."""
+def _batch(x, block_fn, *args) -> PulseBatch:
+    """Outcomes of ``block_fn(x_block, *args, block, out, scratch)`` over the blocks of ``x``."""
     y = np.empty(x.size)
     intercepted = np.empty(x.size, dtype=bool)
     lo_attacked = np.empty(x.size, dtype=bool)
-    for block, start in enumerate(range(0, x.size, BLOCK_SIZE)):
-        sl = slice(start, start + BLOCK_SIZE)
-        y[sl], intercepted[sl], lo_attacked[sl] = simulate(x[sl], block)
+
+    def draw(job, scratch):
+        block, start, size = job
+        sl = slice(start, start + size)
+        block_fn(x[sl], *args, block, (y[sl], intercepted[sl], lo_attacked[sl]), scratch)
+
+    map_blocks(draw, pulse_blocks(x.size), scratch=lambda: np.empty(min(BLOCK_SIZE, x.size)))
     return PulseBatch(x=x, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
 
 
@@ -248,7 +393,7 @@ def simulate_bob(
     """
     x = np.asarray(x, dtype=float)
     gain = attack_gain(atk, det)
-    return _batch(x, lambda xb, block: bob_block(xb, ch, atk, gain, seed, block))
+    return _batch(x, bob_block, ch, atk, gain, seed)
 
 
 def simulate_monitor(
@@ -267,9 +412,7 @@ def simulate_monitor(
         raise ValueError(f"extinction must be in [0, 1), got {extinction}")
     x = np.asarray(x, dtype=float)
     gain = attack_gain(atk, det)
-    return _batch(
-        x, lambda xb, block: monitor_block(xb, ch, atk, gain, extinction, seed, block)
-    )
+    return _batch(x, monitor_block, ch, atk, gain, extinction, seed)
 
 
 @contextmanager

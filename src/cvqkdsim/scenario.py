@@ -43,7 +43,9 @@ from .protocol import (
     alice_block,
     attack_gain,
     bob_block,
+    map_blocks,
     monitor_block,
+    pulse_blocks,
 )
 from .pulses import (
     PowerMeterConfig,
@@ -107,7 +109,8 @@ def _stage(name: str):
     except ScenarioStageError:
         raise
     except Exception as exc:
-        raise ScenarioStageError(f"stage '{name}' failed: {exc}") from exc
+        reason = str(exc) or type(exc).__name__
+        raise ScenarioStageError(f"stage '{name}' failed: {reason}") from exc
 
 
 @dataclass
@@ -199,12 +202,51 @@ class Moments:
         self.m_monitor += y.size
         self.monitor_yy += dot(y, y)
 
+    def add(self, later: Moments) -> None:
+        """Add the moments of pulses that follow these ones, as if added here one block at a time.
+
+        ``later`` must have been built with ``key_target`` reduced by
+        this one's ``n_open``.  Each of its sums is 0.0 plus what
+        ``add_open`` or ``add_monitor`` would have added here, so the
+        result has the same bits.
+        """
+        self.n_open += later.n_open
+        self.open_yy += later.open_yy
+        self.m_est += later.m_est
+        self.est_xx += later.est_xx
+        self.est_xy += later.est_xy
+        self.est_yy += later.est_yy
+        self.est_x += later.est_x
+        self.est_y += later.est_y
+        self.m_monitor += later.m_monitor
+        self.monitor_yy += later.monitor_yy
+        self.tail_x = np.concatenate([self.tail_x, later.tail_x])[-2:]
+        self.tail_y = np.concatenate([self.tail_y, later.tail_y])[-2:]
+
     def estimation_set(self) -> tuple[int, float, float, float, float, float]:
         """(m, sum x^2, sum xy, sum y^2, sum x, sum y) of the estimation set."""
         if self.m_est >= 2:
             return (self.m_est, self.est_xx, self.est_xy, self.est_yy, self.est_x, self.est_y)
         x, y = self.tail_x, self.tail_y
         return (x.size, dot(x, x), dot(x, y), dot(y, y), float(x.sum()), float(y.sum()))
+
+
+class _BlockArrays:
+    """The arrays of one pulse block, reused by every block drawn in the same window slot.
+
+    ``x`` holds Alice's block; ``y``, ``intercepted`` and ``lo_attacked``
+    the outcomes of its open pulses followed by those of its closed ones.
+    """
+
+    def __init__(self, size: int):
+        self.x = np.empty(size)
+        self.y = np.empty(size)
+        self.intercepted = np.empty(size, dtype=bool)
+        self.lo_attacked = np.empty(size, dtype=bool)
+        self.scratch = np.empty(size)
+
+    def outcomes(self, part: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.y[part], self.intercepted[part], self.lo_attacked[part]
 
 
 @dataclass
@@ -223,8 +265,11 @@ def sample_scenario(
 
     Per block: Alice's modulation, the monitor mask, Bob's attacked
     outcomes on the open-switch pulses and the monitoring outcomes on
-    the closed-switch ones.  ``on_open``, when given, receives each
-    block's open-switch pulses as they are drawn.  Memory does not grow
+    the closed-switch ones, reduced to the block's own ``Moments``.  The
+    blocks are drawn on every CPU (``protocol.map_blocks``) and their
+    moments added in block order, so they do not depend on the CPU count.
+    ``on_open``, when given, receives a copy of each block's open-switch
+    pulses, in pulse order, on the calling thread.  Memory does not grow
     with the pulse count.
     """
     ch = cfg.channel
@@ -245,25 +290,46 @@ def sample_scenario(
         masks = monitor_mask_blocks(
             n_pulses, cfg.monitor_fraction, _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
         )
-    for block, start in enumerate(range(0, n_pulses, BLOCK_SIZE)):
-        size = min(BLOCK_SIZE, n_pulses - start)
+
+    def jobs():
+        # a block's mask, and so the count of open pulses before it, is known before it is drawn
+        n_before = 0
+        for block, _, size in pulse_blocks(n_pulses):
+            closed = None if masks is None else next(masks)
+            yield block, size, closed, moments.key_target - n_before
+            n_before += size if closed is None else size - int(np.count_nonzero(closed))
+
+    def draw(job, arrays: _BlockArrays):
+        block, size, closed, key_left = job
+        part = Moments(key_target=key_left)
         with _stage("modulation"):
-            x = alice_block(size, ch.va, cfg.seed, block)
+            x = alice_block(size, ch.va, cfg.seed, block, out=arrays.x[:size])
         with _stage("channel-simulation"):
-            x_open = x
-            if masks is not None:
-                closed = next(masks)
-                x_open = x[~closed]
-            y, intercepted, lo_attacked = bob_block(x_open, ch, atk, gain, cfg.seed, block)
-            moments.add_open(x_open, y)
-        if on_open is not None:
-            on_open(PulseBatch(x=x_open, y=y, intercepted=intercepted, lo_attacked=lo_attacked))
-        if masks is not None:
+            # boolean indexing allocates only the result; np.compress would add an index array
+            x_open = x if closed is None else x[~closed]
+            opened = slice(x_open.size)
+            y, intercepted, lo_attacked = bob_block(
+                x_open, ch, atk, gain, cfg.seed, block, arrays.outcomes(opened), arrays.scratch
+            )
+            part.add_open(x_open, y)
+        if closed is not None:
             with _stage("monitoring"):
                 y_closed, _, _ = monitor_block(
-                    x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block
+                    x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block,
+                    arrays.outcomes(slice(x_open.size, size)), arrays.scratch,
                 )
-                moments.add_monitor(y_closed)
+                part.add_monitor(y_closed)
+        return part, PulseBatch(x=x_open, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
+
+    def fold(result):
+        part, batch = result
+        moments.add(part)
+        if on_open is not None:
+            # the arrays are the window slot's, which a later block overwrites
+            arrays = (batch.x, batch.y, batch.intercepted, batch.lo_attacked)
+            on_open(PulseBatch(*(a.copy() for a in arrays)))
+
+    map_blocks(draw, jobs(), fold, scratch=lambda: _BlockArrays(min(BLOCK_SIZE, n_pulses)))
     return ScenarioSample(attack=atk, gain=gain, moments=moments)
 
 

@@ -260,6 +260,7 @@ class TestScipyOnlyForExactQuantiles:
         proc = _run_python(
             "import sys\n"
             "import cvqkdsim\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
             "report = cvqkdsim.run_scenario(cvqkdsim.parse_config('pulses = 30000\\n'))\n"
             "assert report.m_estimation > cvqkdsim.estimation.CHI2_EXACT_MAX_M\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"

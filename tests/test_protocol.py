@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from cvqkdsim import (
 from cvqkdsim.protocol import (
     BLOCK_SIZE,
     PulseBatch,
+    alice_block,
     attack_gain,
+    map_blocks,
     mean_attack_gain,
     pulses_csv,
 )
@@ -27,6 +32,118 @@ DET = DetectorModel()
 def var_se(true_var, n):
     """Standard error of a sample second moment of Gaussians."""
     return true_var * math.sqrt(2.0 / n)
+
+
+def _on_cpus(monkeypatch, cpus: int) -> None:
+    """Make this process look as if it may run on ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestMapBlocks:
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_folds_in_job_order_and_hands_a_slot_on_only_after_its_fold(self, cpus, monkeypatch):
+        _on_cpus(monkeypatch, cpus)
+        slots, folded = [], []
+
+        def scratch():
+            slots.append([])
+            return slots[-1]
+
+        def fn(job, slot):
+            slot.append(job)
+            return job, len(slot)
+
+        def fold(result):
+            # the slot of this job is not handed to the next job of the slot before now
+            job, held = result
+            assert slots[job % cpus][held - 1 :] == [job]
+            folded.append(job)
+
+        map_blocks(fn, range(23), fold, scratch)
+        assert folded == list(range(23))
+        assert slots == [list(range(k, 23, cpus)) for k in range(cpus)]
+
+    def test_a_failing_job_is_raised_after_every_pool_thread_stopped(self, monkeypatch):
+        _on_cpus(monkeypatch, 4)
+        before = set(threading.enumerate())
+
+        def fn(job, _):
+            if job == 5:
+                raise KeyError(job)
+            return job
+
+        with pytest.raises(KeyError):
+            map_blocks(fn, range(40), lambda _: None)
+        assert set(threading.enumerate()) == before
+
+    def test_stress_more_threads_than_cores_never_share_a_slot(self, monkeypatch):
+        _on_cpus(monkeypatch, 8)
+        folded, overlaps = [], []
+
+        def fn(job, slot):
+            slot[0] += 1  # a job in flight holds its slot alone
+            overlaps.append(slot[0] != 1)
+            total = sum(range(job % 50))
+            slot[0] -= 1
+            return job, total
+
+        def stress():
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                map_blocks(fn, range(3000), folded.append, lambda: [0])
+            finally:
+                sys.setswitchinterval(interval)
+
+        runner = threading.Thread(target=stress)
+        runner.start()
+        runner.join(timeout=60.0)
+        assert not runner.is_alive()
+        assert folded == [(job, sum(range(job % 50))) for job in range(3000)]
+        assert len(overlaps) == 3000 and not any(overlaps)
+
+    def test_one_job_starts_no_thread(self, monkeypatch):
+        _on_cpus(monkeypatch, 4)
+        counts = []
+        map_blocks(lambda job, _: threading.active_count(), [0], counts.append)
+        assert counts == [threading.active_count()]
+
+
+def _outcomes_as_first_written(rng, x, ch, atk, gain, signal_scale):
+    """Bob's block outcomes computed with fresh arrays and an int64 class index."""
+    size = x.size
+    eta_t = ch.eta * ch.transmittance
+    intercepted = rng.random(size) < atk.mu
+    lo_attacked = rng.random(size) < atk.nu
+    z = rng.standard_normal(size)
+    resend = signal_scale**2 * eta_t * 2.0 * ch.n0
+    optical = ch.n0 + eta_t * ch.xi
+    sd = np.sqrt([g * (r + optical) + ch.v_el for g in (1.0, gain) for r in (0.0, resend)])
+    z *= sd[intercepted + 2 * lo_attacked]
+    z += signal_scale * np.sqrt(eta_t) * x
+    return z, intercepted, lo_attacked
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_samplers_draw_the_same_bits_on_any_cpu_count(cpus, monkeypatch):
+    _on_cpus(monkeypatch, cpus)
+    n, seed, extinction = 2 * BLOCK_SIZE + 777, 21, 0.05
+    atk = AttackParams(mu=0.3, nu=0.6, delta_ns=10.0)
+    gain = attack_gain(atk, DET)
+    x = generate_alice(n, CH.va, seed)
+    bob = simulate_bob(x, CH, atk, DET, seed)
+    monitor = simulate_monitor(x, CH, atk, DET, extinction, seed)
+    blocked = ChannelParams(va=CH.va, transmittance=CH.transmittance, eta=CH.eta,
+                            xi=CH.xi * extinction, v_el=CH.v_el)
+    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
+        sl = slice(start, start + BLOCK_SIZE)
+        np.testing.assert_array_equal(x[sl], alice_block(x[sl].size, CH.va, seed, block))
+        for batch, stream, ch, scale in ((bob, 1, CH, 1.0),
+                                         (monitor, 2, blocked, math.sqrt(extinction))):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
+            expected = _outcomes_as_first_written(rng, x[sl], ch, atk, gain, scale)
+            for got, want in zip((batch.y, batch.intercepted, batch.lo_attacked), expected):
+                np.testing.assert_array_equal(got[sl], want)
 
 
 class TestGenerateAlice:

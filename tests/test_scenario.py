@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from cvqkdsim import (
+    AttackParams,
     KeyRateParams,
     generate_alice,
     load_config,
@@ -21,9 +23,11 @@ from cvqkdsim import (
     simulate_bob,
     sweep_keyrate,
 )
+from cvqkdsim import scenario
 from cvqkdsim.cli import main
 from cvqkdsim.countermeasure import monitor_mask_blocks
 from cvqkdsim.errors import ConfigError
+from cvqkdsim.protocol import BLOCK_SIZE, alice_block, attack_gain, bob_block, monitor_block
 from cvqkdsim.scenario import (
     EXIT_ABORT,
     EXIT_BREACHED,
@@ -316,6 +320,93 @@ class TestMoments:
         assert moments.estimation_set() == pytest.approx(expected, rel=1e-15)
         assert moments.n_open == self.X.size
         assert moments.open_yy == pytest.approx(self.Y @ self.Y, rel=1e-15)
+
+
+# The key/estimation split falls inside block 1 and the last block is partial.
+SPLIT_MID_BLOCK = (
+    f"pulses = {3 * BLOCK_SIZE + 1234}\nseed = 11\nkey_fraction = 0.5\nmu = 0.5\nnu = 0.5\n"
+    "delta_ns = 10.0\nextinction = 0.05\ncountermeasure = on\n"
+)
+
+
+def _serial_fold(cfg):
+    """The scenario's moments, added one block after the other on this thread alone."""
+    ch, atk = cfg.channel, cfg.attack
+    gain = attack_gain(atk, cfg.detector)
+    moments = Moments(key_target=int(round(cfg.key_fraction * cfg.pulses)))
+    masks = monitor_mask_blocks(
+        cfg.pulses, cfg.monitor_fraction, _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
+    )
+    opened, splits = [], []
+    for block, start in enumerate(range(0, cfg.pulses, BLOCK_SIZE)):
+        x = alice_block(min(BLOCK_SIZE, cfg.pulses - start), ch.va, cfg.seed, block)
+        closed = next(masks)
+        y, intercepted, lo_attacked = bob_block(x[~closed], ch, atk, gain, cfg.seed, block)
+        splits.append(min(max(moments.key_target - moments.n_open, 0), y.size))
+        moments.add_open(x[~closed], y)
+        opened.append((x[~closed], y, intercepted, lo_attacked))
+        y_closed, _, _ = monitor_block(
+            x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block
+        )
+        moments.add_monitor(y_closed)
+    return moments, opened, splits
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_moments_are_the_serial_fold_bit_for_bit_on_any_cpu_count(cpus, monkeypatch):
+    cfg = parse_config(SPLIT_MID_BLOCK)
+    serial, opened, splits = _serial_fold(cfg)
+    assert cfg.pulses % BLOCK_SIZE and 0 < splits[1] < opened[1][0].size
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    blocks = []
+    drawn = sample_scenario(cfg, on_open=blocks.append).moments
+    for f in dataclasses.fields(Moments):
+        np.testing.assert_array_equal(getattr(drawn, f.name), getattr(serial, f.name), f.name)
+        assert type(getattr(drawn, f.name)) is type(getattr(serial, f.name))
+    # on_open saw each block's open pulses, in pulse order
+    assert len(blocks) == len(opened)
+    for batch, expected in zip(blocks, opened):
+        for got, want in zip((batch.x, batch.y, batch.intercepted, batch.lo_attacked), expected):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_a_block_failing_on_a_pool_thread_fails_its_stage_and_leaves_no_thread(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    real_bob_block = scenario.bob_block
+    failed = threading.Event()
+
+    def bob_block_failing_off_the_main_thread(*args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            failed.wait(10.0)  # leaves the next block to the pool thread
+            return real_bob_block(*args, **kwargs)
+        failed.set()
+        raise MemoryError
+
+    monkeypatch.setattr(scenario, "bob_block", bob_block_failing_off_the_main_thread)
+    cfg_path = tmp_path / "four-blocks.cfg"
+    cfg_path.write_text(f"pulses = {4 * BLOCK_SIZE}\n")
+    before = set(threading.enumerate())
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
+    assert failed.is_set()
+    err = capsys.readouterr().err
+    assert err == "error (run): stage 'channel-simulation' failed: MemoryError\n"
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize(
+    "exc,message", [(MemoryError(), "out of memory"), (KeyError("x"), "KeyError: 'x'")]
+)
+def test_unexpected_errors_exit_1_without_a_traceback(exc, message, tmp_path, capsys, monkeypatch):
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setattr("cvqkdsim.cli.run_scenario", fail)
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text("pulses = 1000\n")
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error (run): {message}\n"
 
 
 def _peak_traced_bytes(pulses: int) -> int:
