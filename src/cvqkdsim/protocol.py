@@ -25,9 +25,10 @@ standard normal per pulse; the monitor's block k (stream 2) draws the
 same way for its closed-switch pulses.  ``simulate_bob`` and
 ``simulate_monitor`` cut their input into blocks of ``BLOCK_SIZE``; a
 scenario hands block k only the open (or closed) pulses of its k-th
-block of Alice's pulses.  ``map_blocks`` draws the blocks on every CPU
-at once and hands their results back in block order, so whatever is
-summed over blocks is summed in the same order on any host.
+block of Alice's pulses.  ``map_blocks`` draws up to one block per CPU
+(at most ``MAX_LANES``) at once and hands their results back in block
+order, so whatever is summed over blocks is summed in the same order on
+any host.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from collections import deque
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -53,102 +55,60 @@ def pulse_blocks(n: int) -> Iterable[tuple[int, int, int]]:
     return ((k, start, min(BLOCK_SIZE, n - start)) for k, start in enumerate(starts))
 
 
-@dataclass
-class _Task:
-    """One job of ``map_blocks``, the slot it uses and, once run, its outcome."""
+# Most blocks drawn at once, whatever the CPU count.  Each holds a block's
+# arrays, 2.2 MiB traced in a scenario, so four keep a scenario's traced
+# peak under 10 MiB.
+MAX_LANES = 4
 
-    job: object
-    slot: object
-    done: bool = False
-    result: object = None
-    error: BaseException | None = None
+
+def _lanes() -> int:
+    """The CPUs this process may use, at most ``MAX_LANES``."""
+    if hasattr(os, "sched_getaffinity"):  # Linux; macOS and Windows lack it
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_LANES)
 
 
 def map_blocks(
-    fn: Callable, jobs: Iterable, fold: Callable | None = None, scratch: Callable | None = None
+    fn: Callable,
+    jobs: Iterable,
+    fold: Callable = lambda result: None,
+    scratch: Callable = lambda: None,
 ) -> None:
-    """Run ``fn(job, buffers)`` for every job on every CPU; ``fold`` the results in job order.
+    """Run ``fn(job, buffers)`` for every job, ``_lanes()`` at once; ``fold`` results in job order.
 
-    The calling thread and one pool thread per further CPU of this
-    process's affinity share the jobs; numpy's generators and ufuncs
-    release the GIL, so they run at the same time.  At most one job per
-    CPU is in flight: job k gets slot k mod CPUs, whose ``buffers`` are
-    made once per slot by ``scratch()`` (None without it) and handed to
-    job k + CPUs only after ``fold(result of job k)`` has returned.  So a
-    run's memory depends on the CPU count, not on the job count or on
-    timing.  ``jobs`` is read and ``fold`` called on the calling thread
-    only.  An exception raised by ``fn`` is re-raised here once every
-    pool thread has stopped.  One CPU, or one job, means no pool thread.
+    numpy's generators and ufuncs release the GIL, so the jobs run at
+    the same time.  Each lane has a slot whose ``buffers`` are made
+    once, up front, by ``scratch()``: job k gets slot k mod lanes,
+    handed to job k + lanes only after ``fold(result of job k)`` has
+    returned.  So a run's memory depends on the lane count, not on the
+    job count or on timing.  ``jobs`` is read and ``fold`` called
+    on the calling thread only.  An exception raised by ``fn`` or
+    ``fold`` is raised here once every pool thread has stopped.  One
+    lane, or one job, runs on the calling thread alone.
     """
-    import threading
-
-    lanes = len(os.sched_getaffinity(0))
-    slots = [scratch() if scratch else None for _ in range(lanes)]
+    lanes = _lanes()
     jobs = iter(jobs)
-    window: deque[_Task] = deque()  # the jobs in flight, in job order
-    todo: deque[_Task] = deque()  # those of them no thread has taken yet
-    cond = threading.Condition()
-    threads: list[threading.Thread] = []
-    stopping = False
+    first = list(islice(jobs, 2))
+    jobs = chain(first, jobs)
+    if lanes == 1 or len(first) < 2:
+        slot = scratch()
+        for job in jobs:
+            fold(fn(job, slot))
+        return
 
-    def run(task: _Task) -> None:
-        try:
-            task.result = fn(task.job, task.slot)
-        except BaseException as exc:
-            task.error = exc
-        with cond:
-            task.done = True
-            cond.notify_all()
+    from concurrent.futures import ThreadPoolExecutor
 
-    def pool_thread() -> None:
-        while True:
-            with cond:
-                while not (todo or stopping):
-                    cond.wait()
-                if stopping:
-                    return
-                task = todo.popleft()
-            run(task)
-
-    def submit(slot) -> None:
-        for job in jobs:  # the next job, if there is one
-            task = _Task(job, slot)
-            window.append(task)
-            with cond:
-                todo.append(task)
-                cond.notify()
-            if len(threads) < len(window) - 1:
-                # one pool thread per job in flight beyond the caller's, started on demand
-                threads.append(threading.Thread(target=pool_thread, daemon=True))
-                threads[-1].start()
-            return
-
-    try:
-        for slot in slots:
-            submit(slot)
+    slots = [scratch() for _ in range(lanes)]
+    with ThreadPoolExecutor(lanes) as pool:
+        window = deque((slot, pool.submit(fn, job, slot)) for slot, job in zip(slots, jobs))
         while window:
-            head = window.popleft()
-            while True:
-                with cond:
-                    if not (head.done or todo):
-                        # every job in flight is taken: wait for the oldest one
-                        while not head.done:
-                            cond.wait()
-                    if head.done:
-                        break
-                    task = todo.popleft()
-                run(task)
-            if head.error is not None:
-                raise head.error
-            if fold is not None:
-                fold(head.result)
-            submit(head.slot)
-    finally:
-        with cond:
-            stopping = True
-            cond.notify_all()
-        for thread in threads:
-            thread.join()
+            slot, future = window.popleft()
+            fold(future.result())
+            del future  # so that its result is freed before the slot's next job runs
+            for job in islice(jobs, 1):  # the next job, if there is one
+                window.append((slot, pool.submit(fn, job, slot)))
 
 
 # Stream identifiers for seed splitting; fixed for reproducibility.
@@ -422,7 +382,8 @@ def pulses_csv(path: str | Path):
     Yields a function that appends one batch's rows, numbered on from
     the rows already written, with shortest-repr floats and CRLF line
     endings, the bytes ``csv.writer`` would write.  The scenario loop
-    hands it one pulse block at a time, which bounds the rows in memory.
+    hands it one pulse block at a time, and it converts the block's rows
+    a part at a time, which bounds the rows in memory.
     """
     row = "{},{!r},{!r},{:d},{:d}\r\n".format
     with open(path, "w", newline="") as fh:
@@ -431,16 +392,20 @@ def pulses_csv(path: str | Path):
 
         def append(batch: PulseBatch) -> None:
             nonlocal written
-            fh.writelines(
-                map(
-                    row,
-                    range(written, written + len(batch)),
-                    np.asarray(batch.x, dtype=float).tolist(),
-                    np.asarray(batch.y, dtype=float).tolist(),
-                    batch.intercepted.tolist(),
-                    batch.lo_attacked.tolist(),
+            # 8192 rows at a time: a block's rows as Python objects take 5 MB
+            for start in range(0, len(batch), 8192):
+                part = slice(start, start + 8192)
+                x = np.asarray(batch.x[part], dtype=float)
+                fh.writelines(
+                    map(
+                        row,
+                        range(written, written + x.size),
+                        x.tolist(),
+                        np.asarray(batch.y[part], dtype=float).tolist(),
+                        batch.intercepted[part].tolist(),
+                        batch.lo_attacked[part].tolist(),
+                    )
                 )
-            )
-            written += len(batch)
+                written += x.size
 
         yield append

@@ -266,11 +266,12 @@ def sample_scenario(
     Per block: Alice's modulation, the monitor mask, Bob's attacked
     outcomes on the open-switch pulses and the monitoring outcomes on
     the closed-switch ones, reduced to the block's own ``Moments``.  The
-    blocks are drawn on every CPU (``protocol.map_blocks``) and their
+    blocks are drawn several at once (``protocol.map_blocks``) and their
     moments added in block order, so they do not depend on the CPU count.
-    ``on_open``, when given, receives a copy of each block's open-switch
-    pulses, in pulse order, on the calling thread.  Memory does not grow
-    with the pulse count.
+    ``on_open``, when given, receives each block's open-switch pulses, in
+    pulse order, on the calling thread; the arrays are reused for a later
+    block once it returns, so it must copy what it keeps.  Memory does
+    not grow with the pulse count.
     """
     ch = cfg.channel
     det = cfg.detector
@@ -325,9 +326,7 @@ def sample_scenario(
         part, batch = result
         moments.add(part)
         if on_open is not None:
-            # the arrays are the window slot's, which a later block overwrites
-            arrays = (batch.x, batch.y, batch.intercepted, batch.lo_attacked)
-            on_open(PulseBatch(*(a.copy() for a in arrays)))
+            on_open(batch)
 
     map_blocks(draw, jobs(), fold, scratch=lambda: _BlockArrays(min(BLOCK_SIZE, n_pulses)))
     return ScenarioSample(attack=atk, gain=gain, moments=moments)

@@ -17,6 +17,7 @@ from cvqkdsim import (
 )
 from cvqkdsim.protocol import (
     BLOCK_SIZE,
+    MAX_LANES,
     PulseBatch,
     alice_block,
     attack_gain,
@@ -36,7 +37,7 @@ def var_se(true_var, n):
 
 def _on_cpus(monkeypatch, cpus: int) -> None:
     """Make this process look as if it may run on ``cpus`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 class TestMapBlocks:
@@ -75,6 +76,9 @@ class TestMapBlocks:
         with pytest.raises(KeyError):
             map_blocks(fn, range(40), lambda _: None)
         assert set(threading.enumerate()) == before
+        with pytest.raises(KeyError):  # also without a fold, as the samplers call it
+            map_blocks(fn, range(40))
+        assert set(threading.enumerate()) == before
 
     def test_stress_more_threads_than_cores_never_share_a_slot(self, monkeypatch):
         _on_cpus(monkeypatch, 8)
@@ -101,6 +105,25 @@ class TestMapBlocks:
         assert not runner.is_alive()
         assert folded == [(job, sum(range(job % 50))) for job in range(3000)]
         assert len(overlaps) == 3000 and not any(overlaps)
+
+    @pytest.mark.parametrize("cpus", [8, 64])
+    def test_at_most_max_lanes_slots_and_threads(self, cpus, monkeypatch):
+        _on_cpus(monkeypatch, cpus)
+        slots, threads = [], set()
+
+        def fn(job, slot):
+            threads.add(threading.get_ident())
+            return job
+
+        map_blocks(fn, range(50), lambda _: None, lambda: slots.append(None))
+        assert len(slots) == MAX_LANES and len(threads) <= MAX_LANES
+
+    def test_without_sched_getaffinity_the_lanes_are_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        slots, folded = [], []
+        map_blocks(lambda job, _: job, range(9), folded.append, lambda: slots.append(None))
+        assert folded == list(range(9)) and len(slots) == 2
 
     def test_one_job_starts_no_thread(self, monkeypatch):
         _on_cpus(monkeypatch, 4)

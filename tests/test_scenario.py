@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import os
@@ -51,6 +52,12 @@ nu = 1.0
 delta_ns = 10.0
 xi = 0.1
 """
+
+
+def _keep(blocks: list):
+    """An ``on_open`` that keeps a copy of each batch, whose arrays the sampler reuses."""
+    return lambda batch: blocks.append(copy.deepcopy(batch))
+
 
 DEFAULT = parse_config("pulses = 1000\n")
 DEFAULT_TEXT = serialize_config(DEFAULT)
@@ -255,7 +262,7 @@ class TestRunScenario:
     def test_open_pulses_are_the_protocol_samplers_draws(self):
         cfg = parse_config(BREACH.replace("pulses = 400000", "pulses = 150000"))
         blocks = []
-        sample_scenario(cfg, on_open=blocks.append)
+        sample_scenario(cfg, on_open=_keep(blocks))
         x = generate_alice(cfg.pulses, cfg.channel.va, cfg.seed)
         batch = simulate_bob(x, cfg.channel, cfg.attack, cfg.detector, cfg.seed)
         np.testing.assert_array_equal(np.concatenate([b.x for b in blocks]), x)
@@ -265,7 +272,7 @@ class TestRunScenario:
         cfg = parse_config(BREACH.replace("pulses = 400000", "pulses = 150000")
                            + "countermeasure = on\n")
         blocks = []
-        sample = sample_scenario(cfg, on_open=blocks.append)
+        sample = sample_scenario(cfg, on_open=_keep(blocks))
         mask = np.concatenate(list(monitor_mask_blocks(
             cfg.pulses, cfg.monitor_fraction, _sub_seed(cfg.seed, _TAG_MONITOR_MASK))))
         x = generate_alice(cfg.pulses, cfg.channel.va, cfg.seed)
@@ -357,9 +364,9 @@ def test_moments_are_the_serial_fold_bit_for_bit_on_any_cpu_count(cpus, monkeypa
     cfg = parse_config(SPLIT_MID_BLOCK)
     serial, opened, splits = _serial_fold(cfg)
     assert cfg.pulses % BLOCK_SIZE and 0 < splits[1] < opened[1][0].size
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     blocks = []
-    drawn = sample_scenario(cfg, on_open=blocks.append).moments
+    drawn = sample_scenario(cfg, on_open=_keep(blocks)).moments
     for f in dataclasses.fields(Moments):
         np.testing.assert_array_equal(getattr(drawn, f.name), getattr(serial, f.name), f.name)
         assert type(getattr(drawn, f.name)) is type(getattr(serial, f.name))
@@ -373,7 +380,7 @@ def test_moments_are_the_serial_fold_bit_for_bit_on_any_cpu_count(cpus, monkeypa
 def test_a_block_failing_on_a_pool_thread_fails_its_stage_and_leaves_no_thread(
     tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     real_bob_block = scenario.bob_block
     failed = threading.Event()
 
@@ -427,6 +434,12 @@ def test_memory_does_not_grow_with_the_pulse_count():
     large = _peak_traced_bytes(2**20)
     assert large < 16 * 2**20
     assert large <= 1.5 * small
+
+
+@pytest.mark.parametrize("cpus", [8, 12, 64])
+def test_memory_does_not_grow_with_the_cpu_count(cpus, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    test_memory_does_not_grow_with_the_pulse_count()
 
 
 class TestSweep:
@@ -560,6 +573,14 @@ def test_shipped_config_report_matches_its_golden_file(name):
     assert (report.to_text() + "\n").encode() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["quantitative-example", "countermeasure-example"])
+def test_shipped_config_report_is_the_same_without_cpu_affinity(name, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity; the lanes come from os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    report = run_scenario(load_config(CONFIGS / f"{name}.cfg"))
+    assert (report.to_text() + "\n").encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
 @pytest.mark.parametrize(
     "name,code", [("quantitative-example", EXIT_BREACHED), ("countermeasure-example", EXIT_ABORT)]
 )
@@ -590,7 +611,7 @@ def test_run_csv_dumps_the_pulses_the_report_used(tmp_path, capsys):
 
     cfg = load_config(cfg_path)
     blocks = []
-    sample = sample_scenario(cfg, on_open=blocks.append)
+    sample = sample_scenario(cfg, on_open=_keep(blocks))
     x, y = np.ascontiguousarray(rows[:, 1]), np.ascontiguousarray(rows[:, 2])
     np.testing.assert_array_equal(x, np.concatenate([b.x for b in blocks]))
     np.testing.assert_array_equal(y, np.concatenate([b.y for b in blocks]))
