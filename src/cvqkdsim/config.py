@@ -36,8 +36,8 @@ def _format_bool(value: bool) -> str:
 # key -> (space-separated field paths in ScenarioConfig, converter, default
 # or None when required, human-readable range, check)
 _KEY_TABLE: dict[str, tuple] = {
-    "pulses": ("pulses", int, None, ">= 10", lambda v: v >= 10),
-    "seed": ("seed", int, 1, ">= 0", lambda v: v >= 0),
+    "pulses": ("pulses", int, None, "an integer >= 10", lambda v: v >= 10),
+    "seed": ("seed", int, 1, "an integer >= 0", lambda v: v >= 0),
     "key_fraction": ("key_fraction", float, 0.5, "in (0, 1)", lambda v: 0.0 < v < 1.0),
     "epsilon": ("epsilon", float, 0.05, "in (0, 1)", lambda v: 0.0 < v < 1.0),
     "va": ("channel.va", float, 5.0, ">= 0", lambda v: v >= 0.0),

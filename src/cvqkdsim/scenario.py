@@ -202,27 +202,6 @@ class Moments:
         self.m_monitor += y.size
         self.monitor_yy += dot(y, y)
 
-    def add(self, later: Moments) -> None:
-        """Add the moments of pulses that follow these ones, as if added here one block at a time.
-
-        ``later`` must have been built with ``key_target`` reduced by
-        this one's ``n_open``.  Each of its sums is 0.0 plus what
-        ``add_open`` or ``add_monitor`` would have added here, so the
-        result has the same bits.
-        """
-        self.n_open += later.n_open
-        self.open_yy += later.open_yy
-        self.m_est += later.m_est
-        self.est_xx += later.est_xx
-        self.est_xy += later.est_xy
-        self.est_yy += later.est_yy
-        self.est_x += later.est_x
-        self.est_y += later.est_y
-        self.m_monitor += later.m_monitor
-        self.monitor_yy += later.monitor_yy
-        self.tail_x = np.concatenate([self.tail_x, later.tail_x])[-2:]
-        self.tail_y = np.concatenate([self.tail_y, later.tail_y])[-2:]
-
     def estimation_set(self) -> tuple[int, float, float, float, float, float]:
         """(m, sum x^2, sum xy, sum y^2, sum x, sum y) of the estimation set."""
         if self.m_est >= 2:
@@ -265,9 +244,10 @@ def sample_scenario(
 
     Per block: Alice's modulation, the monitor mask, Bob's attacked
     outcomes on the open-switch pulses and the monitoring outcomes on
-    the closed-switch ones, reduced to the block's own ``Moments``.  The
-    blocks are drawn several at once (``protocol.map_blocks``) and their
-    moments added in block order, so they do not depend on the CPU count.
+    the closed-switch ones.  The blocks are drawn several at once
+    (``protocol.map_blocks``), each into its lane's arrays, and added to
+    the moments on the calling thread in block order, so the sums do not
+    depend on the CPU count.
     ``on_open``, when given, receives each block's open-switch pulses, in
     pulse order, on the calling thread; the arrays are reused for a later
     block once it returns, so it must copy what it keeps.  Memory does
@@ -293,16 +273,11 @@ def sample_scenario(
         )
 
     def jobs():
-        # a block's mask, and so the count of open pulses before it, is known before it is drawn
-        n_before = 0
         for block, _, size in pulse_blocks(n_pulses):
-            closed = None if masks is None else next(masks)
-            yield block, size, closed, moments.key_target - n_before
-            n_before += size if closed is None else size - int(np.count_nonzero(closed))
+            yield block, size, None if masks is None else next(masks)
 
     def draw(job, arrays: _BlockArrays):
-        block, size, closed, key_left = job
-        part = Moments(key_target=key_left)
+        block, size, closed = job
         with _stage("modulation"):
             x = alice_block(size, ch.va, cfg.seed, block, out=arrays.x[:size])
         with _stage("channel-simulation"):
@@ -312,19 +287,19 @@ def sample_scenario(
             y, intercepted, lo_attacked = bob_block(
                 x_open, ch, atk, gain, cfg.seed, block, arrays.outcomes(opened), arrays.scratch
             )
-            part.add_open(x_open, y)
         if closed is not None:
             with _stage("monitoring"):
-                y_closed, _, _ = monitor_block(
+                monitor_block(
                     x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block,
                     arrays.outcomes(slice(x_open.size, size)), arrays.scratch,
                 )
-                part.add_monitor(y_closed)
-        return part, PulseBatch(x=x_open, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
+        batch = PulseBatch(x=x_open, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
+        return batch, arrays.y[x_open.size:size]
 
     def fold(result):
-        part, batch = result
-        moments.add(part)
+        batch, y_closed = result
+        moments.add_open(batch.x, batch.y)
+        moments.add_monitor(y_closed)
         if on_open is not None:
             on_open(batch)
 

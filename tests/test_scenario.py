@@ -139,6 +139,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("pulses = many\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("pulses = 2e6\n", "line 1: pulses must be an integer >= 10, got '2e6'"),
+            ("pulses = 1000\nseed = 1.5\n", "line 2: seed must be an integer >= 0, got '1.5'"),
+        ],
+        ids=["pulses", "seed"],
+    )
+    def test_integer_keys_say_they_take_an_integer(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
     def test_bad_boolean(self):
         with pytest.raises(ConfigError, match="countermeasure"):
             parse_config("pulses = 1000\ncountermeasure = maybe\n")
@@ -341,13 +354,15 @@ def _serial_fold(cfg):
     ch, atk = cfg.channel, cfg.attack
     gain = attack_gain(atk, cfg.detector)
     moments = Moments(key_target=int(round(cfg.key_fraction * cfg.pulses)))
-    masks = monitor_mask_blocks(
-        cfg.pulses, cfg.monitor_fraction, _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
-    )
+    masks = None
+    if cfg.countermeasure_enabled:
+        masks = monitor_mask_blocks(
+            cfg.pulses, cfg.monitor_fraction, _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
+        )
     opened, splits = [], []
     for block, start in enumerate(range(0, cfg.pulses, BLOCK_SIZE)):
         x = alice_block(min(BLOCK_SIZE, cfg.pulses - start), ch.va, cfg.seed, block)
-        closed = next(masks)
+        closed = np.zeros(x.size, dtype=bool) if masks is None else next(masks)
         y, intercepted, lo_attacked = bob_block(x[~closed], ch, atk, gain, cfg.seed, block)
         splits.append(min(max(moments.key_target - moments.n_open, 0), y.size))
         moments.add_open(x[~closed], y)
@@ -359,9 +374,19 @@ def _serial_fold(cfg):
     return moments, opened, splits
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_moments_are_the_serial_fold_bit_for_bit_on_any_cpu_count(cpus, monkeypatch):
-    cfg = parse_config(SPLIT_MID_BLOCK)
+@pytest.mark.parametrize(
+    "cpus,text",
+    [
+        pytest.param(cpus, text, id=f"{prefix}{cpus}")
+        for prefix, text in [
+            ("", SPLIT_MID_BLOCK),
+            ("countermeasure-off-", SPLIT_MID_BLOCK.replace("= on", "= off")),
+        ]
+        for cpus in (1, 2, 4)
+    ],
+)
+def test_moments_are_the_serial_fold_bit_for_bit_on_any_cpu_count(cpus, text, monkeypatch):
+    cfg = parse_config(text)
     serial, opened, splits = _serial_fold(cfg)
     assert cfg.pulses % BLOCK_SIZE and 0 < splits[1] < opened[1][0].size
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
