@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +33,9 @@ from .pulses import (
 )
 from .scenario import (
     EXIT_ERROR,
-    analyse_scenario,
     default_lo_pulse,
     last_positive_distance,
     run_scenario,
-    sample_scenario,
     sweep_keyrate,
     sweep_receivers,
     write_sweep_csv,
@@ -87,11 +86,8 @@ def _cmd_run(args) -> int:
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-    if args.csv:
-        with pulses_csv(out / "pulses.csv") as append:
-            report = analyse_scenario(cfg, sample_scenario(cfg, on_open=append))
-    else:
-        report = run_scenario(cfg)
+    with pulses_csv(out / "pulses.csv") if args.csv else nullcontext() as append:
+        report = run_scenario(cfg, on_open=append)
     print(report.to_text())
     if out:
         (out / "report.txt").write_text(report.to_text() + "\n")

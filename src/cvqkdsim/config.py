@@ -10,6 +10,7 @@ identical object.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import get_type_hints
@@ -158,6 +159,8 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(
                 f"line {lineno}: {key} must be {bounds}, got {value_text!r}"
             ) from None
+        if converter is float and not math.isfinite(value):
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {value}")
         if not check(value):
             raise ConfigError(f"line {lineno}: {key} must be {bounds}, got {value}")
         values[key] = value

@@ -89,14 +89,6 @@ class KeyRateBreakdown:
     i_ab: float
     chi_be: float
     key_rate: float
-    eigenvalues: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        if self.chi_be < -EIGENVALUE_TOL:
-            raise ValueError(f"chi_be must be >= 0, got {self.chi_be}")
-        for lam in self.eigenvalues:
-            if lam < 1.0 - EIGENVALUE_TOL:
-                raise ValueError(f"symplectic eigenvalue {lam} below 1")
 
 
 def _chi_line(p: KeyRateParams) -> float:
@@ -186,16 +178,10 @@ def holevo_bound(p: KeyRateParams) -> tuple[float, tuple[float, float, float, fl
 def secret_key_rate(p: KeyRateParams) -> KeyRateBreakdown:
     """K = beta*I_AB - chi_BE; negative rates are reported as-is."""
     if p.transmittance <= 0.0:
-        return KeyRateBreakdown(0.0, 0.0, 0.0, (1.0, 1.0, 1.0, 1.0))
+        return KeyRateBreakdown(0.0, 0.0, 0.0)
     i_ab = mutual_information(p)
-    chi_be, eigenvalues = holevo_bound(p)
-    chi_be = max(chi_be, 0.0)
-    return KeyRateBreakdown(
-        i_ab=i_ab,
-        chi_be=chi_be,
-        key_rate=p.beta * i_ab - chi_be,
-        eigenvalues=eigenvalues,
-    )
+    chi_be = max(holevo_bound(p)[0], 0.0)
+    return KeyRateBreakdown(i_ab=i_ab, chi_be=chi_be, key_rate=p.beta * i_ab - chi_be)
 
 
 def va_for_snr(snr: float, transmittance: float, eta: float, xi: float, v_el: float) -> float:
@@ -274,30 +260,17 @@ def rate_at_distance(
     )
 
 
-def max_secure_distance(
-    *,
-    eta: float,
-    v_el: float,
-    beta: float,
-    snr_target: float,
-    xi_bob: float,
-    link: LinkModel | None = None,
-    monitor_fraction: float = 0.0,
-    switch: SwitchModel | None = None,
-) -> float | None:
+def max_secure_distance(**receiver) -> float | None:
     """Largest distance with a positive key rate, by bisection.
 
-    Returns None when the rate is already non-positive at zero distance,
-    and ``SEARCH_MAX_KM`` when the rate never crosses zero inside the
-    bracket.
+    ``receiver`` holds the keywords of ``rate_at_distance``.  Returns
+    None when the rate is already non-positive at zero distance, and
+    ``SEARCH_MAX_KM`` when the rate never crosses zero inside the bracket.
     """
-    if not snr_target > 0:
+    snr_target = receiver.get("snr_target")
+    if snr_target is not None and not snr_target > 0:
         raise ValueError(f"snr_target must be > 0, got {snr_target}")
-    point = partial(
-        rate_at_distance, eta=eta, v_el=v_el, beta=beta, snr_target=snr_target,
-        xi_bob=xi_bob, link=link, monitor_fraction=monitor_fraction, switch=switch,
-    )
-
+    point = partial(rate_at_distance, **receiver)
     if point(0.0).key_rate <= 0.0:
         return None
     low, high = 0.0, None

@@ -14,7 +14,7 @@ from cvqkdsim import (
     secret_key_rate,
     va_for_snr,
 )
-from cvqkdsim.keyrate import discounted_rate
+from cvqkdsim.keyrate import SEARCH_RESOLUTION_KM, discounted_rate
 
 FIG5 = dict(eta=0.6, v_el=0.01, beta=0.948, snr_target=0.075, xi_bob=0.001)
 
@@ -159,6 +159,17 @@ class TestMaxSecureDistance:
         base = max_secure_distance(**FIG5)
         discounted = max_secure_distance(**FIG5, monitor_fraction=0.5)
         assert abs(base - discounted) <= 0.2
+
+    def test_link_loss_is_forwarded(self):
+        # transmittance depends on loss*distance only, so doubling the loss halves the distance
+        base = max_secure_distance(**FIG5)
+        lossy = max_secure_distance(**FIG5, link=LinkModel(loss_db_per_km=0.4))
+        assert abs(lossy - base / 2.0) <= SEARCH_RESOLUTION_KM
+
+    @pytest.mark.parametrize("snr_target", [0.0, -1.0])
+    def test_non_positive_snr_target_rejected(self, snr_target):
+        with pytest.raises(ValueError, match="snr_target"):
+            max_secure_distance(**{**FIG5, "snr_target": snr_target})
 
 
 @pytest.mark.parametrize("rate", [0.25, 1e-12])

@@ -152,6 +152,18 @@ class TestParseConfig:
             parse_config(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("value", ["inf", "1e999"])
+    @pytest.mark.parametrize("key", ["sweep_d_max_km", "va", "delta_ns", "xi"])
+    def test_non_finite_number_names_key_and_line(self, key, value, tmp_path, capsys):
+        message = f"line 2: {key} must be finite, got inf"
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"pulses = 1000\n{key} = {value}\n")
+        assert str(info.value) == message
+        cfg_path = tmp_path / "inf.cfg"
+        cfg_path.write_text(f"pulses = 1000\n{key} = {value}\n")
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_bad_boolean(self):
         with pytest.raises(ConfigError, match="countermeasure"):
             parse_config("pulses = 1000\ncountermeasure = maybe\n")
@@ -431,7 +443,7 @@ def test_a_block_failing_on_a_pool_thread_fails_its_stage_and_leaves_no_thread(
     "exc,message", [(MemoryError(), "out of memory"), (KeyError("x"), "KeyError: 'x'")]
 )
 def test_unexpected_errors_exit_1_without_a_traceback(exc, message, tmp_path, capsys, monkeypatch):
-    def fail(cfg):
+    def fail(cfg, on_open=None):
         raise exc
 
     monkeypatch.setattr("cvqkdsim.cli.run_scenario", fail)
