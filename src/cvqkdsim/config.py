@@ -132,7 +132,7 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a key=value configuration.
 
     Raises :class:`ConfigError` naming the line for unknown keys, bad
-    values, out-of-range values, duplicates and missing required keys.
+    values, out-of-range values or fractions, duplicates and missing required keys.
     """
     values: dict = {}
     lines_seen: dict[str, int] = {}
@@ -169,6 +169,11 @@ def parse_config(text: str) -> ScenarioConfig:
             if default is None:
                 raise ConfigError(f"missing required key {key!r}")
             values[key] = default
+    if values["countermeasure"] and values["key_fraction"] + values["monitor_fraction"] >= 1.0:
+        lineno = max(lines_seen.get("key_fraction", 0), lines_seen.get("monitor_fraction", 0))
+        raise ConfigError(
+            f"line {lineno}: key_fraction + monitor_fraction must be < 1 with the countermeasure on"
+        )
     try:
         return _config_from_values(values)
     except ValueError as exc:

@@ -221,8 +221,6 @@ def generate_alice(n: int, va: float, seed: int) -> np.ndarray:
 
 def attack_gain(atk: AttackParams, det: DetectorModel) -> float:
     """Variance gain applied to LO-reshaped pulses for the configured delay."""
-    if atk.delta_ns == 0.0:
-        return 1.0
     return detector_gain(det.window_ns + atk.delta_ns, det)
 
 

@@ -161,9 +161,7 @@ class Moments:
     ``est_*`` cover the estimation set, ``open_yy`` every open-switch
     pulse and ``monitor_yy`` the closed-switch pulses.  Open pulses are
     added in pulse order; the first ``key_target`` of them form the key
-    set and the rest the estimation set, unless fewer than two follow
-    them, in which case the last two open pulses (kept in ``tail_x`` and
-    ``tail_y``) are the estimation set.
+    set and the rest the estimation set.
     """
 
     key_target: int
@@ -177,8 +175,6 @@ class Moments:
     est_y: float = 0.0
     m_monitor: int = 0
     monitor_yy: float = 0.0
-    tail_x: np.ndarray = field(default_factory=lambda: np.empty(0))
-    tail_y: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def add_open(self, x: np.ndarray, y: np.ndarray) -> None:
         """Add the next open-switch pulses, in pulse order."""
@@ -194,20 +190,11 @@ class Moments:
             self.est_yy += est_yy
             self.est_x += float(est_x.sum())
             self.est_y += float(est_y.sum())
-        self.tail_x = np.concatenate([self.tail_x, x[-2:]])[-2:]
-        self.tail_y = np.concatenate([self.tail_y, y[-2:]])[-2:]
 
     def add_monitor(self, y: np.ndarray) -> None:
         """Add closed-switch outcomes."""
         self.m_monitor += y.size
         self.monitor_yy += dot(y, y)
-
-    def estimation_set(self) -> tuple[int, float, float, float, float, float]:
-        """(m, sum x^2, sum xy, sum y^2, sum x, sum y) of the estimation set."""
-        if self.m_est >= 2:
-            return (self.m_est, self.est_xx, self.est_xy, self.est_yy, self.est_x, self.est_y)
-        x, y = self.tail_x, self.tail_y
-        return (x.size, dot(x, x), dot(x, y), dot(y, y), float(x.sum()), float(y.sum()))
 
 
 class _BlockArrays:
@@ -327,16 +314,31 @@ def _snu_params(
 
 
 def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioReport:
-    """Monitoring, estimation, key rates and verdict on a drawn sample."""
+    """Estimation, monitoring, key rates and verdict on a drawn sample."""
     ch = cfg.channel
     atk = sample.attack
     moments = sample.moments
     n0_line = cfg.n0_assumed
 
-    # checked before monitoring, which divides by the open-pulse count
+    # m_est >= 2 also gives monitoring the two open pulses it divides by
     with _stage("estimation"):
-        if moments.n_open < 2:
-            raise ConfigError("too few pulses left for estimation")
+        m_est = moments.m_est
+        if m_est < 2:
+            raise ConfigError(f"too few pulses left for estimation: {m_est}, need at least 2")
+        n_key = moments.n_open - m_est
+        estimates = ml_from_moments(
+            m_est, moments.est_xx, moments.est_xy, moments.est_yy, moments.est_x, moments.est_y
+        )
+        intervals = confidence_bounds(estimates, cfg.epsilon)
+        t_hat, xi_hat = infer_channel(estimates, n0_line, ch.eta, ch.v_el)
+        report = EstimationReport(
+            estimates=estimates,
+            transmittance_hat=t_hat,
+            xi_hat=xi_hat,
+            intervals=intervals,
+            n0_assumed=n0_line,
+            epsilon=cfg.epsilon,
+        )
 
     n0_rt = alarm = statistic = None
     m_monitor = moments.m_monitor
@@ -353,21 +355,6 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
                     ch.v_el,
                 )
                 alarm, statistic = detect_attack(n0_rt, n0_line, m_monitor, cfg.z_threshold)
-
-    with _stage("estimation"):
-        m_est, *sums = moments.estimation_set()
-        n_key = moments.n_open - m_est
-        estimates = ml_from_moments(m_est, *sums)
-        intervals = confidence_bounds(estimates, cfg.epsilon)
-        t_hat, xi_hat = infer_channel(estimates, n0_line, ch.eta, ch.v_el)
-        report = EstimationReport(
-            estimates=estimates,
-            transmittance_hat=t_hat,
-            xi_hat=xi_hat,
-            intervals=intervals,
-            n0_assumed=n0_line,
-            epsilon=cfg.epsilon,
-        )
 
     monitor_fraction = cfg.monitor_fraction if cfg.countermeasure_enabled else 0.0
 

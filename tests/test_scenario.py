@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -27,7 +28,7 @@ from cvqkdsim import (
 from cvqkdsim import scenario
 from cvqkdsim.cli import main
 from cvqkdsim.countermeasure import monitor_mask_blocks
-from cvqkdsim.errors import ConfigError
+from cvqkdsim.errors import ConfigError, ScenarioStageError
 from cvqkdsim.protocol import BLOCK_SIZE, alice_block, attack_gain, bob_block, monitor_block
 from cvqkdsim.scenario import (
     EXIT_ABORT,
@@ -164,6 +165,23 @@ class TestParseConfig:
         assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_ERROR
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("key_fraction = 0.9\npulses = 1000\ncountermeasure = on\n", 1),
+            ("monitor_fraction = 0.5\ncountermeasure = on\npulses = 10\nkey_fraction = 0.5\n", 4),
+            ("pulses = 100\nkey_fraction = 0.5\nmonitor_fraction = 0.6\ncountermeasure = on\n", 3),
+        ],
+        ids=["key_fraction-alone", "key_fraction-later", "monitor_fraction-later"],
+    )
+    def test_fraction_sum_of_one_names_the_later_line(self, text, line):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == (
+            f"line {line}: key_fraction + monitor_fraction must be < 1 with the countermeasure on"
+        )
+        assert parse_config(text.replace("= on", "= off")).countermeasure_enabled is False
+
     def test_bad_boolean(self):
         with pytest.raises(ConfigError, match="countermeasure"):
             parse_config("pulses = 1000\ncountermeasure = maybe\n")
@@ -275,14 +293,53 @@ class TestRunScenario:
         assert report.n_key == 25000
         assert report.m_estimation == 75000
 
-    def test_two_pulses_left_for_estimation_when_key_fraction_takes_the_rest(self):
-        # key_fraction + monitor_fraction > 1: the key set takes all but two open pulses
-        cfg = parse_config(
-            "pulses = 20000\nseed = 4\nkey_fraction = 0.95\ncountermeasure = on\n"
+    def test_fractions_leaving_no_estimation_set_fail_at_parse_time(self, tmp_path, capsys):
+        # key_fraction + monitor_fraction > 1: once this reported "secure" from two pulses
+        cfg_path = tmp_path / "no-estimation.cfg"
+        cfg_path.write_text(
+            "pulses = 20000\nseed = 5\ncountermeasure = on\nkey_fraction = 0.95\n"
         )
-        report = run_scenario(cfg)
-        assert report.m_estimation == 2
-        assert report.m_estimation + report.n_key + report.m_monitor == cfg.pulses
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "config error: line 4: key_fraction + monitor_fraction must be < 1"
+            " with the countermeasure on\n"
+        )
+
+    def test_an_estimation_set_of_one_pulse_fails_its_stage(self, tmp_path, capsys):
+        cfg_path = tmp_path / "one-left.cfg"
+        cfg_path.write_text("pulses = 10\nkey_fraction = 0.9\n")
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error (run): stage 'estimation' failed:"
+            " too few pulses left for estimation: 1, need at least 2\n"
+        )
+
+    def test_key_set_is_the_first_open_pulses_estimation_the_rest(self):
+        reports = 0
+        for pulses, key_fraction, countermeasure, seed in itertools.product(
+            (10, 37, 200), (0.1, 0.5, 0.8), ("off", "on"), range(6)
+        ):
+            cfg = parse_config(
+                f"pulses = {pulses}\nkey_fraction = {key_fraction}\nseed = {seed}\n"
+                f"countermeasure = {countermeasure}\n"
+            )
+            try:
+                report = run_scenario(cfg)
+            except ScenarioStageError as exc:
+                # an estimate clamped to T = 1, xi = 0 can still fail the key-rate stage
+                # (pulses = 10, seed 0, countermeasure off: an open fault)
+                stages = ("stage 'estimation' failed: too few", "stage 'key-rate'")
+                assert str(exc).startswith(stages)
+                continue
+            reports += 1
+            n_open = pulses - report.m_monitor
+            assert report.n_key == min(round(key_fraction * pulses), n_open)
+            assert report.n_key + report.m_estimation == n_open
+        assert reports >= 100
 
     def test_open_pulses_are_the_protocol_samplers_draws(self):
         cfg = parse_config(BREACH.replace("pulses = 400000", "pulses = 150000"))
@@ -323,25 +380,24 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_too_few_open_pulses_fail_before_monitoring(self, seed, tmp_path, capsys):
-        # about one open pulse expected: seeds 0, 2, 4 and 5 draw fewer than two
-        cfg_text = f"pulses = 10\ncountermeasure = on\nmonitor_fraction = 0.9\nseed = {seed}\n"
-        if seed in (0, 2, 4, 5):
-            cfg_path = tmp_path / "few.cfg"
-            cfg_path.write_text(cfg_text)
-            assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
-            assert "too few pulses left for estimation" in capsys.readouterr().err
-        else:
-            report = run_scenario(parse_config(cfg_text))
-            expected = {1: ("secure", 6, 1.8818606385224173), 3: ("abort", 6, 1.6415336099675455)}
-            assert (report.verdict, report.m_monitor, report.n0_rt) == expected[seed]
-            assert (report.m_estimation, report.n_key, report.alarm) == (2, 2, False)
+        # about one open pulse expected; the split is rejected whatever the seed
+        cfg_path = tmp_path / "few.cfg"
+        cfg_path.write_text(
+            f"pulses = 10\ncountermeasure = on\nmonitor_fraction = 0.9\nseed = {seed}\n"
+        )
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
+        assert capsys.readouterr() == (
+            "",
+            "config error: line 3: key_fraction + monitor_fraction must be < 1"
+            " with the countermeasure on\n",
+        )
 
 
 class TestMoments:
     X = np.arange(1.0, 11.0)
     Y = 0.5 * X - 3.0
 
-    @pytest.mark.parametrize("key_target,first_est", [(0, 0), (4, 4), (8, 8), (9, 8), (20, 8)])
+    @pytest.mark.parametrize("key_target,first_est", [(0, 0), (4, 4), (8, 8), (9, 9), (20, 10)])
     @pytest.mark.parametrize("chunks", [1, 3, 10])
     def test_key_set_first_then_estimation_set(self, key_target, first_est, chunks):
         moments = Moments(key_target=key_target)
@@ -349,7 +405,11 @@ class TestMoments:
             moments.add_open(self.X[idx], self.Y[idx])
         x, y = self.X[first_est:], self.Y[first_est:]
         expected = (x.size, x @ x, x @ y, y @ y, x.sum(), y.sum())
-        assert moments.estimation_set() == pytest.approx(expected, rel=1e-15)
+        got = (
+            moments.m_est, moments.est_xx, moments.est_xy, moments.est_yy, moments.est_x,
+            moments.est_y,
+        )
+        assert got == pytest.approx(expected, rel=1e-15)
         assert moments.n_open == self.X.size
         assert moments.open_yy == pytest.approx(self.Y @ self.Y, rel=1e-15)
 
@@ -578,8 +638,6 @@ class TestCli:
 
 
 def test_component_errors_name_the_failing_stage():
-    from cvqkdsim.errors import ScenarioStageError
-
     cfg = parse_config("pulses = 1000\nva = 0.0\n")
     with pytest.raises(ScenarioStageError, match="stage 'estimation'"):
         run_scenario(cfg)
