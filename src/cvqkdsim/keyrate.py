@@ -119,11 +119,10 @@ def _eigenpair(trace_like: float, det_like: float) -> tuple[float, float]:
     cancellation in (trace - sqrt(disc))/2 at high loss.
     """
     disc = trace_like**2 - 4.0 * det_like
-    if disc < 0.0:
-        if disc < -DISCRIMINANT_TOL * max(1.0, trace_like**2):
-            raise NumericalDomainError(
-                f"negative discriminant {disc} in symplectic spectrum"
-            )
+    tol = DISCRIMINANT_TOL * max(1.0, trace_like**2)
+    if disc < -tol:
+        raise NumericalDomainError(f"negative discriminant {disc} in symplectic spectrum")
+    if disc <= tol:  # a double root: sqrt would magnify the rounding error of disc
         disc = 0.0
     big_sq = 0.5 * (trace_like + math.sqrt(disc))
     if big_sq <= 0.0:

@@ -22,13 +22,15 @@ Alice's block k draws one standard normal per pulse.  Bob's block k
 (stream 1), given the block's pulses, draws one uniform per pulse for
 the intercept flags, one per pulse for the LO-attack flags, then one
 standard normal per pulse; the monitor's block k (stream 2) draws the
-same way for its closed-switch pulses.  ``simulate_bob`` and
-``simulate_monitor`` cut their input into blocks of ``BLOCK_SIZE``; a
-scenario hands block k only the open (or closed) pulses of its k-th
-block of Alice's pulses.  ``map_blocks`` draws up to one block per CPU
-(at most ``MAX_LANES``) at once and hands their results back in block
-order, so whatever is summed over blocks is summed in the same order on
-any host.
+same way for its closed-switch pulses.  A flag of probability 0 or 1
+still owns its block of uniforms, and the generator steps past them
+(``BitGenerator.advance``), so the normals that follow are the same.
+``simulate_bob`` and ``simulate_monitor`` cut their input into blocks
+of ``BLOCK_SIZE``; a scenario hands block k only the open (or closed)
+pulses of its k-th block of Alice's pulses.  ``map_blocks`` draws up to
+one block per CPU (at most ``MAX_LANES``) at once and hands their
+results back in block order, so whatever is summed over blocks is
+summed in the same order on any host.
 """
 
 from __future__ import annotations
@@ -245,6 +247,8 @@ def _simulate_block(
     Draw order, part of the reproducibility contract: ``x.size``
     uniforms for the intercept flags, ``x.size`` uniforms for the
     LO-attack flags, then ``x.size`` standard normals, one per pulse.
+    A flag of probability 0 or 1 still owns its ``x.size`` uniforms: its
+    outcome is certain, so the generator steps past them unread.
     Given its flags, a pulse's outcome is
     ``signal_scale*sqrt(eta*T)*x`` plus that normal scaled by the
     standard deviation of its class,
@@ -262,17 +266,27 @@ def _simulate_block(
     y, intercepted, lo_attacked = out
     scratch = np.empty(size) if scratch is None else scratch[:size]
     eta_t = ch.eta * ch.transmittance
-    np.less(rng.random(out=scratch), atk.mu, out=intercepted)
-    np.less(rng.random(out=scratch), atk.nu, out=lo_attacked)
+    certain = atk.mu in (0.0, 1.0) and atk.nu in (0.0, 1.0)
+    for flags, p in ((intercepted, atk.mu), (lo_attacked, atk.nu)):
+        if p in (0.0, 1.0):
+            # a uniform in [0, 1) is below p exactly when p is 1; a PCG64
+            # double takes one 64-bit output, so the normals get the same bits
+            rng.bit_generator.advance(size)
+            flags.fill(p == 1.0)
+        else:
+            np.less(rng.random(out=scratch), p, out=flags)
     rng.standard_normal(out=y)
     resend = signal_scale**2 * eta_t * 2.0 * ch.n0
     optical = ch.n0 + eta_t * ch.xi
     # noise standard deviation per class, indexed by intercepted + 2*lo_attacked
     sd = np.sqrt([g * (r + optical) + ch.v_el for g in (1.0, gain) for r in (0.0, resend)])
-    index = lo_attacked.view(np.uint8) << 1
-    index |= intercepted.view(np.uint8)
-    # "clip" never buffers ``out``, as the default "raise" does; index is 0-3
-    y *= np.take(sd, index, out=scratch, mode="clip")
+    if certain:  # every pulse is of one class
+        y *= sd[int(atk.mu) + 2 * int(atk.nu)]
+    else:
+        index = lo_attacked.view(np.uint8) << 1
+        index |= intercepted.view(np.uint8)
+        # "clip" never buffers ``out``, as the default "raise" does; index is 0-3
+        y *= np.take(sd, index, out=scratch, mode="clip")
     y += np.multiply(x, signal_scale * np.sqrt(eta_t), out=scratch)
     return y, intercepted, lo_attacked
 

@@ -63,6 +63,15 @@ class TestHolevoBound:
         assert eigenvalues[0] == pytest.approx(1.0, abs=1e-9)
         assert eigenvalues[1] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("va, eta, v_el", [(7.3, 0.6, 0.0), (10.0, 0.6, 0.0), (20.0, 0.6, 0.1)])
+    def test_pure_channel_has_double_roots_despite_rounding(self, va, eta, v_el):
+        # T = 1, xi = 0: the conditional pair's discriminant is 0 up to rounding,
+        # which sqrt alone would turn into an eigenvalue 1e-8 below 1
+        p = KeyRateParams(va=va, transmittance=1.0, eta=eta, xi=0.0, v_el=v_el, beta=1.0)
+        chi_be, eigenvalues = holevo_bound(p)
+        assert chi_be == pytest.approx(0.0, abs=1e-9)
+        assert eigenvalues == pytest.approx((1.0, 1.0, 1.0, 1.0), abs=1e-9)
+
     def test_eigenvalues_physical_over_random_parameters(self):
         rng = np.random.default_rng(41)
         for _ in range(10_000):

@@ -21,8 +21,10 @@ from cvqkdsim.protocol import (
     PulseBatch,
     alice_block,
     attack_gain,
+    bob_block,
     map_blocks,
     mean_attack_gain,
+    monitor_block,
     pulses_csv,
 )
 
@@ -133,7 +135,10 @@ class TestMapBlocks:
 
 
 def _outcomes_as_first_written(rng, x, ch, atk, gain, signal_scale):
-    """Bob's block outcomes computed with fresh arrays and an int64 class index."""
+    """Bob's block outcomes computed with fresh arrays and an int64 class index.
+
+    Draws every flag's uniforms, also where the flag's probability is 0 or 1.
+    """
     size = x.size
     eta_t = ch.eta * ch.transmittance
     intercepted = rng.random(size) < atk.mu
@@ -167,6 +172,27 @@ def test_samplers_draw_the_same_bits_on_any_cpu_count(cpus, monkeypatch):
             expected = _outcomes_as_first_written(rng, x[sl], ch, atk, gain, scale)
             for got, want in zip((batch.y, batch.intercepted, batch.lo_attacked), expected):
                 np.testing.assert_array_equal(got[sl], want)
+
+
+@pytest.mark.parametrize("mu, nu", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.4, 1.0)])
+@pytest.mark.parametrize("size", [BLOCK_SIZE, 777])
+def test_certain_flags_step_past_their_uniforms_bit_for_bit(mu, nu, size):
+    seed, block, extinction = 23, 3, 0.05
+    atk = AttackParams(mu=mu, nu=nu, delta_ns=10.0)
+    gain = attack_gain(atk, DET)
+    x = alice_block(size, CH.va, seed, block)
+    blocked = ChannelParams(va=CH.va, transmittance=CH.transmittance, eta=CH.eta,
+                            xi=CH.xi * extinction, v_el=CH.v_el)
+    scratch = np.empty(BLOCK_SIZE)
+    got = {
+        1: bob_block(x, CH, atk, gain, seed, block, scratch=scratch),
+        2: monitor_block(x, CH, atk, gain, extinction, seed, block, scratch=scratch),
+    }
+    for stream, ch, scale in ((1, CH, 1.0), (2, blocked, math.sqrt(extinction))):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
+        expected = _outcomes_as_first_written(rng, x, ch, atk, gain, scale)
+        for have, want in zip(got[stream], expected):
+            np.testing.assert_array_equal(have, want)
 
 
 class TestGenerateAlice:

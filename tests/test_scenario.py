@@ -330,10 +330,7 @@ class TestRunScenario:
             try:
                 report = run_scenario(cfg)
             except ScenarioStageError as exc:
-                # an estimate clamped to T = 1, xi = 0 can still fail the key-rate stage
-                # (pulses = 10, seed 0, countermeasure off: an open fault)
-                stages = ("stage 'estimation' failed: too few", "stage 'key-rate'")
-                assert str(exc).startswith(stages)
+                assert str(exc).startswith("stage 'estimation' failed: too few")
                 continue
             reports += 1
             n_open = pulses - report.m_monitor
@@ -666,6 +663,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_shipped_config_report_matches_its_golden_file(name):
     report = run_scenario(load_config(CONFIGS / f"{name}.cfg"))
     assert (report.to_text() + "\n").encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def test_unattacked_twin_report_matches_its_golden_file():
+    # the shipped configs attack every pulse; this pins the mu = nu = 0 draws
+    cfg = parse_config("pulses = 2000000\nseed = 11\nn0 = 1\nn0_assumed = 1\n")
+    report = run_scenario(cfg)
+    assert (report.to_text() + "\n").encode() == (GOLDEN / "unattacked-twin.txt").read_bytes()
 
 
 @pytest.mark.parametrize("name", ["quantitative-example", "countermeasure-example"])
