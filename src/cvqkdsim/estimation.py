@@ -107,20 +107,6 @@ class EstimationReport:
     epsilon: float
     intervals: dict[str, tuple[float, float]]
 
-    def __post_init__(self):
-        points = {
-            "t": self.estimates.t_hat,
-            "sigma2": self.estimates.sigma2_hat,
-            "va": self.estimates.va_hat,
-        }
-        for key, (low, high) in self.intervals.items():
-            point = points[key]
-            if not low <= point <= high:
-                raise ValueError(
-                    f"interval for {key} does not bracket the point estimate: "
-                    f"{low} <= {point} <= {high}"
-                )
-
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of ``a*b`` over two 1-d arrays, in an order that does not depend on the host.

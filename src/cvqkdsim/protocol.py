@@ -25,12 +25,13 @@ standard normal per pulse; the monitor's block k (stream 2) draws the
 same way for its closed-switch pulses.  A flag of probability 0 or 1
 still owns its block of uniforms, and the generator steps past them
 (``BitGenerator.advance``), so the normals that follow are the same.
-``simulate_bob`` and ``simulate_monitor`` cut their input into blocks
-of ``BLOCK_SIZE``; a scenario hands block k only the open (or closed)
-pulses of its k-th block of Alice's pulses.  ``map_blocks`` draws up to
-one block per CPU (at most ``MAX_LANES``) at once and hands their
-results back in block order, so whatever is summed over blocks is
-summed in the same order on any host.
+The references ``generate_alice``, ``simulate_bob`` and
+``simulate_monitor`` draw their input's ``BLOCK_SIZE`` blocks one after
+the other on the calling thread; a scenario hands block k only the open
+(or closed) pulses of its k-th block of Alice's pulses.  Only a scenario
+draws blocks at once: ``map_blocks`` draws up to one block per CPU (at
+most ``MAX_LANES``) and hands their results back in block order, so
+whatever is summed over blocks is summed in the same order on any host.
 """
 
 from __future__ import annotations
@@ -72,12 +73,7 @@ def _lanes() -> int:
     return min(cpus, MAX_LANES)
 
 
-def map_blocks(
-    fn: Callable,
-    jobs: Iterable,
-    fold: Callable = lambda result: None,
-    scratch: Callable = lambda: None,
-) -> None:
+def map_blocks(fn: Callable, jobs: Iterable, fold: Callable, scratch: Callable) -> None:
     """Run ``fn(job, buffers)`` for every job, ``_lanes()`` at once; ``fold`` results in job order.
 
     numpy's generators and ufuncs release the GIL, so the jobs run at
@@ -88,7 +84,8 @@ def map_blocks(
     job count or on timing.  ``jobs`` is read and ``fold`` called
     on the calling thread only.  An exception raised by ``fn`` or
     ``fold`` is raised here once every pool thread has stopped.  One
-    lane, or one job, runs on the calling thread alone.
+    lane, or one job, runs on the calling thread alone.  A scenario's
+    pulse blocks are its only jobs; the references draw block by block.
     """
     lanes = _lanes()
     jobs = iter(jobs)
@@ -196,11 +193,9 @@ def _rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
 
 
-def alice_block(
-    size: int, va: float, seed: int, block: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Alice's quadratures for pulse block ``block`` (``size`` pulses), into ``out`` if given."""
-    x = _rng(seed, _STREAM_ALICE, block).standard_normal(size, out=out)
+def alice_block(va: float, seed: int, block: int, out: np.ndarray) -> np.ndarray:
+    """Alice's quadratures for pulse block ``block``, one per element of ``out``, into ``out``."""
+    x = _rng(seed, _STREAM_ALICE, block).standard_normal(out=out)
     x *= np.sqrt(va)
     return x
 
@@ -212,12 +207,8 @@ def generate_alice(n: int, va: float, seed: int) -> np.ndarray:
     if va < 0:
         raise ValueError(f"va must be >= 0, got {va}")
     out = np.empty(n)
-
-    def draw(job, _):
-        block, start, size = job
-        alice_block(size, va, seed, block, out=out[start : start + size])
-
-    map_blocks(draw, pulse_blocks(n))
+    for block, start, size in pulse_blocks(n):
+        alice_block(va, seed, block, out[start : start + size])
     return out
 
 
@@ -239,10 +230,10 @@ def _simulate_block(
     atk: AttackParams,
     gain: float,
     signal_scale: float,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-    scratch: np.ndarray | None,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+    scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One seeded block of Bob outcomes, written to ``out`` (y, intercepted, lo_attacked) if given.
+    """One seeded block of Bob outcomes, written to ``out`` (y, intercepted, lo_attacked).
 
     Draw order, part of the reproducibility contract: ``x.size``
     uniforms for the intercept flags, ``x.size`` uniforms for the
@@ -261,10 +252,8 @@ def _simulate_block(
     per-pulse factors, so that the block allocates no array of its size.
     """
     size = x.size
-    if out is None:
-        out = (np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=bool))
     y, intercepted, lo_attacked = out
-    scratch = np.empty(size) if scratch is None else scratch[:size]
+    scratch = scratch[:size]
     eta_t = ch.eta * ch.transmittance
     certain = atk.mu in (0.0, 1.0) and atk.nu in (0.0, 1.0)
     for flags, p in ((intercepted, atk.mu), (lo_attacked, atk.nu)):
@@ -298,8 +287,8 @@ def bob_block(
     gain: float,
     seed: int,
     block: int,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    scratch: np.ndarray | None = None,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+    scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bob's outcomes, intercept and LO-attack flags for the pulses ``x`` of block ``block``.
 
@@ -317,8 +306,8 @@ def monitor_block(
     extinction: float,
     seed: int,
     block: int,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    scratch: np.ndarray | None = None,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+    scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-switch outcomes for the pulses ``x`` of block ``block``.
 
@@ -337,13 +326,10 @@ def _batch(x, block_fn, *args) -> PulseBatch:
     y = np.empty(x.size)
     intercepted = np.empty(x.size, dtype=bool)
     lo_attacked = np.empty(x.size, dtype=bool)
-
-    def draw(job, scratch):
-        block, start, size = job
+    scratch = np.empty(min(BLOCK_SIZE, x.size))
+    for block, start, size in pulse_blocks(x.size):
         sl = slice(start, start + size)
         block_fn(x[sl], *args, block, (y[sl], intercepted[sl], lo_attacked[sl]), scratch)
-
-    map_blocks(draw, pulse_blocks(x.size), scratch=lambda: np.empty(min(BLOCK_SIZE, x.size)))
     return PulseBatch(x=x, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
 
 

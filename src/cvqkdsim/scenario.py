@@ -271,7 +271,7 @@ def sample_scenario(
     def draw(job, arrays: _BlockArrays):
         block, size, closed = job
         with _stage("modulation"):
-            x = alice_block(size, ch.va, cfg.seed, block, out=arrays.x[:size])
+            x = alice_block(ch.va, cfg.seed, block, arrays.x[:size])
         with _stage("channel-simulation"):
             # boolean indexing allocates only the result; np.compress would add an index array
             x_open = x if closed is None else x[~closed]

@@ -234,18 +234,6 @@ class TestEstimationReport:
             "va_low", "va_high",
         ]
 
-    def test_rejects_interval_not_bracketing_estimate(self):
-        est = MlEstimates(t_hat=0.5, sigma2_hat=1.2, va_hat=5.0, m=1000)
-        with pytest.raises(ValueError):
-            EstimationReport(
-                estimates=est,
-                transmittance_hat=0.5,
-                xi_hat=0.0,
-                intervals={"t": (0.6, 0.7), "sigma2": (1.0, 1.4), "va": (4.0, 6.0)},
-                n0_assumed=1.0,
-                epsilon=0.05,
-            )
-
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")

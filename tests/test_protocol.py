@@ -12,6 +12,7 @@ from cvqkdsim import (
     ChannelParams,
     DetectorModel,
     generate_alice,
+    protocol,
     simulate_bob,
     simulate_monitor,
 )
@@ -25,6 +26,7 @@ from cvqkdsim.protocol import (
     map_blocks,
     mean_attack_gain,
     monitor_block,
+    pulse_blocks,
     pulses_csv,
 )
 
@@ -40,6 +42,11 @@ def var_se(true_var, n):
 def _on_cpus(monkeypatch, cpus: int) -> None:
     """Make this process look as if it may run on ``cpus`` CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _outcomes(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fresh (y, intercepted, lo_attacked) arrays for one block's outcomes."""
+    return np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
 
 
 class TestMapBlocks:
@@ -76,10 +83,7 @@ class TestMapBlocks:
             return job
 
         with pytest.raises(KeyError):
-            map_blocks(fn, range(40), lambda _: None)
-        assert set(threading.enumerate()) == before
-        with pytest.raises(KeyError):  # also without a fold, as the samplers call it
-            map_blocks(fn, range(40))
+            map_blocks(fn, range(40), lambda _: None, lambda: None)
         assert set(threading.enumerate()) == before
 
     def test_stress_more_threads_than_cores_never_share_a_slot(self, monkeypatch):
@@ -130,7 +134,7 @@ class TestMapBlocks:
     def test_one_job_starts_no_thread(self, monkeypatch):
         _on_cpus(monkeypatch, 4)
         counts = []
-        map_blocks(lambda job, _: threading.active_count(), [0], counts.append)
+        map_blocks(lambda job, _: threading.active_count(), [0], counts.append, lambda: None)
         assert counts == [threading.active_count()]
 
 
@@ -165,7 +169,7 @@ def test_samplers_draw_the_same_bits_on_any_cpu_count(cpus, monkeypatch):
                             xi=CH.xi * extinction, v_el=CH.v_el)
     for block, start in enumerate(range(0, n, BLOCK_SIZE)):
         sl = slice(start, start + BLOCK_SIZE)
-        np.testing.assert_array_equal(x[sl], alice_block(x[sl].size, CH.va, seed, block))
+        np.testing.assert_array_equal(x[sl], alice_block(CH.va, seed, block, np.empty(x[sl].size)))
         for batch, stream, ch, scale in ((bob, 1, CH, 1.0),
                                          (monitor, 2, blocked, math.sqrt(extinction))):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
@@ -180,19 +184,47 @@ def test_certain_flags_step_past_their_uniforms_bit_for_bit(mu, nu, size):
     seed, block, extinction = 23, 3, 0.05
     atk = AttackParams(mu=mu, nu=nu, delta_ns=10.0)
     gain = attack_gain(atk, DET)
-    x = alice_block(size, CH.va, seed, block)
+    x = alice_block(CH.va, seed, block, np.empty(size))
     blocked = ChannelParams(va=CH.va, transmittance=CH.transmittance, eta=CH.eta,
                             xi=CH.xi * extinction, v_el=CH.v_el)
     scratch = np.empty(BLOCK_SIZE)
     got = {
-        1: bob_block(x, CH, atk, gain, seed, block, scratch=scratch),
-        2: monitor_block(x, CH, atk, gain, extinction, seed, block, scratch=scratch),
+        1: bob_block(x, CH, atk, gain, seed, block, _outcomes(size), scratch),
+        2: monitor_block(x, CH, atk, gain, extinction, seed, block, _outcomes(size), scratch),
     }
     for stream, ch, scale in ((1, CH, 1.0), (2, blocked, math.sqrt(extinction))):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
         expected = _outcomes_as_first_written(rng, x, ch, atk, gain, scale)
         for have, want in zip(got[stream], expected):
             np.testing.assert_array_equal(have, want)
+
+
+def test_references_draw_block_by_block_without_the_pool(monkeypatch):
+    _on_cpus(monkeypatch, 4)
+
+    def pool(*args):
+        raise AssertionError("a reference sampler drew through map_blocks")
+
+    monkeypatch.setattr(protocol, "map_blocks", pool)
+    n, seed, extinction = 2 * BLOCK_SIZE + 777, 24, 0.05
+    atk = AttackParams(mu=0.3, nu=0.6, delta_ns=10.0)
+    gain = attack_gain(atk, DET)
+    x = generate_alice(n, CH.va, seed)
+    bob = simulate_bob(x, CH, atk, DET, seed)
+    monitor = simulate_monitor(x, CH, atk, DET, extinction, seed)
+    scratch = np.empty(BLOCK_SIZE)
+    for block, start, size in pulse_blocks(n):
+        sl = slice(start, start + size)
+        np.testing.assert_array_equal(x[sl], alice_block(CH.va, seed, block, np.empty(size)))
+        expected = (
+            (bob, bob_block(x[sl], CH, atk, gain, seed, block, _outcomes(size), scratch)),
+            (monitor, monitor_block(
+                x[sl], CH, atk, gain, extinction, seed, block, _outcomes(size), scratch
+            )),
+        )
+        for batch, want in expected:
+            for got, arrays in zip((batch.y, batch.intercepted, batch.lo_attacked), want):
+                np.testing.assert_array_equal(got[sl], arrays)
 
 
 class TestGenerateAlice:

@@ -318,6 +318,25 @@ class TestRunScenario:
             " too few pulses left for estimation: 1, need at least 2\n"
         )
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "pulses = 10\nepsilon = 0.9\n",
+            "pulses = 2000\nepsilon = 0.999\n",
+            "pulses = 10\nepsilon = 0.5\ncountermeasure = on\n",
+        ],
+    )
+    def test_a_sigma2_interval_above_its_point_estimate_still_gives_a_verdict(self, text):
+        # the chi-square interval lies above the ML point when the (1 - eps/2)
+        # quantile of chi2(m - 1) is below m: at large epsilon or small m
+        above = 0
+        for seed in range(8):
+            report = run_scenario(parse_config(f"{text}seed = {seed}\n"))
+            assert report.exit_code in (EXIT_SECURE, EXIT_ABORT, EXIT_BREACHED)
+            low, _ = report.estimation.intervals["sigma2"]
+            above += low > report.estimation.estimates.sigma2_hat
+        assert above >= 5
+
     def test_key_set_is_the_first_open_pulses_estimation_the_rest(self):
         reports = 0
         for pulses, key_fraction, countermeasure, seed in itertools.product(
@@ -418,6 +437,12 @@ SPLIT_MID_BLOCK = (
 )
 
 
+def _fresh(block_fn, x, *args):
+    """``block_fn``'s outcomes for the pulses ``x``, drawn into fresh arrays."""
+    out = (np.empty(x.size), np.empty(x.size, dtype=bool), np.empty(x.size, dtype=bool))
+    return block_fn(x, *args, out, np.empty(x.size))
+
+
 def _serial_fold(cfg):
     """The scenario's moments, added one block after the other on this thread alone."""
     ch, atk = cfg.channel, cfg.attack
@@ -430,14 +455,14 @@ def _serial_fold(cfg):
         )
     opened, splits = [], []
     for block, start in enumerate(range(0, cfg.pulses, BLOCK_SIZE)):
-        x = alice_block(min(BLOCK_SIZE, cfg.pulses - start), ch.va, cfg.seed, block)
+        x = alice_block(ch.va, cfg.seed, block, np.empty(min(BLOCK_SIZE, cfg.pulses - start)))
         closed = np.zeros(x.size, dtype=bool) if masks is None else next(masks)
-        y, intercepted, lo_attacked = bob_block(x[~closed], ch, atk, gain, cfg.seed, block)
+        y, intercepted, lo_attacked = _fresh(bob_block, x[~closed], ch, atk, gain, cfg.seed, block)
         splits.append(min(max(moments.key_target - moments.n_open, 0), y.size))
         moments.add_open(x[~closed], y)
         opened.append((x[~closed], y, intercepted, lo_attacked))
-        y_closed, _, _ = monitor_block(
-            x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block
+        y_closed, _, _ = _fresh(
+            monitor_block, x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block
         )
         moments.add_monitor(y_closed)
     return moments, opened, splits
