@@ -373,6 +373,15 @@ def simulate_monitor(
     return _batch(x, monitor_block, ch, atk, gain, extinction, seed)
 
 
+# A dump row's flag columns, indexed by intercepted + 2*lo_attacked.
+_ROW_ENDS = (",0,0\r\n", ",1,0\r\n", ",0,1\r\n", ",1,1\r\n")
+
+# Rows formatted and joined at once, so a part's strings are alive together
+# (about 0.1 MB for 1024 rows).  Parts of 8192 rows wrote no faster and
+# raised the peak RSS of a ``run --csv`` process by about 2 MB.
+_CSV_PART = 1024
+
+
 @contextmanager
 def pulses_csv(path: str | Path):
     """Open a pulse dump (index, x, y, intercepted, lo_attacked) for appending.
@@ -380,30 +389,28 @@ def pulses_csv(path: str | Path):
     Yields a function that appends one batch's rows, numbered on from
     the rows already written, with shortest-repr floats and CRLF line
     endings, the bytes ``csv.writer`` would write.  The scenario loop
-    hands it one pulse block at a time, and it converts the block's rows
-    a part at a time, which bounds the rows in memory.
+    hands it one pulse block at a time, and it formats the block's rows
+    1024 (``_CSV_PART``) at a time, one f-string per row and one write
+    per part, so that only one part's strings are in memory at once.
     """
-    row = "{},{!r},{!r},{:d},{:d}\r\n".format
     with open(path, "w", newline="") as fh:
         fh.write("index,x,y,intercepted,lo_attacked\r\n")
         written = 0
 
         def append(batch: PulseBatch) -> None:
             nonlocal written
-            # 8192 rows at a time: a block's rows as Python objects take 5 MB
-            for start in range(0, len(batch), 8192):
-                part = slice(start, start + 8192)
-                x = np.asarray(batch.x[part], dtype=float)
-                fh.writelines(
-                    map(
-                        row,
-                        range(written, written + x.size),
-                        x.tolist(),
-                        np.asarray(batch.y[part], dtype=float).tolist(),
-                        batch.intercepted[part].tolist(),
-                        batch.lo_attacked[part].tolist(),
-                    )
+            for start in range(0, len(batch), _CSV_PART):
+                part = slice(start, start + _CSV_PART)
+                x = batch.x[part]
+                flags = batch.lo_attacked[part].view(np.uint8) << 1
+                flags |= batch.intercepted[part].view(np.uint8)
+                rows = zip(
+                    range(written, written + x.size),
+                    x.tolist(),
+                    batch.y[part].tolist(),
+                    flags.tolist(),
                 )
+                fh.write("".join([f"{i},{a!r},{b!r}{_ROW_ENDS[k]}" for i, a, b, k in rows]))
                 written += x.size
 
         yield append

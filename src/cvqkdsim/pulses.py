@@ -253,11 +253,10 @@ def simulate_calibration_points(
         raise ValueError("samples_per_point must be >= 2")
     rng = np.random.default_rng(seed)
     k = samples_per_point
-    out = []
-    for p in np.asarray(powers, dtype=float):
-        true_var = gain * det.slope_cal * p + det.v_el
-        out.append((float(p), float(true_var * rng.chisquare(k) / k)))
-    return out
+    powers = np.asarray(powers, dtype=float)
+    true_var = gain * det.slope_cal * powers + det.v_el
+    variances = true_var * rng.chisquare(k, size=powers.size) / k
+    return list(zip(powers.tolist(), variances.tolist()))
 
 
 def _head_size(waveform: Waveform, span_ns: float) -> int:

@@ -440,14 +440,21 @@ def _reference_pulses_csv(batch, path):
 
 
 def test_pulse_csv_dump_matches_row_by_row_writer(tmp_path):
-    x = generate_alice(1000, CH.va, seed=16)
+    short, long = 1000, 2 * protocol._CSV_PART + 37
+    x = generate_alice(short + long, CH.va, seed=16)
     batch = simulate_bob(x, CH, AttackParams(mu=0.5, nu=0.5, delta_ns=10.0), DET, seed=16)
-    batch.x[:6] = [-0.0, 5e-324, 1e300, float("inf"), float("nan"), 1.0]
+    special = [-0.0, 5e-324, 1e300, float("inf"), float("nan"), 1.0]
+    batch.x[:6] = special
+    batch.y[10:16] = special
+    batch.y[short + protocol._CSV_PART - 3 : short + protocol._CSV_PART + 3] = special
+    assert len(set(zip(batch.intercepted.tolist(), batch.lo_attacked.tolist()))) == 4
     _reference_pulses_csv(batch, tmp_path / "reference.csv")
-    # appended in small blocks, so that the row numbering crosses several appends
+    # small appends, so that the row numbering crosses several appends, then
+    # one that crosses two part boundaries and ends on an uneven tail
+    cuts = [*range(0, short, 64), short, short + long]
     with pulses_csv(tmp_path / "pulses.csv") as append:
-        for start in range(0, len(batch), 64):
-            sl = slice(start, start + 64)
+        for start, stop in zip(cuts, cuts[1:]):
+            sl = slice(start, stop)
             append(
                 PulseBatch(batch.x[sl], batch.y[sl], batch.intercepted[sl], batch.lo_attacked[sl])
             )

@@ -210,6 +210,20 @@ class TestCalibrationLine:
         ratio = fit_calibration_line(delayed).slope / fit_calibration_line(nominal).slope
         assert ratio == pytest.approx(0.667, abs=0.01)
 
+    def test_calibration_points_match_per_point_draws(self):
+        det = DetectorModel(slope_cal=2.0, v_el=0.05)
+        powers = np.linspace(0.5, 1.5, 257)
+        k = 300
+        # the per-point scalar loop the array draw replaced, kept as the reference
+        rng = np.random.default_rng(9)
+        reference = []
+        for p in powers:
+            true_var = 1.3 * det.slope_cal * p + det.v_el
+            reference.append((float(p), float(true_var * rng.chisquare(k) / k)))
+        points = simulate_calibration_points(powers, det, gain=1.3, samples_per_point=k, seed=9)
+        assert points == reference
+        assert all(type(v) is float for point in points for v in point)
+
     def test_identical_powers_degenerate(self):
         with pytest.raises(DegenerateFitError):
             fit_calibration_line([(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)])

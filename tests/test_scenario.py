@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -752,6 +753,9 @@ def test_run_csv_dumps_the_pulses_the_report_used(tmp_path, capsys):
         dumped.add_open(xb, yb)
     reanalysed = analyse_scenario(cfg, dataclasses.replace(sample, moments=dumped))
     assert reanalysed.to_text() == printed == run_scenario(cfg).to_text()
+    # the draws and their formatting together, pinned byte for byte
+    digest = hashlib.sha256((out / "pulses.csv").read_bytes()).hexdigest()
+    assert digest == "379a320940e327f1d81e6d36b12153f1971a5ebed4815d420ac964623cdd243c"
 
 
 NO_ATTACK = "pulses = 400000\nseed = 3\nva = 5.0\nxi = 0.1\nvel = 0.01\n"
