@@ -1,6 +1,8 @@
 """Real-time shot-noise monitoring and attack detection.
 
-An optical switch blocks the signal path on a random subset of pulses.
+An optical switch blocks the signal path on a random subset of pulses,
+the monitoring mask.  A scenario draws the mask block by block, each
+block on the lane that draws the block's pulses (``monitor_mask_block``).
 The noise measured with the switch open and closed is inverted as a
 linear system to separate the shot noise from the signal-plus-excess
 variance, and the real-time shot noise is compared against the
@@ -10,13 +12,12 @@ calibration-line prediction.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularSystemError
-from .protocol import pulse_blocks
+from .protocol import BLOCK_SIZE
 
 
 @dataclass
@@ -33,20 +34,25 @@ class SwitchModel:
             raise ValueError(f"extinction must be in [0, 1), got {self.extinction}")
 
 
-def monitor_mask_blocks(n: int, fraction: float, seed: int) -> Iterator[np.ndarray]:
-    """I.i.d. Bernoulli(fraction) monitoring mask over ``n`` pulses, in blocks.
+def monitor_mask_block(
+    fraction: float, seed: int, block: int, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Block ``block`` of the i.i.d. Bernoulli(fraction) monitoring mask, into ``out``.
 
-    The mask comes ``BLOCK_SIZE`` pulses at a time, all drawn from one
-    generator seeded with ``seed``, so the blocks joined are the same
-    mask whatever the block size.  Arguments are checked on the call,
-    before any block is drawn.
+    The whole mask is one draw of ``default_rng(seed).random(n) <
+    fraction``, cut into ``BLOCK_SIZE`` blocks: block k's generator
+    steps past the k*BLOCK_SIZE uniforms of the blocks before it (a
+    PCG64 double takes one 64-bit output), so the blocks join to the same
+    mask whatever the order or the thread they are drawn in.  ``out``
+    holds one element per pulse of the block; ``scratch``, a float array
+    of at least ``out.size``, holds the uniforms.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    rng = np.random.default_rng(seed)
-    return (rng.random(size) < fraction for _, _, size in pulse_blocks(n))
+    bits = np.random.PCG64(seed)
+    bits.advance(block * BLOCK_SIZE)
+    uniforms = np.random.Generator(bits).random(out=scratch[: out.size])
+    return np.less(uniforms, fraction, out=out)
 
 
 def realtime_shot_noise(

@@ -28,10 +28,12 @@ still owns its block of uniforms, and the generator steps past them
 The references ``generate_alice``, ``simulate_bob`` and
 ``simulate_monitor`` draw their input's ``BLOCK_SIZE`` blocks one after
 the other on the calling thread; a scenario hands block k only the open
-(or closed) pulses of its k-th block of Alice's pulses.  Only a scenario
-draws blocks at once: ``map_blocks`` draws up to one block per CPU (at
-most ``MAX_LANES``) and hands their results back in block order, so
-whatever is summed over blocks is summed in the same order on any host.
+(or closed) pulses of its k-th block of Alice's pulses, as block k of
+the monitor mask picks them (``countermeasure.monitor_mask_block``).
+Only a scenario draws blocks at once: ``map_blocks`` draws up to one
+block per CPU (at most ``MAX_LANES``), keeps one more queued behind
+them, and hands their results back in block order, so whatever is summed
+over blocks is summed in the same order on any host.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ def pulse_blocks(n: int) -> Iterable[tuple[int, int, int]]:
     return ((k, start, min(BLOCK_SIZE, n - start)) for k, start in enumerate(starts))
 
 
-# Most blocks drawn at once, whatever the CPU count.  Each holds a block's
-# arrays, 2.2 MiB traced in a scenario, so four keep a scenario's traced
-# peak under 10 MiB.
+# Most blocks drawn at once, whatever the CPU count.  A run has one slot
+# more than lanes, each holding a block's arrays (2.2 MiB traced in a
+# scenario), so four lanes keep a scenario's traced peak under 12 MiB.
 MAX_LANES = 4
 
 
@@ -77,15 +79,19 @@ def map_blocks(fn: Callable, jobs: Iterable, fold: Callable, scratch: Callable) 
     """Run ``fn(job, buffers)`` for every job, ``_lanes()`` at once; ``fold`` results in job order.
 
     numpy's generators and ufuncs release the GIL, so the jobs run at
-    the same time.  Each lane has a slot whose ``buffers`` are made
-    once, up front, by ``scratch()``: job k gets slot k mod lanes,
-    handed to job k + lanes only after ``fold(result of job k)`` has
-    returned.  So a run's memory depends on the lane count, not on the
-    job count or on timing.  ``jobs`` is read and ``fold`` called
-    on the calling thread only.  An exception raised by ``fn`` or
-    ``fold`` is raised here once every pool thread has stopped.  One
-    lane, or one job, runs on the calling thread alone.  A scenario's
-    pulse blocks are its only jobs; the references draw block by block.
+    the same time.  There is one slot more than lanes, each with
+    ``buffers`` made once, up front, by ``scratch()``: job k gets slot
+    k mod (lanes + 1), handed to job k + lanes + 1 only after
+    ``fold(result of job k)`` has returned.  So one job waits in the
+    pool's queue while ``fold`` runs, and a lane that finishes its job
+    starts it without waiting for the calling thread.  A run's memory
+    depends on the lane count, not on the job count or on timing.
+    ``jobs`` is read and ``fold`` called on the calling thread only.  An
+    exception raised by ``fn`` or ``fold`` cancels the queued jobs that
+    no lane has started and is raised here once every pool thread has
+    stopped.  One lane, or one job, runs on the calling thread alone.  A
+    scenario's pulse blocks are its only jobs; the references draw block
+    by block.
     """
     lanes = _lanes()
     jobs = iter(jobs)
@@ -99,15 +105,19 @@ def map_blocks(fn: Callable, jobs: Iterable, fold: Callable, scratch: Callable) 
 
     from concurrent.futures import ThreadPoolExecutor
 
-    slots = [scratch() for _ in range(lanes)]
+    slots = [scratch() for _ in range(lanes + 1)]
     with ThreadPoolExecutor(lanes) as pool:
         window = deque((slot, pool.submit(fn, job, slot)) for slot, job in zip(slots, jobs))
-        while window:
-            slot, future = window.popleft()
-            fold(future.result())
-            del future  # so that its result is freed before the slot's next job runs
-            for job in islice(jobs, 1):  # the next job, if there is one
-                window.append((slot, pool.submit(fn, job, slot)))
+        try:
+            while window:
+                slot, future = window.popleft()
+                fold(future.result())
+                del future  # so that its result is freed before the slot's next job runs
+                for job in islice(jobs, 1):  # the next job, if there is one
+                    window.append((slot, pool.submit(fn, job, slot)))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 # Stream identifiers for seed splitting; fixed for reproducibility.

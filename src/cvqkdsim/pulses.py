@@ -175,16 +175,21 @@ def measure_power(waveform: Waveform, cfg: PowerMeterConfig) -> float:
     ``decay_base**(-age)`` (age measured backwards from the final sample),
     times dt.  Linear in the waveform.
     """
-    n_window = int(round(cfg.window_ns / waveform.dt))
-    if n_window < 1 or n_window > len(waveform):
+    return _window_power(waveform.samples, waveform.dt, cfg)
+
+
+def _window_power(samples: np.ndarray, dt: float, cfg: PowerMeterConfig) -> float:
+    """``measure_power`` of the trace ``samples`` with spacing ``dt``, unchecked and uncopied."""
+    n_window = int(round(cfg.window_ns / dt))
+    if n_window < 1 or n_window > samples.size:
         raise ValueError(
             f"power window {cfg.window_ns} ns does not fit waveform of "
-            f"duration {waveform.duration} ns"
+            f"duration {samples.size * dt} ns"
         )
-    ages = np.arange(n_window) * waveform.dt
+    ages = np.arange(n_window) * dt
     weights = cfg.decay_base ** (-ages)
-    tail = waveform.samples[::-1][:n_window]
-    return float(np.dot(tail, weights) * waveform.dt)
+    tail = samples[::-1][:n_window]
+    return float(np.dot(tail, weights) * dt)
 
 
 def trigger_time(waveform: Waveform, cfg: TriggerConfig) -> float | None:
@@ -292,8 +297,9 @@ def attenuate_leading_edge(
         head_only[n_head:] = 0.0
         tail_only = waveform.samples.copy()
         tail_only[:n_head] = 0.0
-        p_head = measure_power(Waveform(head_only, waveform.dt, waveform.t0), pm) if n_head else 0.0
-        p_tail = measure_power(Waveform(tail_only, waveform.dt, waveform.t0), pm)
+        # bare arrays: a Waveform per part would copy and check them for every candidate
+        p_head = _window_power(head_only, waveform.dt, pm) if n_head else 0.0
+        p_tail = _window_power(tail_only, waveform.dt, pm)
         if p_tail <= 0.0:
             raise InfeasiblePulseError(
                 "cannot preserve power: tail carries no weight in the window"

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .countermeasure import detect_attack, monitor_mask_blocks, realtime_shot_noise
+from .countermeasure import detect_attack, monitor_mask_block, realtime_shot_noise
 from .errors import ConfigError, ScenarioStageError
 from .estimation import (
     EstimationReport,
@@ -200,10 +200,13 @@ class Moments:
 class _BlockArrays:
     """The arrays of one pulse block, reused by every block drawn in the same window slot.
 
-    ``x`` holds Alice's block; ``y``, ``intercepted`` and ``lo_attacked``
-    the outcomes of its open pulses followed by those of its closed ones.
-    They are made once per lane because fresh arrays per block, 1.6 MiB
-    at ``BLOCK_SIZE``, are page-faulted again every block: that draws the
+    ``x`` holds Alice's block and ``closed`` its monitor mask; ``y``,
+    ``intercepted`` and ``lo_attacked`` the outcomes of its open pulses
+    followed by those of its closed ones; ``scratch`` the uniforms and
+    per-pulse factors of the draws.  ``map_blocks`` makes one set per
+    slot: lanes + 1 sets on a pool, one on the calling thread alone.
+    They are made once because fresh arrays per block, 1.7 MiB at
+    ``BLOCK_SIZE``, are page-faulted again every block: that draws the
     same bits, but on a 2-vCPU Xeon host (2M-pulse quantitative example,
     best of 5) it took 48-63 ns/pulse instead of 39-46, and 84-90
     instead of 49-70 under ``taskset -c 0``.
@@ -214,6 +217,7 @@ class _BlockArrays:
         self.y = np.empty(size)
         self.intercepted = np.empty(size, dtype=bool)
         self.lo_attacked = np.empty(size, dtype=bool)
+        self.closed = np.empty(size, dtype=bool)
         self.scratch = np.empty(size)
 
     def outcomes(self, part: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,12 +238,12 @@ def sample_scenario(
 ) -> ScenarioSample:
     """Draw the scenario one pulse block at a time, keeping only its moments.
 
-    Per block: Alice's modulation, the monitor mask, Bob's attacked
-    outcomes on the open-switch pulses and the monitoring outcomes on
-    the closed-switch ones.  The blocks are drawn several at once
-    (``protocol.map_blocks``), each into its lane's arrays, and added to
-    the moments on the calling thread in block order, so the sums do not
-    depend on the CPU count.
+    Per block: Alice's modulation, the block's monitor mask, Bob's
+    attacked outcomes on the open-switch pulses and the monitoring
+    outcomes on the closed-switch ones.  The blocks are drawn several at
+    once (``protocol.map_blocks``), each into its slot's arrays, and
+    added to the moments on the calling thread in block order, so the
+    sums do not depend on the CPU count.
     ``on_open``, when given, receives each block's open-switch pulses, in
     pulse order, on the calling thread; the arrays are reused for a later
     block once it returns, so it must copy what it keeps.  Memory does
@@ -258,20 +262,18 @@ def sample_scenario(
     # positional split is as good as a random one; an attack that depended
     # on position would need a random split again.
     moments = Moments(key_target=int(round(cfg.key_fraction * n_pulses)))
-    masks = None
-    if cfg.countermeasure_enabled:
-        masks = monitor_mask_blocks(
-            n_pulses, cfg.monitor_fraction, _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
-        )
-
-    def jobs():
-        for block, _, size in pulse_blocks(n_pulses):
-            yield block, size, None if masks is None else next(masks)
+    mask_seed = _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
 
     def draw(job, arrays: _BlockArrays):
-        block, size, closed = job
+        block, _, size = job
         with _stage("modulation"):
             x = alice_block(ch.va, cfg.seed, block, arrays.x[:size])
+        closed = None
+        if cfg.countermeasure_enabled:
+            with _stage("monitoring"):
+                closed = monitor_mask_block(
+                    cfg.monitor_fraction, mask_seed, block, arrays.closed[:size], arrays.scratch
+                )
         with _stage("channel-simulation"):
             # boolean indexing allocates only the result; np.compress would add an index array
             x_open = x if closed is None else x[~closed]
@@ -295,7 +297,8 @@ def sample_scenario(
         if on_open is not None:
             on_open(batch)
 
-    map_blocks(draw, jobs(), fold, scratch=lambda: _BlockArrays(min(BLOCK_SIZE, n_pulses)))
+    slot_size = min(BLOCK_SIZE, n_pulses)
+    map_blocks(draw, pulse_blocks(n_pulses), fold, scratch=lambda: _BlockArrays(slot_size))
     return ScenarioSample(attack=atk, gain=gain, moments=moments)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,17 +17,23 @@ from cvqkdsim import (
     realtime_shot_noise,
     simulate_monitor,
 )
-from cvqkdsim.countermeasure import monitor_mask_blocks
+from cvqkdsim.countermeasure import monitor_mask_block
 from cvqkdsim.errors import SingularSystemError
-from cvqkdsim.protocol import BLOCK_SIZE, attack_gain, mean_attack_gain
+from cvqkdsim.protocol import BLOCK_SIZE, attack_gain, mean_attack_gain, pulse_blocks
 
 
-def _mask(n: int, fraction: float, seed: int) -> np.ndarray:
-    return np.concatenate([np.zeros(0, dtype=bool), *monitor_mask_blocks(n, fraction, seed)])
+def _mask(n: int, fraction: float, seed: int, order=None) -> np.ndarray:
+    """The mask over ``n`` pulses, its blocks drawn in ``order`` (block order by default)."""
+    blocks = list(pulse_blocks(n))
+    mask = np.empty(n, dtype=bool)
+    scratch = np.empty(BLOCK_SIZE)
+    for block, start, size in blocks if order is None else (blocks[k] for k in order):
+        monitor_mask_block(fraction, seed, block, mask[start : start + size], scratch)
+    return mask
 
 
 class TestPlanMonitor:
-    """The monitoring plan: the mask ``monitor_mask_blocks`` draws."""
+    """The monitoring plan: the mask ``monitor_mask_block`` draws block by block."""
 
     def test_zero_fraction_selects_nothing(self):
         assert not _mask(1000, 0.0, seed=1).any()
@@ -41,18 +48,18 @@ class TestPlanMonitor:
         np.testing.assert_array_equal(_mask(5000, 0.1, seed=3), _mask(5000, 0.1, seed=3))
 
     def test_blocks_join_to_one_draw_of_the_seeded_generator(self):
+        # blocks of BLOCK_SIZE, BLOCK_SIZE and 5 pulses, drawn in every order
         n = 2 * BLOCK_SIZE + 5
-        blocks = list(monitor_mask_blocks(n, 0.1, seed=6))
-        assert [b.size for b in blocks] == [BLOCK_SIZE, BLOCK_SIZE, 5]
         expected = np.random.default_rng(6).random(n) < 0.1
-        np.testing.assert_array_equal(np.concatenate(blocks), expected)
-        assert list(monitor_mask_blocks(0, 0.1, seed=6)) == []
+        for order in itertools.permutations(range(3)):
+            np.testing.assert_array_equal(_mask(n, 0.1, seed=6, order=order), expected)
 
     def test_fraction_validation(self):
+        scratch = np.empty(10)
         with pytest.raises(ValueError):
-            monitor_mask_blocks(10, 1.5, seed=1)
+            monitor_mask_block(1.5, 1, 0, np.empty(10, dtype=bool), scratch)
         with pytest.raises(ValueError):
-            monitor_mask_blocks(10, -0.1, seed=1)
+            monitor_mask_block(-0.1, 1, 0, np.empty(10, dtype=bool), scratch)
 
 
 class TestRealtimeShotNoise:

@@ -53,6 +53,7 @@ class TestMapBlocks:
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_folds_in_job_order_and_hands_a_slot_on_only_after_its_fold(self, cpus, monkeypatch):
         _on_cpus(monkeypatch, cpus)
+        n_slots = 1 if cpus == 1 else cpus + 1  # a pool has one slot more than lanes
         slots, folded = [], []
 
         def scratch():
@@ -66,18 +67,39 @@ class TestMapBlocks:
         def fold(result):
             # the slot of this job is not handed to the next job of the slot before now
             job, held = result
-            assert slots[job % cpus][held - 1 :] == [job]
+            assert slots[job % n_slots][held - 1 :] == [job]
             folded.append(job)
 
         map_blocks(fn, range(23), fold, scratch)
         assert folded == list(range(23))
-        assert slots == [list(range(k, 23, cpus)) for k in range(cpus)]
+        assert slots == [list(range(k, 23, n_slots)) for k in range(n_slots)]
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_a_lane_starts_the_queued_job_before_the_fold_returns(self, cpus, monkeypatch):
+        _on_cpus(monkeypatch, cpus)
+        started = [threading.Event() for _ in range(12)]
+        folded = []
+
+        def fn(job, _):
+            started[job].set()
+            return job
+
+        def fold(job):
+            # job + lanes is queued before this fold, and the lane that drew job is free
+            if job + cpus < len(started):
+                assert started[job + cpus].wait(5.0), f"job {job + cpus} waited for fold({job})"
+            folded.append(job)
+
+        map_blocks(fn, range(len(started)), fold, lambda: None)
+        assert folded == list(range(len(started)))
 
     def test_a_failing_job_is_raised_after_every_pool_thread_stopped(self, monkeypatch):
         _on_cpus(monkeypatch, 4)
         before = set(threading.enumerate())
+        started = []
 
         def fn(job, _):
+            started.append(job)
             if job == 5:
                 raise KeyError(job)
             return job
@@ -85,6 +107,8 @@ class TestMapBlocks:
         with pytest.raises(KeyError):
             map_blocks(fn, range(40), lambda _: None, lambda: None)
         assert set(threading.enumerate()) == before
+        # no job is submitted after the failure: none past jobs 5 to 5 + lanes starts
+        assert 5 in started and max(started) <= 5 + 4
 
     def test_stress_more_threads_than_cores_never_share_a_slot(self, monkeypatch):
         _on_cpus(monkeypatch, 8)
@@ -122,14 +146,14 @@ class TestMapBlocks:
             return job
 
         map_blocks(fn, range(50), lambda _: None, lambda: slots.append(None))
-        assert len(slots) == MAX_LANES and len(threads) <= MAX_LANES
+        assert len(slots) == MAX_LANES + 1 and len(threads) <= MAX_LANES
 
     def test_without_sched_getaffinity_the_lanes_are_the_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         slots, folded = [], []
         map_blocks(lambda job, _: job, range(9), folded.append, lambda: slots.append(None))
-        assert folded == list(range(9)) and len(slots) == 2
+        assert folded == list(range(9)) and len(slots) == 2 + 1
 
     def test_one_job_starts_no_thread(self, monkeypatch):
         _on_cpus(monkeypatch, 4)

@@ -28,7 +28,6 @@ from cvqkdsim import (
 )
 from cvqkdsim import scenario
 from cvqkdsim.cli import main
-from cvqkdsim.countermeasure import monitor_mask_blocks
 from cvqkdsim.errors import ConfigError, ScenarioStageError
 from cvqkdsim.protocol import BLOCK_SIZE, alice_block, attack_gain, bob_block, monitor_block
 from cvqkdsim.scenario import (
@@ -54,6 +53,12 @@ nu = 1.0
 delta_ns = 10.0
 xi = 0.1
 """
+
+
+def _planned_mask(cfg) -> np.ndarray:
+    """The scenario's monitor mask, drawn at once from one generator."""
+    rng = np.random.default_rng(_sub_seed(cfg.seed, _TAG_MONITOR_MASK))
+    return rng.random(cfg.pulses) < cfg.monitor_fraction
 
 
 def _keep(blocks: list):
@@ -372,8 +377,7 @@ class TestRunScenario:
                            + "countermeasure = on\n")
         blocks = []
         sample = sample_scenario(cfg, on_open=_keep(blocks))
-        mask = np.concatenate(list(monitor_mask_blocks(
-            cfg.pulses, cfg.monitor_fraction, _sub_seed(cfg.seed, _TAG_MONITOR_MASK))))
+        mask = _planned_mask(cfg)
         x = generate_alice(cfg.pulses, cfg.channel.va, cfg.seed)
         np.testing.assert_array_equal(np.concatenate([b.x for b in blocks]), x[~mask])
         assert sample.moments.m_monitor == mask.sum()
@@ -449,15 +453,11 @@ def _serial_fold(cfg):
     ch, atk = cfg.channel, cfg.attack
     gain = attack_gain(atk, cfg.detector)
     moments = Moments(key_target=int(round(cfg.key_fraction * cfg.pulses)))
-    masks = None
-    if cfg.countermeasure_enabled:
-        masks = monitor_mask_blocks(
-            cfg.pulses, cfg.monitor_fraction, _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
-        )
+    mask = _planned_mask(cfg) if cfg.countermeasure_enabled else np.zeros(cfg.pulses, dtype=bool)
     opened, splits = [], []
     for block, start in enumerate(range(0, cfg.pulses, BLOCK_SIZE)):
         x = alice_block(ch.va, cfg.seed, block, np.empty(min(BLOCK_SIZE, cfg.pulses - start)))
-        closed = np.zeros(x.size, dtype=bool) if masks is None else next(masks)
+        closed = mask[start : start + x.size]
         y, intercepted, lo_attacked = _fresh(bob_block, x[~closed], ch, atk, gain, cfg.seed, block)
         splits.append(min(max(moments.key_target - moments.n_open, 0), y.size))
         moments.add_open(x[~closed], y)
