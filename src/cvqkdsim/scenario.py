@@ -13,6 +13,7 @@ import csv
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -158,8 +159,9 @@ def _resolve_attack(cfg: ScenarioConfig):
 class Moments:
     """Counts and sums of one scenario's pulses: all that the analysis reads.
 
-    ``est_*`` cover the estimation set, ``open_yy`` every open-switch
-    pulse and ``monitor_yy`` the closed-switch pulses.  Open pulses are
+    ``est_*`` cover the estimation set, ``open_yy`` the open-switch
+    pulses actually drawn, ``n_open`` every open-switch pulse, drawn or
+    not, and ``monitor_yy`` the closed-switch pulses.  Open pulses are
     added in pulse order; the first ``key_target`` of them form the key
     set and the rest the estimation set.
     """
@@ -248,6 +250,11 @@ def sample_scenario(
     pulse order, on the calling thread; the arrays are reused for a later
     block once it returns, so it must copy what it keeps.  Memory does
     not grow with the pulse count.
+    With the countermeasure off and no ``on_open``, the blocks wholly
+    inside the key set are counted in ``n_open`` but not drawn, so
+    ``open_yy`` covers only the open pulses actually drawn; the analysis
+    reads it only with the countermeasure on.  Each block draws from its
+    own generators, so the blocks that are drawn get the same bits.
     """
     ch = cfg.channel
     det = cfg.detector
@@ -297,8 +304,13 @@ def sample_scenario(
         if on_open is not None:
             on_open(batch)
 
+    # with no monitor mask a block's open pulses are the whole block
+    reads_key_set = cfg.countermeasure_enabled or on_open is not None
+    skipped = 0 if reads_key_set else moments.key_target // BLOCK_SIZE
+    moments.n_open = skipped * BLOCK_SIZE
+    jobs = islice(pulse_blocks(n_pulses), skipped, None)
     slot_size = min(BLOCK_SIZE, n_pulses)
-    map_blocks(draw, pulse_blocks(n_pulses), fold, scratch=lambda: _BlockArrays(slot_size))
+    map_blocks(draw, jobs, fold, scratch=lambda: _BlockArrays(slot_size))
     return ScenarioSample(attack=atk, gain=gain, moments=moments)
 
 
@@ -419,7 +431,9 @@ def run_scenario(
     positive), "abort" (alarm raised or estimated rate non-positive) or
     "breached" (Alice and Bob believe in a positive rate that the true
     channel does not support).  ``on_open`` is passed on to
-    ``sample_scenario``.
+    ``sample_scenario``; without it and with the countermeasure off,
+    the key-set blocks are not drawn (``Moments.open_yy`` covers only
+    the open pulses actually drawn), which changes no report byte.
     """
     return analyse_scenario(cfg, sample_scenario(cfg, on_open))
 

@@ -497,6 +497,56 @@ def test_moments_are_the_serial_fold_bit_for_bit_on_any_cpu_count(cpus, text, mo
             np.testing.assert_array_equal(got, want)
 
 
+def _report_or_error(cfg, sample):
+    """The report text of a drawn sample, or the type and message of its stage's error."""
+    try:
+        return analyse_scenario(cfg, sample).to_text()
+    except ScenarioStageError as exc:
+        return type(exc.__cause__), str(exc)
+
+
+@pytest.mark.parametrize(
+    "pulses", [10, BLOCK_SIZE, 2 * BLOCK_SIZE, 3 * BLOCK_SIZE + 1234, 5 * BLOCK_SIZE - 1]
+)
+@pytest.mark.parametrize("key_fraction", [0.1, 0.5, 0.75, 0.9999999])
+def test_skipping_the_key_set_blocks_changes_no_report_byte(pulses, key_fraction):
+    cfg = parse_config(
+        f"pulses = {pulses}\nseed = 5\nkey_fraction = {key_fraction}\nmu = 0.4\nnu = 0.5\n"
+        "delta_ns = 10.0\n"
+    )
+    skipping = sample_scenario(cfg)
+    drawing = sample_scenario(cfg, on_open=lambda batch: None)
+    for f in dataclasses.fields(Moments):
+        if f.name != "open_yy":
+            assert getattr(skipping.moments, f.name) == getattr(drawing.moments, f.name), f.name
+    assert _report_or_error(cfg, skipping) == _report_or_error(cfg, drawing)
+
+
+@pytest.mark.parametrize("key_fraction", [0.1, 0.5, 0.75, 0.9999999])
+def test_the_key_set_blocks_are_drawn_only_when_something_reads_them(key_fraction, monkeypatch):
+    real_alice_block = scenario.alice_block
+    drawn = []
+
+    def alice_block_recording(va, seed, block, out):
+        drawn.append(block)
+        return real_alice_block(va, seed, block, out)
+
+    monkeypatch.setattr(scenario, "alice_block", alice_block_recording)
+    text = f"pulses = {3 * BLOCK_SIZE + 1234}\nkey_fraction = {key_fraction}\n"
+    n_blocks = 4
+
+    def blocks(cfg_text, on_open=None):
+        drawn.clear()
+        sample_scenario(parse_config(cfg_text), on_open)
+        return sorted(drawn)
+
+    key_target = round(key_fraction * (3 * BLOCK_SIZE + 1234))
+    assert blocks(text) == list(range(key_target // BLOCK_SIZE, n_blocks))
+    assert blocks(text, on_open=lambda batch: None) == list(range(n_blocks))
+    if key_fraction < 0.9:
+        assert blocks(text + "countermeasure = on\n") == list(range(n_blocks))
+
+
 def test_a_block_failing_on_a_pool_thread_fails_its_stage_and_leaves_no_thread(
     tmp_path, capsys, monkeypatch
 ):
@@ -513,7 +563,8 @@ def test_a_block_failing_on_a_pool_thread_fails_its_stage_and_leaves_no_thread(
 
     monkeypatch.setattr(scenario, "bob_block", bob_block_failing_off_the_main_thread)
     cfg_path = tmp_path / "four-blocks.cfg"
-    cfg_path.write_text(f"pulses = {4 * BLOCK_SIZE}\n")
+    # a key set of under one block, so that all four blocks are drawn and a slot is reused
+    cfg_path.write_text(f"pulses = {4 * BLOCK_SIZE}\nkey_fraction = 0.1\n")
     before = set(threading.enumerate())
     assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
     assert failed.is_set()
