@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystemError
 from .protocol import BLOCK_SIZE
 
 
@@ -63,10 +62,13 @@ def realtime_shot_noise(
     var_open   = S + N0 + v_el        (switch open)
     var_closed = extinction*S + N0 + v_el   (switch closed)
 
-    v_el is taken from calibration and trusted.  Returns (n0_rt, s_rt).
+    v_el is taken from calibration and trusted; ``extinction`` must be
+    in [0, 1), as in ``SwitchModel``.  Returns (n0_rt, s_rt).  At
+    extinction 0, n0_rt = var_closed - v_el bit for bit, whatever
+    ``var_open`` is: a scenario then draws only part of the open pulses.
     """
-    if extinction == 1.0:
-        raise SingularSystemError("extinction of 1 makes the system singular")
+    if not 0.0 <= extinction < 1.0:
+        raise ValueError(f"extinction must be in [0, 1), got {extinction}")
     s_rt = (var_open - var_closed) / (1.0 - extinction)
     n0_rt = var_closed - v_el - extinction * s_rt
     if not math.isfinite(n0_rt):

@@ -13,10 +13,6 @@ class InfeasiblePulseError(ValueError):
     """Raised when a pulse-shaping request cannot be satisfied."""
 
 
-class SingularSystemError(ValueError):
-    """Raised when the monitoring linear system cannot be inverted."""
-
-
 class NumericalDomainError(ArithmeticError):
     """Raised when a key-rate intermediate leaves its numerical domain."""
 

@@ -13,7 +13,6 @@ import csv
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -159,15 +158,19 @@ def _resolve_attack(cfg: ScenarioConfig):
 class Moments:
     """Counts and sums of one scenario's pulses: all that the analysis reads.
 
-    ``est_*`` cover the estimation set, ``open_yy`` the open-switch
-    pulses actually drawn, ``n_open`` every open-switch pulse, drawn or
-    not, and ``monitor_yy`` the closed-switch pulses.  Open pulses are
-    added in pulse order; the first ``key_target`` of them form the key
-    set and the rest the estimation set.
+    ``est_*`` cover the estimation set, ``n_open`` every open-switch
+    pulse, drawn or not, ``open_yy`` the ``m_open`` open-switch pulses
+    actually drawn, and ``monitor_yy`` the closed-switch pulses.  Open
+    pulses are added in pulse order; the first ``key_target`` of them
+    form the key set and the rest the estimation set.  Every open pulse
+    is drawn with ``on_open``, or with the countermeasure on at an
+    extinction above 0; otherwise the open pulses of the blocks wholly
+    inside the key set are only counted (``add_unread_open``).
     """
 
     key_target: int
     n_open: int = 0
+    m_open: int = 0
     open_yy: float = 0.0
     m_est: int = 0
     est_xx: float = 0.0
@@ -183,6 +186,7 @@ class Moments:
         split = min(max(self.key_target - self.n_open, 0), x.size)
         key_y, est_x, est_y = y[:split], x[split:], y[split:]
         self.n_open += x.size
+        self.m_open += x.size
         est_yy = dot(est_y, est_y)
         self.open_yy += dot(key_y, key_y) + est_yy
         if est_x.size:
@@ -192,6 +196,12 @@ class Moments:
             self.est_yy += est_yy
             self.est_x += float(est_x.sum())
             self.est_y += float(est_y.sum())
+
+    def add_unread_open(self, count: int) -> None:
+        """Count the next ``count`` open-switch pulses, all in the key set, without their sums."""
+        if self.n_open + count > self.key_target:
+            raise ValueError(f"{count} unread open pulses would pass the key set")
+        self.n_open += count
 
     def add_monitor(self, y: np.ndarray) -> None:
         """Add closed-switch outcomes."""
@@ -250,15 +260,20 @@ def sample_scenario(
     pulse order, on the calling thread; the arrays are reused for a later
     block once it returns, so it must copy what it keeps.  Memory does
     not grow with the pulse count.
-    With the countermeasure off and no ``on_open``, the blocks wholly
-    inside the key set are counted in ``n_open`` but not drawn, so
-    ``open_yy`` covers only the open pulses actually drawn; the analysis
-    reads it only with the countermeasure on.  Each block draws from its
-    own generators, so the blocks that are drawn get the same bits.
+    The blocks wholly inside the key set, the first ``key_target //
+    BLOCK_SIZE``, draw only what the report reads from them, unless
+    ``on_open`` is given or the countermeasure is on at an extinction
+    above 0: with the countermeasure off, nothing; with it on, their
+    monitor mask and monitoring outcomes.  Their open pulses are counted
+    in ``n_open`` but not drawn, so ``open_yy`` covers only the
+    ``m_open`` open pulses drawn; at extinction 0 the real-time shot
+    noise does not depend on it.  Each block draws from its own
+    generators, so the blocks that are drawn get the same bits.
     """
     ch = cfg.channel
     det = cfg.detector
     n_pulses = cfg.pulses
+    extinction = cfg.switch.extinction
 
     with _stage("pulse-model"):
         atk = _resolve_attack(cfg)
@@ -270,47 +285,57 @@ def sample_scenario(
     # on position would need a random split again.
     moments = Moments(key_target=int(round(cfg.key_fraction * n_pulses)))
     mask_seed = _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
+    # blocks 0..k hold at most (k + 1)*BLOCK_SIZE open pulses, all in the key set
+    reads_key_set = on_open is not None or (cfg.countermeasure_enabled and extinction > 0.0)
+    unread = 0 if reads_key_set else moments.key_target // BLOCK_SIZE
 
     def draw(job, arrays: _BlockArrays):
         block, _, size = job
-        with _stage("modulation"):
-            x = alice_block(ch.va, cfg.seed, block, arrays.x[:size])
-        closed = None
+        read = block >= unread
+        if read:
+            with _stage("modulation"):
+                x = alice_block(ch.va, cfg.seed, block, arrays.x[:size])
+        closed = batch = None
+        n_open = size
         if cfg.countermeasure_enabled:
             with _stage("monitoring"):
                 closed = monitor_mask_block(
                     cfg.monitor_fraction, mask_seed, block, arrays.closed[:size], arrays.scratch
                 )
-        with _stage("channel-simulation"):
-            # boolean indexing allocates only the result; np.compress would add an index array
-            x_open = x if closed is None else x[~closed]
-            opened = slice(x_open.size)
-            y, intercepted, lo_attacked = bob_block(
-                x_open, ch, atk, gain, cfg.seed, block, arrays.outcomes(opened), arrays.scratch
-            )
+                n_open -= int(np.count_nonzero(closed))
+        if read:
+            with _stage("channel-simulation"):
+                # boolean indexing allocates only the result; np.compress would add an index array
+                x_open = x if closed is None else x[~closed]
+                y, intercepted, lo_attacked = bob_block(
+                    x_open, ch, atk, gain, cfg.seed, block, arrays.outcomes(slice(n_open)),
+                    arrays.scratch,
+                )
+            batch = PulseBatch(x=x_open, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
         if closed is not None:
             with _stage("monitoring"):
+                # at extinction 0 the switch scales the signal by 0, so zeros in place of
+                # x[closed] give the same squared outcomes without a gather (nor the scratch,
+                # which monitor_block overwrites)
+                x_closed = np.broadcast_to(0.0, size - n_open) if extinction == 0.0 else x[closed]
                 monitor_block(
-                    x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block,
-                    arrays.outcomes(slice(x_open.size, size)), arrays.scratch,
+                    x_closed, ch, atk, gain, extinction, cfg.seed, block,
+                    arrays.outcomes(slice(n_open, size)), arrays.scratch,
                 )
-        batch = PulseBatch(x=x_open, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
-        return batch, arrays.y[x_open.size:size]
+        return n_open, batch, arrays.y[n_open:size]
 
     def fold(result):
-        batch, y_closed = result
-        moments.add_open(batch.x, batch.y)
+        n_open, batch, y_closed = result
+        if batch is None:
+            moments.add_unread_open(n_open)
+        else:
+            moments.add_open(batch.x, batch.y)
         moments.add_monitor(y_closed)
         if on_open is not None:
             on_open(batch)
 
-    # with no monitor mask a block's open pulses are the whole block
-    reads_key_set = cfg.countermeasure_enabled or on_open is not None
-    skipped = 0 if reads_key_set else moments.key_target // BLOCK_SIZE
-    moments.n_open = skipped * BLOCK_SIZE
-    jobs = islice(pulse_blocks(n_pulses), skipped, None)
     slot_size = min(BLOCK_SIZE, n_pulses)
-    map_blocks(draw, jobs, fold, scratch=lambda: _BlockArrays(slot_size))
+    map_blocks(draw, pulse_blocks(n_pulses), fold, scratch=lambda: _BlockArrays(slot_size))
     return ScenarioSample(attack=atk, gain=gain, moments=moments)
 
 
@@ -335,7 +360,7 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
     moments = sample.moments
     n0_line = cfg.n0_assumed
 
-    # m_est >= 2 also gives monitoring the two open pulses it divides by
+    # m_est >= 2 also gives monitoring the two drawn open pulses it divides by
     with _stage("estimation"):
         m_est = moments.m_est
         if m_est < 2:
@@ -364,7 +389,7 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
                 alarm = True
             else:
                 n0_rt, _ = realtime_shot_noise(
-                    moments.open_yy / moments.n_open,
+                    moments.open_yy / moments.m_open,
                     moments.monitor_yy / m_monitor,
                     cfg.switch.extinction,
                     ch.v_el,
@@ -431,9 +456,10 @@ def run_scenario(
     positive), "abort" (alarm raised or estimated rate non-positive) or
     "breached" (Alice and Bob believe in a positive rate that the true
     channel does not support).  ``on_open`` is passed on to
-    ``sample_scenario``; without it and with the countermeasure off,
-    the key-set blocks are not drawn (``Moments.open_yy`` covers only
-    the open pulses actually drawn), which changes no report byte.
+    ``sample_scenario``; without it, with the countermeasure off or at
+    an extinction of 0, the blocks wholly inside the key set draw
+    neither Alice's nor Bob's pulses (``Moments.open_yy`` then covers
+    only the ``m_open`` open pulses drawn), which changes no report byte.
     """
     return analyse_scenario(cfg, sample_scenario(cfg, on_open))
 

@@ -18,7 +18,6 @@ from cvqkdsim import (
     simulate_monitor,
 )
 from cvqkdsim.countermeasure import monitor_mask_block
-from cvqkdsim.errors import SingularSystemError
 from cvqkdsim.protocol import BLOCK_SIZE, attack_gain, mean_attack_gain, pulse_blocks
 
 
@@ -87,8 +86,26 @@ class TestRealtimeShotNoise:
         assert s_rt == pytest.approx(s, rel=1e-9, abs=1e-9)
 
     def test_unit_extinction_is_singular(self):
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(ValueError, match=r"extinction must be in \[0, 1\), got 1.0"):
             realtime_shot_noise(2.0, 2.0, extinction=1.0, v_el=0.0)
+
+    @pytest.mark.parametrize("extinction", [1.5, -0.2, math.nan])
+    def test_extinction_outside_the_unit_interval_rejected(self, extinction):
+        with pytest.raises(ValueError, match=r"extinction must be in \[0, 1\)"):
+            realtime_shot_noise(2.0, 1.5, extinction=extinction, v_el=0.0)
+
+    @given(
+        var_open=st.floats(-1e6, 1e6),
+        var_closed=st.floats(0.0, 1e3),
+        v_el=st.floats(0.0, 0.5),
+    )
+    @settings(max_examples=100)
+    def test_without_leakage_the_shot_noise_does_not_read_the_open_variance(
+        self, var_open, var_closed, v_el
+    ):
+        n0_rt, _ = realtime_shot_noise(var_open, var_closed, extinction=0.0, v_el=v_el)
+        assert math.copysign(1.0, n0_rt) == math.copysign(1.0, var_closed - v_el)
+        assert n0_rt == var_closed - v_el
 
     def test_non_finite_estimate_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -431,8 +431,18 @@ class TestMoments:
             moments.est_y,
         )
         assert got == pytest.approx(expected, rel=1e-15)
-        assert moments.n_open == self.X.size
+        assert moments.n_open == moments.m_open == self.X.size
         assert moments.open_yy == pytest.approx(self.Y @ self.Y, rel=1e-15)
+
+    def test_unread_open_pulses_are_key_pulses_counted_but_not_summed(self):
+        moments = Moments(key_target=6)
+        moments.add_unread_open(4)
+        moments.add_open(self.X, self.Y)
+        assert (moments.n_open, moments.m_open, moments.m_est) == (14, 10, 8)
+        assert moments.open_yy == pytest.approx(self.Y @ self.Y, rel=1e-15)
+        assert moments.est_xx == pytest.approx(self.X[2:] @ self.X[2:], rel=1e-15)
+        with pytest.raises(ValueError, match="would pass the key set"):
+            Moments(key_target=6).add_unread_open(7)
 
 
 # The key/estimation split falls inside block 1 and the last block is partial.
@@ -510,41 +520,68 @@ def _report_or_error(cfg, sample):
 )
 @pytest.mark.parametrize("key_fraction", [0.1, 0.5, 0.75, 0.9999999])
 def test_skipping_the_key_set_blocks_changes_no_report_byte(pulses, key_fraction):
-    cfg = parse_config(
-        f"pulses = {pulses}\nseed = 5\nkey_fraction = {key_fraction}\nmu = 0.4\nnu = 0.5\n"
-        "delta_ns = 10.0\n"
-    )
-    skipping = sample_scenario(cfg)
-    drawing = sample_scenario(cfg, on_open=lambda batch: None)
-    for f in dataclasses.fields(Moments):
-        if f.name != "open_yy":
-            assert getattr(skipping.moments, f.name) == getattr(drawing.moments, f.name), f.name
-    assert _report_or_error(cfg, skipping) == _report_or_error(cfg, drawing)
+    text = f"pulses = {pulses}\nseed = 5\nkey_fraction = {key_fraction}\ndelta_ns = 10.0\n"
+    fractional, certain = "mu = 0.4\nnu = 0.5\n", "mu = 1.0\nnu = 1.0\n"
+    texts = [text + fractional]
+    if key_fraction < 0.9:
+        texts += [
+            f"{text}{flags}countermeasure = on\nextinction = {extinction}\n"
+            for flags in (fractional, certain)
+            for extinction in (0.0, 0.3)
+        ]
+    for cfg_text in texts:
+        cfg = parse_config(cfg_text)
+        skipping = sample_scenario(cfg)
+        drawing = sample_scenario(cfg, on_open=lambda batch: None)
+        skipped, drawn = skipping.moments, drawing.moments
+        # only the open pulses of the blocks wholly inside the key set go unread
+        unread = 0
+        if not cfg.countermeasure_enabled or cfg.switch.extinction == 0.0:
+            unread = skipped.key_target // BLOCK_SIZE * BLOCK_SIZE
+        if cfg.countermeasure_enabled:
+            unread -= int(_planned_mask(cfg)[:unread].sum())
+        assert (drawn.m_open, skipped.m_open) == (drawn.n_open, drawn.n_open - unread)
+        for f in dataclasses.fields(Moments):
+            if unread == 0 or f.name not in ("open_yy", "m_open"):
+                assert getattr(skipped, f.name) == getattr(drawn, f.name), (f.name, cfg_text)
+        assert _report_or_error(cfg, skipping) == _report_or_error(cfg, drawing), cfg_text
 
 
 @pytest.mark.parametrize("key_fraction", [0.1, 0.5, 0.75, 0.9999999])
 def test_the_key_set_blocks_are_drawn_only_when_something_reads_them(key_fraction, monkeypatch):
     real_alice_block = scenario.alice_block
-    drawn = []
+    real_monitor_mask_block = scenario.monitor_mask_block
+    drawn, masked = [], []
 
     def alice_block_recording(va, seed, block, out):
         drawn.append(block)
         return real_alice_block(va, seed, block, out)
 
+    def monitor_mask_block_recording(fraction, seed, block, out, scratch):
+        masked.append(block)
+        return real_monitor_mask_block(fraction, seed, block, out, scratch)
+
     monkeypatch.setattr(scenario, "alice_block", alice_block_recording)
+    monkeypatch.setattr(scenario, "monitor_mask_block", monitor_mask_block_recording)
     text = f"pulses = {3 * BLOCK_SIZE + 1234}\nkey_fraction = {key_fraction}\n"
     n_blocks = 4
+    every = list(range(n_blocks))
 
     def blocks(cfg_text, on_open=None):
         drawn.clear()
+        masked.clear()
         sample_scenario(parse_config(cfg_text), on_open)
-        return sorted(drawn)
+        return sorted(drawn), sorted(masked)
 
     key_target = round(key_fraction * (3 * BLOCK_SIZE + 1234))
-    assert blocks(text) == list(range(key_target // BLOCK_SIZE, n_blocks))
-    assert blocks(text, on_open=lambda batch: None) == list(range(n_blocks))
+    read = list(range(key_target // BLOCK_SIZE, n_blocks))
+    assert blocks(text) == (read, [])
+    assert blocks(text, on_open=lambda batch: None) == (every, [])
     if key_fraction < 0.9:
-        assert blocks(text + "countermeasure = on\n") == list(range(n_blocks))
+        monitored = text + "countermeasure = on\n"
+        assert blocks(monitored) == (read, every)
+        assert blocks(monitored + "extinction = 0.3\n") == (every, every)
+        assert blocks(monitored, on_open=lambda batch: None) == (every, every)
 
 
 def test_a_block_failing_on_a_pool_thread_fails_its_stage_and_leaves_no_thread(
