@@ -237,7 +237,9 @@ class TestTriggerDelayFromAttenuation:
         assert trigger_delay_from_attenuation(1.0) == 0.0
 
     def test_stronger_attenuation_delays_more(self):
-        assert trigger_delay_from_attenuation(0.4) >= trigger_delay_from_attenuation(0.8) > 0.0
+        alphas = (0.0, 0.5, 0.55, 0.7, 0.85, 0.9, 0.95, 1.0)
+        delays = [trigger_delay_from_attenuation(a) for a in alphas]
+        assert delays == [14.0, 14.0, 12.0, 6.0, 2.0, 1.0, 0.0, 0.0]
 
     def test_alpha_only_config_resolves_delay(self):
         cfg = parse_config("pulses = 50000\nmu = 1.0\nnu = 1.0\nalpha = 0.55\n")
@@ -674,6 +676,27 @@ class TestSweep:
             assert a.key_rate >= b.key_rate
 
 
+# The whole stdout of `pulse-demo`, pinned byte for byte.
+PULSE_DEMO_SHIFT_10 = """\
+power_base=90.16666666666669
+power_shaped=90.1666666666667
+relative_power_difference=1.5760652179521628e-16
+trigger_base_ns=16.0
+trigger_shaped_ns=26.0
+trigger_shift_ns=10.0
+variance_gain_at_shifted_trigger=0.6666882060777414
+"""
+PULSE_DEMO_SHIFT_2 = """\
+power_base=90.16666666666669
+power_shaped=90.16666666666669
+relative_power_difference=0.0
+trigger_base_ns=16.0
+trigger_shaped_ns=18.0
+trigger_shift_ns=2.0
+variance_gain_at_shifted_trigger=0.9221138699031319
+"""
+
+
 class TestCli:
     def test_run_returns_breach_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "breach.cfg"
@@ -724,10 +747,13 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--csv"]) == EXIT_ERROR
         assert "--out" in capsys.readouterr().err
 
-    def test_pulse_demo(self, tmp_path, capsys):
-        assert main(["pulse-demo", "--shift-ns", "10", "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "trigger_shift_ns=10.0" in out
+    @pytest.mark.parametrize("shift, expected", [
+        ("10", PULSE_DEMO_SHIFT_10),
+        ("2", PULSE_DEMO_SHIFT_2),
+    ])
+    def test_pulse_demo(self, shift, expected, tmp_path, capsys):
+        assert main(["pulse-demo", "--shift-ns", shift, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == expected
         assert (tmp_path / "base_pulse.csv").exists()
         assert (tmp_path / "shaped_pulse.csv").exists()
 
