@@ -39,7 +39,6 @@ from .pulses import (
     CalibrationLine,
     DetectorModel,
     PowerMeterConfig,
-    TriggerConfig,
     Waveform,
     attenuate_leading_edge,
     craft_equal_power_pulse,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -113,12 +114,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pulse_demo(args) -> int:
-    base, trig, pm = default_lo_pulse()
-    shaped = craft_equal_power_pulse(base, args.shift_ns, trig, pm)
+    base, threshold, pm = default_lo_pulse()
+    shaped = craft_equal_power_pulse(base, args.shift_ns, threshold, pm)
     p_base = measure_power(base, pm)
     p_shaped = measure_power(shaped, pm)
-    t_base = trigger_time(base, trig)
-    t_shaped = trigger_time(shaped, trig)
+    t_base = trigger_time(base, threshold)
+    t_shaped = trigger_time(shaped, threshold)
     det = DetectorModel()
     delay = t_shaped - t_base
     print(f"power_base={p_base!r}")
@@ -137,6 +138,8 @@ def _cmd_pulse_demo(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if not 0 <= args.delay_ns < math.inf:
+        raise ValueError(f"--delay-ns must be finite and >= 0, got {args.delay_ns}")
     det = DetectorModel()
     powers = np.linspace(0.5, 1.5, args.points)
     points = simulate_calibration_points(

@@ -1,7 +1,7 @@
 """Local-oscillator pulse physics on Bob's side.
 
-Models the sampled LO intensity waveform, the clock-trigger circuits that
-fire on it, the windowed power measurement used to predict the shot noise,
+Models the sampled LO intensity waveform, the threshold clock trigger that
+fires on it, the windowed power measurement used to predict the shot noise,
 the homodyne gain as a function of the measurement instant, and the
 calibrated variance-vs-power line.  Also contains the adversarial
 construction of equal-energy pulses with shifted trigger times.
@@ -80,34 +80,6 @@ class Waveform:
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.samples.size) * self.dt
-
-
-@dataclass
-class TriggerConfig:
-    """Clock-trigger circuit settings.
-
-    ``kind`` selects the predicate: "U1" fires when the intensity first
-    exceeds ``threshold`` (the trigger is then delayed by ``delay_ns``);
-    "U2" fires when the intensity first exceeds its own value one
-    ``pulse_duration_ns`` earlier, which makes it level-independent.
-    """
-
-    kind: str
-    threshold: float | None = None
-    delay_ns: float = 0.0
-    pulse_duration_ns: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("U1", "U2"):
-            raise ValueError(f"kind must be 'U1' or 'U2', got {self.kind!r}")
-        if self.delay_ns < 0:
-            raise ValueError(f"delay_ns must be >= 0, got {self.delay_ns}")
-        if self.kind == "U1":
-            if self.threshold is None or not self.threshold > 0:
-                raise ValueError("U1 requires threshold > 0")
-        else:
-            if self.pulse_duration_ns is None or not self.pulse_duration_ns > 0:
-                raise ValueError("U2 requires pulse_duration_ns > 0")
 
 
 @dataclass
@@ -192,23 +164,14 @@ def _window_power(samples: np.ndarray, dt: float, cfg: PowerMeterConfig) -> floa
     return float(np.dot(tail, weights) * dt)
 
 
-def trigger_time(waveform: Waveform, cfg: TriggerConfig) -> float | None:
-    """Time at which the clock trigger fires, or None if it never does.
+def trigger_time(waveform: Waveform, threshold: float) -> float | None:
+    """Time of the first sample strictly above ``threshold``, or None if none is.
 
-    U1: first sample strictly above the threshold, plus the configured
-    delay.  U2: first sample strictly above the sample one pulse duration
-    earlier (the trace is taken to be zero before it starts, so U2 fires
-    on the rising edge regardless of the absolute level).
+    This is the clock trigger: a level threshold on the LO intensity.
     """
-    s = waveform.samples
-    if cfg.kind == "U1":
-        hits = np.flatnonzero(s > cfg.threshold)
-        if hits.size == 0:
-            return None
-        return float(waveform.t0 + hits[0] * waveform.dt + cfg.delay_ns)
-    lag = max(1, int(round(cfg.pulse_duration_ns / waveform.dt)))
-    delayed = np.concatenate([np.zeros(min(lag, s.size)), s[:-lag] if lag < s.size else s[:0]])
-    hits = np.flatnonzero(s - delayed > 0)
+    if not threshold > 0:
+        raise ValueError(f"threshold must be > 0, got {threshold}")
+    hits = np.flatnonzero(waveform.samples > threshold)
     if hits.size == 0:
         return None
     return float(waveform.t0 + hits[0] * waveform.dt)
@@ -273,14 +236,13 @@ def attenuate_leading_edge(
     waveform: Waveform,
     alpha: float,
     span_ns: float,
-    preserve_power: bool,
     pm: PowerMeterConfig,
 ) -> Waveform:
     """Scale the first ``span_ns`` of the pulse by ``alpha``.
 
-    With ``preserve_power`` the remaining samples are rescaled by the
-    unique factor that keeps ``measure_power`` unchanged, so the shaping
-    is invisible to the LO power meter.
+    The remaining samples are rescaled by the unique factor that keeps
+    ``measure_power`` unchanged, so the shaping is invisible to the LO
+    power meter.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -291,31 +253,29 @@ def attenuate_leading_edge(
     n_head = min(_head_size(waveform, span_ns), len(waveform))
     shaped = waveform.samples.copy()
     shaped[:n_head] *= alpha
-    if preserve_power:
-        target = measure_power(waveform, pm)
-        head_only = shaped.copy()
-        head_only[n_head:] = 0.0
-        tail_only = waveform.samples.copy()
-        tail_only[:n_head] = 0.0
-        # bare arrays: a Waveform per part would copy and check them for every candidate
-        p_head = _window_power(head_only, waveform.dt, pm) if n_head else 0.0
-        p_tail = _window_power(tail_only, waveform.dt, pm)
-        if p_tail <= 0.0:
-            raise InfeasiblePulseError(
-                "cannot preserve power: tail carries no weight in the window"
-            )
-        shaped[n_head:] *= (target - p_head) / p_tail
-        result = Waveform(shaped, waveform.dt, waveform.t0)
-        achieved = measure_power(result, pm)
-        assert math.isclose(achieved, target, rel_tol=1e-9, abs_tol=1e-12)
-        return result
-    return Waveform(shaped, waveform.dt, waveform.t0)
+    target = measure_power(waveform, pm)
+    head_only = shaped.copy()
+    head_only[n_head:] = 0.0
+    tail_only = waveform.samples.copy()
+    tail_only[:n_head] = 0.0
+    # bare arrays: a Waveform per part would copy and check them for every candidate
+    p_head = _window_power(head_only, waveform.dt, pm) if n_head else 0.0
+    p_tail = _window_power(tail_only, waveform.dt, pm)
+    if p_tail <= 0.0:
+        raise InfeasiblePulseError(
+            "cannot preserve power: tail carries no weight in the window"
+        )
+    shaped[n_head:] *= (target - p_head) / p_tail
+    result = Waveform(shaped, waveform.dt, waveform.t0)
+    achieved = measure_power(result, pm)
+    assert math.isclose(achieved, target, rel_tol=1e-9, abs_tol=1e-12)
+    return result
 
 
 def craft_equal_power_pulse(
     base: Waveform,
     target_shift_ns: float,
-    trig: TriggerConfig,
+    threshold: float,
     pm: PowerMeterConfig,
 ) -> Waveform:
     """Pulse with the same measured power whose trigger fires later.
@@ -327,11 +287,11 @@ def craft_equal_power_pulse(
     postconditions are re-checked on the result rather than trusted from
     the search.
     """
-    if target_shift_ns < 0:
-        raise ValueError(f"target_shift_ns must be >= 0, got {target_shift_ns}")
+    if not 0 <= target_shift_ns < math.inf:
+        raise ValueError(f"target_shift_ns must be finite and >= 0, got {target_shift_ns}")
     if target_shift_ns == 0:
         return base
-    t_base = trigger_time(base, trig)
+    t_base = trigger_time(base, threshold)
     if t_base is None:
         raise InfeasiblePulseError("base pulse never triggers")
     p_base = measure_power(base, pm)
@@ -341,10 +301,10 @@ def craft_equal_power_pulse(
         span = k_steps * base.dt
         for alpha in alphas:
             try:
-                candidate = attenuate_leading_edge(base, float(alpha), span, True, pm)
+                candidate = attenuate_leading_edge(base, float(alpha), span, pm)
             except InfeasiblePulseError:
                 continue
-            t_new = trigger_time(candidate, trig)
+            t_new = trigger_time(candidate, threshold)
             if t_new is None:
                 continue
             if t_new - t_base >= target_shift_ns - 1e-9:

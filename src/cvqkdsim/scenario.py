@@ -49,7 +49,6 @@ from .protocol import (
 )
 from .pulses import (
     PowerMeterConfig,
-    TriggerConfig,
     Waveform,
     attenuate_leading_edge,
     trigger_time,
@@ -72,26 +71,25 @@ _PLATEAU_NS = 75
 _FALL_NS = 15
 
 
-def default_lo_pulse() -> tuple[Waveform, TriggerConfig, PowerMeterConfig]:
-    """Nominal LO pulse with its trigger and power-meter settings."""
+def default_lo_pulse() -> tuple[Waveform, float, PowerMeterConfig]:
+    """Nominal LO pulse with its trigger threshold and power-meter settings."""
     rise = np.arange(_RISE_NS) / _RISE_NS
     plateau = np.ones(_PLATEAU_NS)
     fall = 1.0 - (np.arange(_FALL_NS) + 1.0) / _FALL_NS
     samples = np.concatenate([rise, plateau, fall])
     waveform = Waveform(samples, dt=1.0, t0=0.0)
-    trig = TriggerConfig(kind="U1", threshold=0.5, delay_ns=0.0)
     pm = PowerMeterConfig(window_ns=100.0, decay_base=1.0)
-    return waveform, trig, pm
+    return waveform, 0.5, pm
 
 
 def trigger_delay_from_attenuation(alpha: float) -> float:
     """Trigger delay induced by power-preserving attenuation of the rising edge."""
-    base, trig, pm = default_lo_pulse()
+    base, threshold, pm = default_lo_pulse()
     if alpha >= 1.0:
         return 0.0
-    shaped = attenuate_leading_edge(base, alpha, float(_RISE_NS), True, pm)
-    t_base = trigger_time(base, trig)
-    t_shaped = trigger_time(shaped, trig)
+    shaped = attenuate_leading_edge(base, alpha, float(_RISE_NS), pm)
+    t_base = trigger_time(base, threshold)
+    t_shaped = trigger_time(shaped, threshold)
     if t_shaped is None:
         return float(base.duration - t_base)
     return float(t_shaped - t_base)

@@ -9,7 +9,6 @@ from cvqkdsim import (
     CalibrationLine,
     DetectorModel,
     PowerMeterConfig,
-    TriggerConfig,
     Waveform,
     attenuate_leading_edge,
     craft_equal_power_pulse,
@@ -90,48 +89,27 @@ class TestMeasurePower:
 class TestTriggerTime:
     def test_u1_below_threshold_never_fires(self):
         w = Waveform(np.full(50, 0.3), dt=1.0)
-        assert trigger_time(w, TriggerConfig("U1", threshold=0.5)) is None
+        assert trigger_time(w, 0.5) is None
 
     def test_u1_step_with_delay(self):
         samples = np.zeros(20)
         samples[5:] = 1.0
         w = Waveform(samples, dt=1.0)
-        trig = TriggerConfig("U1", threshold=0.5, delay_ns=2.0)
-        assert trigger_time(w, trig) == pytest.approx(7.0)
-
-    def test_u2_fires_on_rising_edge(self):
-        samples = np.zeros(30)
-        samples[10:] = 2.0
-        w = Waveform(samples, dt=1.0)
-        trig = TriggerConfig("U2", pulse_duration_ns=5.0)
-        assert trigger_time(w, trig) == pytest.approx(10.0)
-
-    @given(scale=st.floats(1e-3, 1e3))
-    @settings(max_examples=50)
-    def test_u2_scale_invariance(self, scale):
-        rng = np.random.default_rng(3)
-        samples = np.concatenate([np.zeros(8), rng.random(40) + 0.1])
-        trig = TriggerConfig("U2", pulse_duration_ns=4.0)
-        base = trigger_time(Waveform(samples, 1.0), trig)
-        scaled = trigger_time(Waveform(scale * samples, 1.0), trig)
-        assert base == scaled
+        assert trigger_time(w, 0.5) == 5.0
 
     def test_u1_never_earlier_under_leading_edge_attenuation(self):
         base, trig, pm = _ramp_pulse()
         t_base = trigger_time(base, trig)
         for alpha in np.arange(0.0, 1.01, 0.25):
-            shaped = attenuate_leading_edge(base, float(alpha), 10.0, False, pm)
+            shaped = attenuate_leading_edge(base, float(alpha), 10.0, pm)
             t_shaped = trigger_time(shaped, trig)
             assert t_shaped is not None
             assert t_shaped >= t_base
 
     def test_trigger_config_validation(self):
-        with pytest.raises(ValueError):
-            TriggerConfig("U1", threshold=0.0)
-        with pytest.raises(ValueError):
-            TriggerConfig("U2")
-        with pytest.raises(ValueError):
-            TriggerConfig("U3", threshold=1.0)
+        for threshold in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="threshold must be > 0"):
+                trigger_time(square_pulse(), threshold)
 
 
 def _ramp_pulse():
@@ -139,7 +117,7 @@ def _ramp_pulse():
     samples = np.concatenate([ramp, np.ones(75), np.zeros(15)])
     return (
         Waveform(samples, dt=1.0),
-        TriggerConfig("U1", threshold=0.5),
+        0.5,
         PowerMeterConfig(window_ns=100.0),
     )
 
@@ -236,20 +214,20 @@ class TestCalibrationLine:
 class TestAttenuateLeadingEdge:
     def test_alpha_one_is_identity(self):
         base, _, pm = _ramp_pulse()
-        shaped = attenuate_leading_edge(base, 1.0, 20.0, True, pm)
+        shaped = attenuate_leading_edge(base, 1.0, 20.0, pm)
         np.testing.assert_allclose(shaped.samples, base.samples)
 
     def test_full_attenuation_delays_trigger(self):
         base, trig, pm = _ramp_pulse()
         t_base = trigger_time(base, trig)
-        shaped = attenuate_leading_edge(base, 0.0, 25.0, True, pm)
+        shaped = attenuate_leading_edge(base, 0.0, 25.0, pm)
         t_shaped = trigger_time(shaped, trig)
         assert t_shaped > t_base
 
     def test_power_preserved_to_tolerance(self):
         base, _, pm = _ramp_pulse()
         for alpha in (0.0, 0.3, 0.7):
-            shaped = attenuate_leading_edge(base, alpha, 25.0, True, pm)
+            shaped = attenuate_leading_edge(base, alpha, 25.0, pm)
             assert measure_power(shaped, pm) == pytest.approx(
                 measure_power(base, pm), rel=1e-9
             )
@@ -257,12 +235,12 @@ class TestAttenuateLeadingEdge:
     def test_infeasible_when_tail_has_no_weight(self):
         base, _, pm = _ramp_pulse()
         with pytest.raises(InfeasiblePulseError):
-            attenuate_leading_edge(base, 0.5, base.duration, True, pm)
+            attenuate_leading_edge(base, 0.5, base.duration, pm)
 
     def test_span_out_of_range(self):
         base, _, pm = _ramp_pulse()
         with pytest.raises(ValueError):
-            attenuate_leading_edge(base, 0.5, base.duration + 1.0, True, pm)
+            attenuate_leading_edge(base, 0.5, base.duration + 1.0, pm)
 
 
 class TestCraftEqualPowerPulse:
@@ -277,6 +255,12 @@ class TestCraftEqualPowerPulse:
             measure_power(base, pm), rel=1e-6
         )
         assert trigger_time(shaped, trig) - trigger_time(base, trig) >= 10.0
+
+    def test_non_finite_shift_rejected_before_the_search(self):
+        base, trig, pm = _ramp_pulse()
+        for shift in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                craft_equal_power_pulse(base, shift, trig, pm)
 
     def test_shift_beyond_duration_infeasible(self):
         base, trig, pm = _ramp_pulse()

@@ -676,8 +676,9 @@ class TestSweep:
             assert a.key_rate >= b.key_rate
 
 
-# The whole stdout of `pulse-demo`, pinned byte for byte.
-PULSE_DEMO_SHIFT_10 = """\
+# The whole stdout of `pulse-demo --shift-ns <key>`, pinned byte for byte.
+PULSE_DEMO_STDOUT = {
+    "10": """\
 power_base=90.16666666666669
 power_shaped=90.1666666666667
 relative_power_difference=1.5760652179521628e-16
@@ -685,8 +686,8 @@ trigger_base_ns=16.0
 trigger_shaped_ns=26.0
 trigger_shift_ns=10.0
 variance_gain_at_shifted_trigger=0.6666882060777414
-"""
-PULSE_DEMO_SHIFT_2 = """\
+""",
+    "2": """\
 power_base=90.16666666666669
 power_shaped=90.16666666666669
 relative_power_difference=0.0
@@ -694,7 +695,8 @@ trigger_base_ns=16.0
 trigger_shaped_ns=18.0
 trigger_shift_ns=2.0
 variance_gain_at_shifted_trigger=0.9221138699031319
-"""
+""",
+}
 
 
 class TestCli:
@@ -747,13 +749,10 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--csv"]) == EXIT_ERROR
         assert "--out" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("shift, expected", [
-        ("10", PULSE_DEMO_SHIFT_10),
-        ("2", PULSE_DEMO_SHIFT_2),
-    ])
-    def test_pulse_demo(self, shift, expected, tmp_path, capsys):
+    @pytest.mark.parametrize("shift", PULSE_DEMO_STDOUT)
+    def test_pulse_demo(self, shift, tmp_path, capsys):
         assert main(["pulse-demo", "--shift-ns", shift, "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().out == expected
+        assert capsys.readouterr().out == PULSE_DEMO_STDOUT[shift]
         assert (tmp_path / "base_pulse.csv").exists()
         assert (tmp_path / "shaped_pulse.csv").exists()
 
@@ -761,6 +760,11 @@ class TestCli:
         assert main(["calibrate", "--points", "200", "--delay-ns", "10"]) == 0
         out = capsys.readouterr().out
         assert "slope_ratio=" in out
+        for delay in ("-3", "nan", "inf"):
+            assert main(["calibrate", "--points", "200", "--delay-ns", delay]) == EXIT_ERROR
+            captured = capsys.readouterr()
+            assert "--delay-ns" in captured.err
+            assert captured.out == ""
 
     def test_module_entry_point(self, tmp_path):
         cfg_path = tmp_path / "tiny.cfg"
