@@ -12,9 +12,6 @@ from .estimation import (
     MlEstimates,
     confidence_bounds,
     infer_channel,
-    ml_estimate,
-    xi_pir,
-    xi_under_calibration,
 )
 from .keyrate import (
     KeyRateBreakdown,
@@ -33,7 +30,6 @@ from .protocol import (
     PulseBatch,
     generate_alice,
     simulate_bob,
-    simulate_monitor,
 )
 from .pulses import (
     CalibrationLine,
@@ -43,7 +39,6 @@ from .pulses import (
     attenuate_leading_edge,
     craft_equal_power_pulse,
     detector_gain,
-    discharge_tau,
     fit_calibration_line,
     measure_power,
     simulate_calibration_points,

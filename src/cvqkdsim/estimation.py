@@ -9,9 +9,7 @@ Implements the normal-linear-model estimators
 from the sample sums alone (so that a caller can stream its samples),
 their confidence intervals (Gaussian for t_hat, chi-square with m-1
 degrees of freedom for the variance estimators), the channel-parameter
-mapping T = t_hat^2/eta, xi = (sigma2_hat - n0_assumed - v_el)/t_hat^2,
-and the closed-form bias of the excess-noise estimate when the assumed
-shot noise differs from the true one.
+mapping T = t_hat^2/eta, xi = (sigma2_hat - n0_assumed - v_el)/t_hat^2.
 """
 
 from __future__ import annotations
@@ -145,17 +143,6 @@ def ml_from_moments(
     return MlEstimates(t_hat=t_hat, sigma2_hat=sigma2_hat, va_hat=sum_xx / m, m=m)
 
 
-def ml_estimate(x: np.ndarray, y: np.ndarray) -> MlEstimates:
-    """Maximum-likelihood estimates for y = t*x + z on centred samples (see ``ml_from_moments``)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
-    return ml_from_moments(
-        x.size, dot(x, x), dot(x, y), dot(y, y), float(x.sum()), float(y.sum())
-    )
-
-
 def _chi2_ppf(q: float, df: int) -> float:
     """Chi-square quantile; Wilson-Hilferty approximation for large df."""
     if df <= CHI2_EXACT_MAX_M:
@@ -206,29 +193,3 @@ def infer_channel(
         raise DegenerateDataError("t_hat is zero; excess noise undefined")
     t2 = est.t_hat**2
     return t2 / eta, (est.sigma2_hat - n0_assumed - v_el) / t2
-
-
-def xi_pir(xi_snu: float, mu: float) -> float:
-    """Excess noise after a partial intercept-resend on a fraction ``mu``.
-
-    Eve's double-quadrature measurement and re-preparation add two
-    shot-noise units on the intercepted fraction: xi + 2*mu.
-    """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
-    return xi_snu + 2.0 * mu
-
-
-def xi_under_calibration(xi_true_snu: float, n0_ratio: float, t_squared: float) -> float:
-    """Excess-noise estimate (in assumed-shot-noise units) under a biased shot noise.
-
-    ``n0_ratio`` is assumed-over-true shot noise; the true excess noise
-    ``xi_true_snu`` is expressed in true shot-noise units.  Identity at
-    n0_ratio = 1; affine in xi_true_snu; negative outputs are meaningful
-    and returned as-is.
-    """
-    if not n0_ratio > 0:
-        raise ValueError(f"n0_ratio must be > 0, got {n0_ratio}")
-    if not t_squared > 0:
-        raise ValueError(f"t_squared must be > 0, got {t_squared}")
-    return (xi_true_snu + (1.0 - n0_ratio) / t_squared) / n0_ratio

@@ -25,11 +25,11 @@ standard normal per pulse; the monitor's block k (stream 2) draws the
 same way for its closed-switch pulses.  A flag of probability 0 or 1
 still owns its block of uniforms, and the generator steps past them
 (``BitGenerator.advance``), so the normals that follow are the same.
-The references ``generate_alice``, ``simulate_bob`` and
-``simulate_monitor`` draw their input's ``BLOCK_SIZE`` blocks one after
-the other on the calling thread; a scenario hands block k only the open
-(or closed) pulses of its k-th block of Alice's pulses, as block k of
-the monitor mask picks them (``countermeasure.monitor_mask_block``).
+The whole-array references ``generate_alice`` and ``simulate_bob``
+draw their input's ``BLOCK_SIZE`` blocks one after the other on the
+calling thread; a scenario hands block k only the open (or closed)
+pulses of its k-th block of Alice's pulses, as block k of the monitor
+mask picks them (``countermeasure.monitor_mask_block``).
 Only a scenario draws blocks at once: ``map_blocks`` draws up to one
 block per CPU (at most ``MAX_LANES``), keeps one more queued behind
 them, and hands their results back in block order, so whatever is summed
@@ -227,12 +227,6 @@ def attack_gain(atk: AttackParams, det: DetectorModel) -> float:
     return detector_gain(det.window_ns + atk.delta_ns, det)
 
 
-def mean_attack_gain(atk: AttackParams, det: DetectorModel) -> float:
-    """Population-average noise gain nu*g + (1 - nu) of the attacked run."""
-    g = attack_gain(atk, det)
-    return atk.nu * g + (1.0 - atk.nu)
-
-
 def _simulate_block(
     rng: np.random.Generator,
     x: np.ndarray,
@@ -331,18 +325,6 @@ def monitor_block(
     return _simulate_block(rng, x, blocked, atk, gain, float(np.sqrt(extinction)), out, scratch)
 
 
-def _batch(x, block_fn, *args) -> PulseBatch:
-    """Outcomes of ``block_fn(x_block, *args, block, out, scratch)`` over the blocks of ``x``."""
-    y = np.empty(x.size)
-    intercepted = np.empty(x.size, dtype=bool)
-    lo_attacked = np.empty(x.size, dtype=bool)
-    scratch = np.empty(min(BLOCK_SIZE, x.size))
-    for block, start, size in pulse_blocks(x.size):
-        sl = slice(start, start + size)
-        block_fn(x[sl], *args, block, (y[sl], intercepted[sl], lo_attacked[sl]), scratch)
-    return PulseBatch(x=x, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
-
-
 def simulate_bob(
     x: np.ndarray,
     ch: ChannelParams,
@@ -361,26 +343,15 @@ def simulate_bob(
     """
     x = np.asarray(x, dtype=float)
     gain = attack_gain(atk, det)
-    return _batch(x, bob_block, ch, atk, gain, seed)
-
-
-def simulate_monitor(
-    x: np.ndarray,
-    ch: ChannelParams,
-    atk: AttackParams,
-    det: DetectorModel,
-    extinction: float,
-    seed: int,
-) -> PulseBatch:
-    """Outcomes of monitoring pulses measured with the signal path blocked.
-
-    See ``monitor_block``; electronic noise is unchanged.
-    """
-    if not 0.0 <= extinction < 1.0:
-        raise ValueError(f"extinction must be in [0, 1), got {extinction}")
-    x = np.asarray(x, dtype=float)
-    gain = attack_gain(atk, det)
-    return _batch(x, monitor_block, ch, atk, gain, extinction, seed)
+    y = np.empty(x.size)
+    intercepted = np.empty(x.size, dtype=bool)
+    lo_attacked = np.empty(x.size, dtype=bool)
+    scratch = np.empty(min(BLOCK_SIZE, x.size))
+    for block, start, size in pulse_blocks(x.size):
+        sl = slice(start, start + size)
+        out = (y[sl], intercepted[sl], lo_attacked[sl])
+        bob_block(x[sl], ch, atk, gain, seed, block, out, scratch)
+    return PulseBatch(x=x, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
 
 
 # A dump row's flag columns, indexed by intercepted + 2*lo_attacked.

@@ -30,18 +30,6 @@ ALPHA_GRID_STEP = 0.05
 DEFAULT_TAU_NS = 49.33
 
 
-def discharge_tau(delay_ns: float, gain_target: float) -> float:
-    """Discharge constant giving ``detector_gain(window + delay) == gain_target``.
-
-    Inverts gain = exp(-2*delay/tau) for tau.
-    """
-    if delay_ns <= 0:
-        raise ValueError(f"delay_ns must be > 0, got {delay_ns}")
-    if not 0.0 < gain_target < 1.0:
-        raise ValueError(f"gain_target must be in (0, 1), got {gain_target}")
-    return 2.0 * delay_ns / math.log(1.0 / gain_target)
-
-
 @dataclass
 class Waveform:
     """Sampled LO pulse intensity trace.
@@ -84,21 +72,13 @@ class Waveform:
 
 @dataclass
 class PowerMeterConfig:
-    """Windowed LO power integrator.
-
-    The meter sums the trailing ``window_ns`` of the waveform with
-    exponentially decaying weights ``decay_base**(-age_ns)``; a decay base
-    of 1 weighs the window uniformly.
-    """
+    """Windowed LO power integrator: the sum of the trailing ``window_ns`` of the waveform."""
 
     window_ns: float
-    decay_base: float = 1.0
 
     def __post_init__(self):
         if not self.window_ns > 0:
             raise ValueError(f"window_ns must be > 0, got {self.window_ns}")
-        if self.decay_base < 1.0:
-            raise ValueError(f"decay_base must be >= 1, got {self.decay_base}")
 
 
 @dataclass
@@ -141,11 +121,10 @@ class CalibrationLine:
 
 
 def measure_power(waveform: Waveform, cfg: PowerMeterConfig) -> float:
-    """Weighted power of the trailing measurement window.
+    """Power of the trailing measurement window.
 
-    Discrete sum over the last ``window_ns`` of the trace with weights
-    ``decay_base**(-age)`` (age measured backwards from the final sample),
-    times dt.  Linear in the waveform.
+    Discrete sum over the last ``window_ns`` of the trace, times dt.
+    Linear in the waveform.
     """
     return _window_power(waveform.samples, waveform.dt, cfg)
 
@@ -158,10 +137,9 @@ def _window_power(samples: np.ndarray, dt: float, cfg: PowerMeterConfig) -> floa
             f"power window {cfg.window_ns} ns does not fit waveform of "
             f"duration {samples.size * dt} ns"
         )
-    ages = np.arange(n_window) * dt
-    weights = cfg.decay_base ** (-ages)
     tail = samples[::-1][:n_window]
-    return float(np.dot(tail, weights) * dt)
+    # a dot with ones, not tail.sum(): they round differently, and the pinned outputs are a dot's
+    return float(np.dot(tail, np.ones(n_window)) * dt)
 
 
 def trigger_time(waveform: Waveform, threshold: float) -> float | None:

@@ -78,7 +78,7 @@ def default_lo_pulse() -> tuple[Waveform, float, PowerMeterConfig]:
     fall = 1.0 - (np.arange(_FALL_NS) + 1.0) / _FALL_NS
     samples = np.concatenate([rise, plateau, fall])
     waveform = Waveform(samples, dt=1.0, t0=0.0)
-    pm = PowerMeterConfig(window_ns=100.0, decay_base=1.0)
+    pm = PowerMeterConfig(window_ns=100.0)
     return waveform, 0.5, pm
 
 

@@ -17,7 +17,6 @@ from cvqkdsim import (
     SwitchModel,
     detect_attack,
     detector_gain,
-    discharge_tau,
     confidence_bounds,
     craft_equal_power_pulse,
     fit_calibration_line,
@@ -25,18 +24,21 @@ from cvqkdsim import (
     infer_channel,
     max_secure_distance,
     measure_power,
-    ml_estimate,
     realtime_shot_noise,
     simulate_bob,
     simulate_calibration_points,
-    simulate_monitor,
     trigger_time,
+)
+from cvqkdsim.keyrate import KeyRateParams, LinkModel, rate_at_distance, secret_key_rate
+from cvqkdsim.scenario import default_lo_pulse
+from reference import (
+    discharge_tau,
+    mean_attack_gain,
+    ml_estimate,
+    simulate_monitor,
     xi_pir,
     xi_under_calibration,
 )
-from cvqkdsim.keyrate import KeyRateParams, LinkModel, rate_at_distance, secret_key_rate
-from cvqkdsim.protocol import mean_attack_gain
-from cvqkdsim.scenario import default_lo_pulse
 
 FIG5 = dict(eta=0.6, v_el=0.01, beta=0.948, snr_target=0.075, xi_bob=0.001)
 

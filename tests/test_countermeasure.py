@@ -15,10 +15,10 @@ from cvqkdsim import (
     effective_eta,
     generate_alice,
     realtime_shot_noise,
-    simulate_monitor,
 )
 from cvqkdsim.countermeasure import monitor_mask_block
-from cvqkdsim.protocol import BLOCK_SIZE, attack_gain, mean_attack_gain, pulse_blocks
+from cvqkdsim.protocol import BLOCK_SIZE, pulse_blocks
+from reference import mean_attack_gain, simulate_monitor
 
 
 def _mask(n: int, fraction: float, seed: int, order=None) -> np.ndarray:

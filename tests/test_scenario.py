@@ -1,9 +1,11 @@
+import ast
 import copy
 import dataclasses
 import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cvqkdsim
 from cvqkdsim import (
     AttackParams,
     KeyRateParams,
@@ -928,3 +931,60 @@ def test_estimated_rates_track_truth_when_shot_noise_rescaled(n0):
     assert abs(report.i_ab_estimated - i_true) <= 5.0 * se_i
     se_k = _estimated_se(report, cfg, lambda p: secret_key_rate(p).key_rate)
     assert abs(report.k_estimated - report.k_true) <= 5.0 * se_k
+
+
+REPO = CONFIGS.parent
+PACKAGE = REPO / "src" / "cvqkdsim"
+
+
+def _benchmark_names() -> set[str]:
+    """The names the benchmark calls on the package, as ``cv.<name>`` in ``benchmarks/*.py``."""
+    text = "".join(p.read_text(encoding="utf-8") for p in sorted((REPO / "benchmarks").glob("*.py")))
+    return set(re.findall(r"\bcv\.([A-Za-z_]\w*)", text))
+
+
+def _public_definitions() -> list[tuple[str, str]]:
+    """(file, name) of every public module-level def, class and assignment in the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                continue
+            found += [(path.name, name) for name in sorted(names) if not name.startswith("_")]
+    return found
+
+
+def _loaded_names() -> set[str]:
+    """Names read as a variable or an attribute by a package module other than ``__init__.py``."""
+    loaded = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return loaded
+
+
+def test_every_public_name_of_the_package_is_reached():
+    # a name only the tests call belongs in tests/reference.py, beside the tests
+    definitions, loaded, benchmark = _public_definitions(), _loaded_names(), _benchmark_names()
+    unreached = [f"{file}:{name}" for file, name in definitions
+                 if name not in loaded and name not in benchmark]
+    assert not unreached, "reached by neither the package nor the benchmark: " + ", ".join(unreached)
+    # the benchmark's scaling series times these two whole-array references
+    benchmark_only = {name for _, name in definitions if name not in loaded}
+    assert benchmark_only == {"generate_alice", "simulate_bob"}
+
+
+def test_every_name_the_benchmark_calls_exists_on_the_package():
+    names = _benchmark_names()
+    assert {"generate_alice", "run_scenario", "simulate_bob"} <= names
+    assert sorted(name for name in names if not hasattr(cvqkdsim, name)) == []
