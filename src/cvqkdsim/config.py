@@ -132,7 +132,8 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a key=value configuration.
 
     Raises :class:`ConfigError` naming the line for unknown keys, bad
-    values, out-of-range values or fractions, duplicates and missing required keys.
+    values, out-of-range values or fractions, duplicates, missing required
+    keys, and ``alpha`` below 1 set together with ``delta_ns`` above 0.
     """
     values: dict = {}
     lines_seen: dict[str, int] = {}
@@ -174,6 +175,9 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(
             f"line {lineno}: key_fraction + monitor_fraction must be < 1 with the countermeasure on"
         )
+    if values["alpha"] < 1.0 and values["delta_ns"] > 0.0:
+        lineno = max(lines_seen["alpha"], lines_seen["delta_ns"])
+        raise ConfigError(f"line {lineno}: set alpha < 1 or delta_ns > 0, not both")
     try:
         return _config_from_values(values)
     except ValueError as exc:

@@ -30,10 +30,10 @@ draw their input's ``BLOCK_SIZE`` blocks one after the other on the
 calling thread; a scenario hands block k only the open (or closed)
 pulses of its k-th block of Alice's pulses, as block k of the monitor
 mask picks them (``countermeasure.monitor_mask_block``).
-Only a scenario draws blocks at once: ``map_blocks`` draws up to one
-block per CPU (at most ``MAX_LANES``), keeps one more queued behind
-them, and hands their results back in block order, so whatever is summed
-over blocks is summed in the same order on any host.
+Only a scenario without a dump draws blocks at once: ``map_blocks`` draws
+up to one block per CPU (at most ``MAX_LANES``), keeps one more queued
+behind them, and hands their results back in block order, so whatever is
+summed over blocks is summed in the same order on any host.
 """
 
 from __future__ import annotations
@@ -75,8 +75,10 @@ def _lanes() -> int:
     return min(cpus, MAX_LANES)
 
 
-def map_blocks(fn: Callable, jobs: Iterable, fold: Callable, scratch: Callable) -> None:
-    """Run ``fn(job, buffers)`` for every job, ``_lanes()`` at once; ``fold`` results in job order.
+def map_blocks(
+    fn: Callable, jobs: Iterable, fold: Callable, scratch: Callable, lanes: int | None = None
+) -> None:
+    """Run ``fn(job, buffers)`` for every job, ``lanes`` at once; ``fold`` results in job order.
 
     numpy's generators and ufuncs release the GIL, so the jobs run at
     the same time.  There is one slot more than lanes, each with
@@ -89,11 +91,12 @@ def map_blocks(fn: Callable, jobs: Iterable, fold: Callable, scratch: Callable) 
     ``jobs`` is read and ``fold`` called on the calling thread only.  An
     exception raised by ``fn`` or ``fold`` cancels the queued jobs that
     no lane has started and is raised here once every pool thread has
-    stopped.  One lane, or one job, runs on the calling thread alone.  A
+    stopped.  One lane, or one job, runs on the calling thread alone,
+    with one slot and no pool.  ``lanes`` defaults to ``_lanes()``.  A
     scenario's pulse blocks are its only jobs; the references draw block
     by block.
     """
-    lanes = _lanes()
+    lanes = _lanes() if lanes is None else lanes
     jobs = iter(jobs)
     first = list(islice(jobs, 2))
     jobs = chain(first, jobs)

@@ -145,9 +145,9 @@ class ScenarioReport:
 
 
 def _resolve_attack(cfg: ScenarioConfig):
-    """Fill in the trigger delay from the pulse model when only alpha is given."""
+    """Derive the trigger delay from alpha through the pulse model; no config sets both."""
     atk = cfg.attack
-    if atk.delta_ns == 0.0 and atk.alpha < 1.0:
+    if atk.alpha < 1.0:
         atk = replace(atk, delta_ns=trigger_delay_from_attenuation(atk.alpha))
     return atk
 
@@ -214,7 +214,8 @@ class _BlockArrays:
     ``intercepted`` and ``lo_attacked`` the outcomes of its open pulses
     followed by those of its closed ones; ``scratch`` the uniforms and
     per-pulse factors of the draws.  ``map_blocks`` makes one set per
-    slot: lanes + 1 sets on a pool, one on the calling thread alone.
+    slot: lanes + 1 sets on a pool, one on the calling thread alone (and
+    so in every run with a dump).
     They are made once because fresh arrays per block, 1.7 MiB at
     ``BLOCK_SIZE``, are page-faulted again every block: that draws the
     same bits, but on a 2-vCPU Xeon host (2M-pulse quantitative example,
@@ -255,9 +256,12 @@ def sample_scenario(
     added to the moments on the calling thread in block order, so the
     sums do not depend on the CPU count.
     ``on_open``, when given, receives each block's open-switch pulses, in
-    pulse order, on the calling thread; the arrays are reused for a later
-    block once it returns, so it must copy what it keeps.  Memory does
-    not grow with the pulse count.
+    pulse order, on the calling thread; the arrays are reused for the
+    next block once it returns, so it must copy what it keeps.  With
+    ``on_open`` every block is drawn on the calling thread into one set
+    of arrays, whatever the CPU count: a dump writes a pulse in over a
+    microsecond, a lane draws one in tens of nanoseconds, so a pool would
+    only hold more slots.  Memory does not grow with the pulse count.
     The blocks wholly inside the key set, the first ``key_target //
     BLOCK_SIZE``, draw only what the report reads from them, unless
     ``on_open`` is given or the countermeasure is on at an extinction
@@ -333,7 +337,8 @@ def sample_scenario(
             on_open(batch)
 
     slot_size = min(BLOCK_SIZE, n_pulses)
-    map_blocks(draw, pulse_blocks(n_pulses), fold, scratch=lambda: _BlockArrays(slot_size))
+    lanes = None if on_open is None else 1  # a dump's blocks are drawn on this thread alone
+    map_blocks(draw, pulse_blocks(n_pulses), fold, lambda: _BlockArrays(slot_size), lanes=lanes)
     return ScenarioSample(attack=atk, gain=gain, moments=moments)
 
 
@@ -454,7 +459,8 @@ def run_scenario(
     positive), "abort" (alarm raised or estimated rate non-positive) or
     "breached" (Alice and Bob believe in a positive rate that the true
     channel does not support).  ``on_open`` is passed on to
-    ``sample_scenario``; without it, with the countermeasure off or at
+    ``sample_scenario``, which then draws every block on the calling
+    thread, with no pool; without it, with the countermeasure off or at
     an extinction of 0, the blocks wholly inside the key set draw
     neither Alice's nor Bob's pulses (``Moments.open_yy`` then covers
     only the ``m_open`` open pulses drawn), which changes no report byte.

@@ -154,6 +154,22 @@ class TestMapBlocks:
         map_blocks(lambda job, _: job, range(9), folded.append, lambda: slots.append(None))
         assert folded == list(range(9)) and len(slots) == 2 + 1
 
+    @pytest.mark.parametrize("lanes,n_slots", [(1, 1), (2, 3)])
+    def test_the_lanes_given_override_the_cpu_count(self, lanes, n_slots, monkeypatch):
+        _on_cpus(monkeypatch, 64)
+        slots, threads, folded = [], set(), []
+
+        def fn(job, _):
+            threads.add(threading.get_ident())
+            return job
+
+        map_blocks(fn, range(9), folded.append, lambda: slots.append(None), lanes=lanes)
+        assert folded == list(range(9)) and len(slots) == n_slots
+        if lanes == 1:  # the calling thread alone, with no pool
+            assert threads == {threading.get_ident()}
+        else:
+            assert threading.get_ident() not in threads and len(threads) <= lanes
+
     def test_one_job_starts_no_thread(self, monkeypatch):
         _on_cpus(monkeypatch, 4)
         counts = []

@@ -29,10 +29,17 @@ from cvqkdsim import (
     simulate_bob,
     sweep_keyrate,
 )
-from cvqkdsim import scenario
+from cvqkdsim import protocol, scenario
 from cvqkdsim.cli import main
 from cvqkdsim.errors import ConfigError, ScenarioStageError
-from cvqkdsim.protocol import BLOCK_SIZE, alice_block, attack_gain, bob_block, monitor_block
+from cvqkdsim.protocol import (
+    BLOCK_SIZE,
+    alice_block,
+    attack_gain,
+    bob_block,
+    monitor_block,
+    pulses_csv,
+)
 from cvqkdsim.scenario import (
     EXIT_ABORT,
     EXIT_BREACHED,
@@ -190,6 +197,28 @@ class TestParseConfig:
             f"line {line}: key_fraction + monitor_fraction must be < 1 with the countermeasure on"
         )
         assert parse_config(text.replace("= on", "= off")).countermeasure_enabled is False
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("alpha = 0.5\npulses = 1000\ndelta_ns = 2.0\n", 3),
+            ("delta_ns = 2.0\nalpha = 0.99\npulses = 1000\n", 2),
+        ],
+        ids=["delta_ns-later", "alpha-later"],
+    )
+    def test_alpha_and_delta_ns_together_name_the_later_line(self, text, line, tmp_path, capsys):
+        # delta_ns once won and alpha was silently ignored
+        message = f"line {line}: set alpha < 1 or delta_ns > 0, not both"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+        cfg_path = tmp_path / "both.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        # either alone, or alpha = 1 beside a delay, is accepted
+        assert parse_config(text.replace("alpha = ", "alpha = 1.0 #")).attack.delta_ns == 2.0
+        assert parse_config(text.replace("delta_ns = 2.0", "delta_ns = 0.0")).attack.alpha < 1.0
 
     def test_bad_boolean(self):
         with pytest.raises(ConfigError, match="countermeasure"):
@@ -500,11 +529,19 @@ def test_moments_are_the_serial_fold_bit_for_bit_on_any_cpu_count(cpus, text, mo
     serial, opened, splits = _serial_fold(cfg)
     assert cfg.pulses % BLOCK_SIZE and 0 < splits[1] < opened[1][0].size
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    # without on_open the blocks are drawn on the pool; with the countermeasure off
+    # (extinction 0.05 reads every block when it is on) the key-set block goes unread
+    pooled = sample_scenario(cfg).moments
+    unread = 0 if cfg.countermeasure_enabled else opened[0][0].size
+    assert pooled.m_open == serial.m_open - unread
     blocks = []
     drawn = sample_scenario(cfg, on_open=_keep(blocks)).moments
     for f in dataclasses.fields(Moments):
         np.testing.assert_array_equal(getattr(drawn, f.name), getattr(serial, f.name), f.name)
         assert type(getattr(drawn, f.name)) is type(getattr(serial, f.name))
+        if unread == 0 or f.name not in ("open_yy", "m_open"):
+            assert getattr(pooled, f.name) == getattr(serial, f.name), f.name
+            assert type(getattr(pooled, f.name)) is type(getattr(serial, f.name))
     # on_open saw each block's open pulses, in pulse order
     assert len(blocks) == len(opened)
     for batch, expected in zip(blocks, opened):
@@ -653,6 +690,45 @@ def test_memory_does_not_grow_with_the_pulse_count():
 def test_memory_does_not_grow_with_the_cpu_count(cpus, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     test_memory_does_not_grow_with_the_pulse_count()
+
+
+def _dump_run(cfg, path):
+    """The traced peak of ``run_scenario`` dumping to ``path``; the thread count at each block."""
+    threads = []
+    tracemalloc.start()
+    try:
+        with pulses_csv(path) as append:
+
+            def on_open(batch):
+                threads.append(threading.active_count())
+                append(batch)
+
+            run_scenario(cfg, on_open=on_open)
+        return tracemalloc.get_traced_memory()[1], threads
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_dump_run_starts_no_thread_and_holds_one_slot(tmp_path, monkeypatch):
+    # four-fifths of the pulses monitored, so that the traced dump formats only a fifth
+    # of them, and 15% left for estimation, so that the χ² quantiles need no scipy
+    cfg = parse_config(
+        f"pulses = {3 * BLOCK_SIZE + 1234}\nseed = 3\nmu = 0.5\nnu = 0.5\ndelta_ns = 10.0\n"
+        "countermeasure = on\nmonitor_fraction = 0.8\nkey_fraction = 0.05\n"
+    )
+    np.random.default_rng()  # numpy imports its random module on first use, not per run
+    peaks = {}
+    for cpus in (1, 64):
+        on_cpus = set(range(cpus))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: on_cpus, raising=False)
+        before = threading.active_count()
+        peaks[cpus], threads = _dump_run(cfg, tmp_path / f"{cpus}.csv")
+        assert threads == [before] * 4
+    # one CSV part's row strings and their join take about 128 bytes a row; a pool at
+    # 64 CPUs would hold MAX_LANES + 1 = 5 block slots of 2.2 MiB each
+    assert abs(peaks[64] - peaks[1]) <= 128 * protocol._CSV_PART, peaks
+    assert peaks[64] < 4 * 2**20, peaks
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "64.csv").read_bytes()
 
 
 class TestSweep:
