@@ -7,8 +7,8 @@ calibrated variance-vs-power line.  Also contains the adversarial
 construction of equal-energy pulses with shifted trigger times.
 
 All operations are pure functions of immutable value objects; waveforms
-are discrete with a fixed sample spacing and predicates are evaluated per
-sample (no sub-sample interpolation).
+are discrete with a fixed sample spacing, and the trigger interpolates
+linearly between the two samples around its threshold.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateFitError, InfeasiblePulseError
-
-# Attenuation grid used by the equal-power pulse search.
-ALPHA_GRID_STEP = 0.05
 
 # Discharge constant (ns) chosen so that a 10 ns trigger delay on a 100 ns
 # integration window reduces the measured variance by the factor 1/1.5.
@@ -143,16 +140,21 @@ def _window_power(samples: np.ndarray, dt: float, cfg: PowerMeterConfig) -> floa
 
 
 def trigger_time(waveform: Waveform, threshold: float) -> float | None:
-    """Time of the first sample strictly above ``threshold``, or None if none is.
+    """Time at which the intensity first exceeds ``threshold``, or None if it never does.
 
-    This is the clock trigger: a level threshold on the LO intensity.
+    This is the clock trigger: a level threshold on the LO intensity, its
+    crossing interpolated linearly from the last sample at or below it.
     """
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     hits = np.flatnonzero(waveform.samples > threshold)
     if hits.size == 0:
         return None
-    return float(waveform.t0 + hits[0] * waveform.dt)
+    i = int(hits[0])
+    if i == 0:
+        return float(waveform.t0)
+    below, above = waveform.samples[i - 1 : i + 1]
+    return float(waveform.t0 + (i - 1 + (threshold - below) / (above - below)) * waveform.dt)
 
 
 def detector_gain(t_measure_ns: float, det: DetectorModel) -> float:
@@ -205,11 +207,6 @@ def simulate_calibration_points(
     return list(zip(powers.tolist(), variances.tolist()))
 
 
-def _head_size(waveform: Waveform, span_ns: float) -> int:
-    """Number of leading samples whose time offset lies in [0, span_ns)."""
-    return int(math.ceil(span_ns / waveform.dt - 1e-12))
-
-
 def attenuate_leading_edge(
     waveform: Waveform,
     alpha: float,
@@ -228,7 +225,8 @@ def attenuate_leading_edge(
         raise ValueError(
             f"span_ns must be in [0, {waveform.duration}], got {span_ns}"
         )
-    n_head = min(_head_size(waveform, span_ns), len(waveform))
+    # the leading samples, those whose time offset lies in [0, span_ns)
+    n_head = min(math.ceil(span_ns / waveform.dt - 1e-12), len(waveform))
     shaped = waveform.samples.copy()
     shaped[:n_head] *= alpha
     target = measure_power(waveform, pm)
@@ -256,14 +254,12 @@ def craft_equal_power_pulse(
     threshold: float,
     pm: PowerMeterConfig,
 ) -> Waveform:
-    """Pulse with the same measured power whose trigger fires later.
+    """Pulse with the same measured power whose trigger fires ``target_shift_ns`` later.
 
-    Exhaustive grid search over leading-edge attenuations (alpha in steps
-    of 0.05, span in steps of dt) with the power-preserving rescale; the
-    first candidate (smallest span, mildest attenuation) that delays the
-    trigger by at least ``target_shift_ns`` is returned.  Both
-    postconditions are re-checked on the result rather than trusted from
-    the search.
+    The first span of whole samples whose blanking (alpha = 0, with the
+    power-preserving rescale) delays the trigger enough is kept, and alpha
+    is bisected there to float resolution; of the last bracket, the end
+    that delays the trigger by at least the request is returned.
     """
     if not 0 <= target_shift_ns < math.inf:
         raise ValueError(f"target_shift_ns must be finite and >= 0, got {target_shift_ns}")
@@ -272,27 +268,32 @@ def craft_equal_power_pulse(
     t_base = trigger_time(base, threshold)
     if t_base is None:
         raise InfeasiblePulseError("base pulse never triggers")
-    p_base = measure_power(base, pm)
-    alphas = np.arange(round(1.0 / ALPHA_GRID_STEP) - 1, -1, -1) * ALPHA_GRID_STEP
-    n = len(base)
-    for k_steps in range(1, n):
+
+    def late_enough(candidate: Waveform) -> bool:
+        t_new = trigger_time(candidate, threshold)
+        return t_new is not None and t_new - t_base >= target_shift_ns
+
+    for k_steps in range(1, len(base)):
         span = k_steps * base.dt
-        for alpha in alphas:
-            try:
-                candidate = attenuate_leading_edge(base, float(alpha), span, pm)
-            except InfeasiblePulseError:
-                continue
-            t_new = trigger_time(candidate, threshold)
-            if t_new is None:
-                continue
-            if t_new - t_base >= target_shift_ns - 1e-9:
-                p_new = measure_power(candidate, pm)
-                assert math.isclose(p_new, p_base, rel_tol=1e-6)
-                assert t_new - t_base >= target_shift_ns - 1e-9
-                return candidate
-    raise InfeasiblePulseError(
-        f"no leading-edge shaping achieves a {target_shift_ns} ns trigger shift"
-    )
+        try:
+            blanked = attenuate_leading_edge(base, 0.0, span, pm)
+        except InfeasiblePulseError:
+            continue
+        if late_enough(blanked):
+            break
+    else:
+        raise InfeasiblePulseError(
+            f"no leading-edge shaping achieves a {target_shift_ns} ns trigger shift"
+        )
+    # alpha = 1 leaves the trigger where it was, short of any positive request
+    lo, hi, shaped = 0.0, 1.0, blanked
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        candidate = attenuate_leading_edge(base, mid, span, pm)
+        if late_enough(candidate):
+            lo, shaped = mid, candidate
+        else:
+            hi = mid
+    return shaped
 
 
 def write_waveform_csv(waveform: Waveform, path: str | Path) -> None:

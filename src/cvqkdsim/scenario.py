@@ -83,16 +83,13 @@ def default_lo_pulse() -> tuple[Waveform, float, PowerMeterConfig]:
 
 
 def trigger_delay_from_attenuation(alpha: float) -> float:
-    """Trigger delay induced by power-preserving attenuation of the rising edge."""
+    """Trigger delay induced by power-preserving attenuation of the rising edge.
+
+    Continuous in alpha: 15/alpha - 15 ns while the attenuated rise still crosses the threshold.
+    """
     base, threshold, pm = default_lo_pulse()
-    if alpha >= 1.0:
-        return 0.0
     shaped = attenuate_leading_edge(base, alpha, float(_RISE_NS), pm)
-    t_base = trigger_time(base, threshold)
-    t_shaped = trigger_time(shaped, threshold)
-    if t_shaped is None:
-        return float(base.duration - t_base)
-    return float(t_shaped - t_base)
+    return trigger_time(shaped, threshold) - trigger_time(base, threshold)
 
 
 def _sub_seed(seed: int, tag: int) -> int:

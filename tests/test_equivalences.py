@@ -9,7 +9,7 @@ pool where the host has more than one CPU.
 
 import pytest
 
-from cvqkdsim import parse_config, run_scenario
+from cvqkdsim import parse_config, run_scenario, trigger_delay_from_attenuation
 from cvqkdsim.protocol import BLOCK_SIZE, attack_gain
 
 SEEDS_AND_COUNTERMEASURE = [
@@ -72,3 +72,13 @@ def test_r3_a_full_intercept_is_an_entanglement_breaking_channel(seed, cm):
     intercepted = _report(_head(seed, cm), "mu = 1.0\n")
     noisy = _report(_head(seed, cm), "xi = 2.1\n")
     assert _differing(intercepted, noisy) == ["config_hash"]
+
+
+@pytest.mark.parametrize("seed,cm", SEEDS_AND_COUNTERMEASURE)
+@pytest.mark.parametrize("alpha", [0.6, 0.9])
+def test_r4_an_attenuation_is_the_trigger_delay_it_causes(alpha, seed, cm):
+    """R4: the attack reads alpha only through the delay the pulse model derives from it."""
+    attenuated = _report(_head(seed, cm), f"mu = 0.5\nnu = 1.0\nalpha = {alpha!r}\n")
+    delay = trigger_delay_from_attenuation(alpha)
+    delayed = _report(_head(seed, cm), f"mu = 0.5\nnu = 1.0\ndelta_ns = {delay!r}\n")
+    assert _differing(attenuated, delayed) == ["config_hash"]

@@ -12,6 +12,7 @@ from cvqkdsim import (
     Waveform,
     attenuate_leading_edge,
     craft_equal_power_pulse,
+    default_lo_pulse,
     detector_gain,
     fit_calibration_line,
     measure_power,
@@ -19,6 +20,7 @@ from cvqkdsim import (
     trigger_time,
     write_waveform_csv,
 )
+from cvqkdsim import pulses
 from cvqkdsim.errors import DegenerateFitError, InfeasiblePulseError
 from reference import discharge_tau
 
@@ -86,7 +88,13 @@ class TestTriggerTime:
         samples = np.zeros(20)
         samples[5:] = 1.0
         w = Waveform(samples, dt=1.0)
-        assert trigger_time(w, 0.5) == 5.0
+        assert trigger_time(w, 0.5) == 4.5
+
+    def test_crossing_in_units_of_dt_from_t0(self):
+        w = Waveform(np.array([0.0, 0.2, 0.8]), dt=2.0, t0=1.0)
+        assert trigger_time(w, 0.5) == 4.0
+        # a trace already above the threshold fires at its first sample
+        assert trigger_time(Waveform(np.full(4, 1.0), dt=0.5, t0=3.0), 0.5) == 3.0
 
     def test_u1_never_earlier_under_leading_edge_attenuation(self):
         base, trig, pm = _ramp_pulse()
@@ -257,6 +265,32 @@ class TestCraftEqualPowerPulse:
         base, trig, pm = _ramp_pulse()
         with pytest.raises(InfeasiblePulseError):
             craft_equal_power_pulse(base, base.duration + 10.0, trig, pm)
+
+    @pytest.mark.parametrize("shift", [0.12, 0.36, 0.59, 1.18, 2.0, 10.0, 14.0, 20.0])
+    def test_every_requested_shift_is_realized(self, shift, monkeypatch):
+        # 0.12-1.18 ns are the delays that hide an intercept of mu = 0.01-0.1
+        base, trig, pm = default_lo_pulse()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return attenuate_leading_edge(*args)
+
+        monkeypatch.setattr(pulses, "attenuate_leading_edge", counted)
+        shaped = craft_equal_power_pulse(base, shift, trig, pm)
+        realized = trigger_time(shaped, trig) - trigger_time(base, trig)
+        assert shift <= realized < shift + 1e-9
+        assert measure_power(shaped, pm) == pytest.approx(measure_power(base, pm), rel=1e-12)
+        # a span scan plus one bisection of alpha, not a grid of candidates
+        assert len(calls) <= len(base) + 64
+
+    @pytest.mark.parametrize("shift", [*range(1, 15), 20])
+    def test_whole_ns_shifts_move_the_first_sample_above_threshold_as_far(self, shift):
+        # a grid-sampled trigger, as a scope would read it, sees the whole request
+        base, trig, pm = default_lo_pulse()
+        shaped = craft_equal_power_pulse(base, float(shift), trig, pm)
+        first_above = [int(np.flatnonzero(w.samples > trig)[0]) for w in (base, shaped)]
+        assert first_above[1] - first_above[0] == shift
 
 
 class TestWaveformCsv:

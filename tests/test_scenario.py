@@ -271,7 +271,12 @@ class TestTriggerDelayFromAttenuation:
     def test_stronger_attenuation_delays_more(self):
         alphas = (0.0, 0.5, 0.55, 0.7, 0.85, 0.9, 0.95, 1.0)
         delays = [trigger_delay_from_attenuation(a) for a in alphas]
-        assert delays == [14.0, 14.0, 12.0, 6.0, 2.0, 1.0, 0.0, 0.0]
+        # while the attenuated rise a*t/30 still crosses 0.5 (a > 15/29), the trigger is at 15/a
+        rise = [15.0 / a - 15.0 for a in alphas[2:]]
+        assert delays[2:] == pytest.approx(rise, rel=1e-12, abs=1e-12)
+        # below, it crosses between the rise's last sample and the rescaled plateau
+        assert delays[:2] == pytest.approx([14.454713493530498, 14.029422317904558], rel=1e-12)
+        assert all(d1 > d2 for d1, d2 in zip(delays, delays[1:]))
 
     def test_alpha_only_config_resolves_delay(self):
         cfg = parse_config("pulses = 50000\nmu = 1.0\nnu = 1.0\nalpha = 0.55\n")
@@ -761,8 +766,8 @@ PULSE_DEMO_STDOUT = {
 power_base=90.16666666666669
 power_shaped=90.1666666666667
 relative_power_difference=1.5760652179521628e-16
-trigger_base_ns=16.0
-trigger_shaped_ns=26.0
+trigger_base_ns=15.0
+trigger_shaped_ns=25.0
 trigger_shift_ns=10.0
 variance_gain_at_shifted_trigger=0.6666882060777414
 """,
@@ -770,8 +775,8 @@ variance_gain_at_shifted_trigger=0.6666882060777414
 power_base=90.16666666666669
 power_shaped=90.16666666666669
 relative_power_difference=0.0
-trigger_base_ns=16.0
-trigger_shaped_ns=18.0
+trigger_base_ns=15.0
+trigger_shaped_ns=17.0
 trigger_shift_ns=2.0
 variance_gain_at_shifted_trigger=0.9221138699031319
 """,
