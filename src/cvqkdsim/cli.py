@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_config, parse_config
+from .config import ScenarioConfig, load_config
 from .errors import ConfigError, ScenarioStageError
 from .keyrate import max_secure_distance
 from .protocol import pulses_csv
@@ -81,9 +81,10 @@ def _cmd_run(args) -> int:
         raise ConfigError("--csv needs --out: the pulse dump goes to <out>/pulses.csv")
     cfg = load_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {args.seed}")
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        try:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -96,10 +97,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = parse_config("pulses = 1000\n")
+    cfg = load_config(args.config) if args.config else ScenarioConfig(pulses=1000)
     plain, protected = sweep_keyrate(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

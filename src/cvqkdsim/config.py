@@ -1,24 +1,28 @@
 """Scenario configuration: key=value files with strict validation.
 
 The format is UTF-8 text, one ``key = value`` pair per line, ``#`` starts
-a comment.  Unknown keys are rejected and every physical invariant is
-checked at parse time, with errors naming the offending line.  A parsed
-configuration serializes back to a canonical text that re-parses to an
-identical object.
+a comment.  Unknown keys are rejected, and each value is checked against
+the range that its record field states, with errors naming the offending
+line.  The records check themselves too, on construction and on
+``dataclasses.replace``.  A parsed configuration serializes back to a
+canonical text that re-parses to an identical object.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import MISSING, Field, field, fields
+from numbers import Integral
 from operator import attrgetter
-from typing import get_type_hints
 
 from .countermeasure import SwitchModel
 from .errors import ConfigError
+from .keyrate import LinkModel
 from .protocol import AttackParams, ChannelParams
-from .pulses import DEFAULT_TAU_NS, DetectorModel
+from .pulses import DetectorModel
+from .ranges import NON_NEGATIVE, OPEN_UNIT, POSITIVE, UNIT, Range, checked, param
 
 
 def _parse_bool(text: str) -> bool:
@@ -34,97 +38,126 @@ def _format_bool(value: bool) -> str:
     return "on" if value else "off"
 
 
-# key -> (space-separated field paths in ScenarioConfig, converter, default
-# or None when required, human-readable range, check)
-_KEY_TABLE: dict[str, tuple] = {
-    "pulses": ("pulses", int, None, "an integer >= 10", lambda v: v >= 10),
-    "seed": ("seed", int, 1, "an integer >= 0", lambda v: v >= 0),
-    "key_fraction": ("key_fraction", float, 0.5, "in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "epsilon": ("epsilon", float, 0.05, "in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "va": ("channel.va", float, 5.0, ">= 0", lambda v: v >= 0.0),
-    "transmittance": (
-        "channel.transmittance", float, 0.5, "in [0, 1]", lambda v: 0.0 <= v <= 1.0
-    ),
-    "eta": ("channel.eta", float, 0.5, "in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    "xi": ("channel.xi", float, 0.1, ">= 0", lambda v: v >= 0.0),
-    "vel": ("channel.v_el detector.v_el", float, 0.01, ">= 0", lambda v: v >= 0.0),
-    "n0": ("channel.n0", float, 1.0, "> 0", lambda v: v > 0.0),
-    "mu": ("attack.mu", float, 0.0, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "nu": ("attack.nu", float, 0.0, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "alpha": ("attack.alpha", float, 1.0, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "delta_ns": ("attack.delta_ns", float, 0.0, ">= 0", lambda v: v >= 0.0),
-    "window_ns": ("detector.window_ns", float, 100.0, "> 0", lambda v: v > 0.0),
-    "tau_ns": ("detector.tau_ns", float, DEFAULT_TAU_NS, "> 0", lambda v: v > 0.0),
-    "slope_cal": ("detector.slope_cal", float, 1.0, "> 0", lambda v: v > 0.0),
-    "n0_assumed": ("n0_assumed", float, 1.0, "> 0", lambda v: v > 0.0),
-    "countermeasure": (
-        "countermeasure_enabled", _parse_bool, False, "on or off", lambda v: True
-    ),
-    "monitor_fraction": ("monitor_fraction", float, 0.1, "in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "switch_loss_db": ("switch.loss_db", float, 2.7, ">= 0", lambda v: v >= 0.0),
-    "extinction": ("switch.extinction", float, 0.0, "in [0, 1)", lambda v: 0.0 <= v < 1.0),
-    "z_threshold": ("z_threshold", float, 5.0, "> 0", lambda v: v > 0.0),
-    "beta": ("beta", float, 0.948, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "snr_target": ("sweep.snr_target", float, 0.075, "> 0", lambda v: v > 0.0),
-    "xi_bob": ("sweep.xi_bob", float, 0.001, ">= 0", lambda v: v >= 0.0),
-    "loss_db_per_km": ("sweep.loss_db_per_km", float, 0.2, "> 0", lambda v: v > 0.0),
-    "sweep_d_max_km": ("sweep.d_max_km", float, 120.0, "> 0", lambda v: v > 0.0),
-    "sweep_step_km": ("sweep.step_km", float, 1.0, "> 0", lambda v: v > 0.0),
+# config key -> (its field path in ScenarioConfig, converter), in serialization
+# order; the field states the key's default and range
+_KEY_TABLE: dict[str, tuple[str, Callable]] = {
+    "pulses": ("pulses", int),
+    "seed": ("seed", int),
+    "key_fraction": ("key_fraction", float),
+    "epsilon": ("epsilon", float),
+    "va": ("channel.va", float),
+    "transmittance": ("channel.transmittance", float),
+    "eta": ("channel.eta", float),
+    "xi": ("channel.xi", float),
+    "vel": ("channel.v_el", float),
+    "n0": ("channel.n0", float),
+    "mu": ("attack.mu", float),
+    "nu": ("attack.nu", float),
+    "alpha": ("attack.alpha", float),
+    "delta_ns": ("attack.delta_ns", float),
+    "window_ns": ("detector.window_ns", float),
+    "tau_ns": ("detector.tau_ns", float),
+    "slope_cal": ("detector.slope_cal", float),
+    "n0_assumed": ("n0_assumed", float),
+    "countermeasure": ("countermeasure_enabled", _parse_bool),
+    "monitor_fraction": ("monitor_fraction", float),
+    "switch_loss_db": ("switch.loss_db", float),
+    "extinction": ("switch.extinction", float),
+    "z_threshold": ("z_threshold", float),
+    "beta": ("beta", float),
+    "snr_target": ("sweep.snr_target", float),
+    "xi_bob": ("sweep.xi_bob", float),
+    "loss_db_per_km": ("sweep.loss_db_per_km", float),
+    "sweep_d_max_km": ("sweep.d_max_km", float),
+    "sweep_step_km": ("sweep.step_km", float),
 }
 
 
-@dataclass
+@checked
 class SweepSettings:
     """Distance-sweep parameters for the key-rate comparison curves."""
 
-    snr_target: float
-    xi_bob: float
-    loss_db_per_km: float
-    d_max_km: float
-    step_km: float
+    snr_target: float = param(0.075, within=POSITIVE)
+    xi_bob: float = param(0.001, within=NON_NEGATIVE)
+    loss_db_per_km: float = param(LinkModel.loss_db_per_km, within=POSITIVE)
+    d_max_km: float = param(120.0, within=POSITIVE)
+    step_km: float = param(1.0, within=POSITIVE)
 
 
-@dataclass
+def _integer_at_least(low: int) -> Range:
+    return Range(f"an integer >= {low}", lambda v: isinstance(v, Integral) and v >= low)
+
+
+class _RuleError(ValueError):
+    """A rule that spans fields is broken; ``keys`` are the config keys it reads."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
+
+
+@checked
 class ScenarioConfig:
-    """Fully validated end-to-end scenario description.
+    """Fully checked end-to-end scenario description.
 
-    Built by :func:`parse_config`; ``_KEY_TABLE`` gives each field its
-    config key and default.
+    Only ``pulses`` is required.  Built by :func:`parse_config`;
+    ``_KEY_TABLE`` gives each field its config key.
     """
 
-    channel: ChannelParams
-    attack: AttackParams
-    detector: DetectorModel
-    pulses: int
-    key_fraction: float
-    seed: int
-    beta: float
-    epsilon: float
-    n0_assumed: float
-    countermeasure_enabled: bool
-    monitor_fraction: float
-    switch: SwitchModel
-    z_threshold: float
-    sweep: SweepSettings
+    pulses: int = param(within=_integer_at_least(10))
+    channel: ChannelParams = field(default_factory=ChannelParams)
+    attack: AttackParams = field(default_factory=AttackParams)
+    detector: DetectorModel = field(default_factory=DetectorModel)
+    key_fraction: float = param(0.5, within=OPEN_UNIT)
+    seed: int = param(1, within=_integer_at_least(0))
+    beta: float = param(0.948, within=UNIT)
+    epsilon: float = param(0.05, within=OPEN_UNIT)
+    n0_assumed: float = param(1.0, within=POSITIVE)
+    countermeasure_enabled: bool = param(
+        False, within=Range("on or off", lambda v: isinstance(v, bool))
+    )
+    monitor_fraction: float = param(0.1, within=OPEN_UNIT)
+    switch: SwitchModel = field(default_factory=SwitchModel)
+    z_threshold: float = param(5.0, within=POSITIVE)
+    sweep: SweepSettings = field(default_factory=SweepSettings)
+
+    def __post_init__(self):
+        if self.countermeasure_enabled and self.key_fraction + self.monitor_fraction >= 1.0:
+            raise _RuleError(
+                "key_fraction + monitor_fraction must be < 1 with the countermeasure on",
+                "key_fraction", "monitor_fraction",
+            )
+        if self.attack.alpha < 1.0 and self.attack.delta_ns > 0.0:
+            raise _RuleError("set alpha < 1 or delta_ns > 0, not both", "alpha", "delta_ns")
 
     def config_hash(self) -> str:
         return hashlib.sha256(serialize_config(self).encode()).hexdigest()[:16]
 
 
-# field name -> type, for building the nested records
-_FIELD_TYPES = get_type_hints(ScenarioConfig)
+# field path prefix -> the record class that holds the fields under it
+_RECORDS = {"": ScenarioConfig} | {
+    f.name: f.default_factory for f in fields(ScenarioConfig) if f.default_factory is not MISSING
+}
+
+
+def _path_field(path: str) -> Field:
+    group, _, name = path.rpartition(".")
+    return _RECORDS[group].__dataclass_fields__[name]
+
+
+# config key -> the field it sets, which states the key's default and range
+_FIELDS = {key: _path_field(path) for key, (path, _) in _KEY_TABLE.items()}
 
 
 def _config_from_values(values: dict) -> ScenarioConfig:
-    """Place each key's value at its field paths, building the nested records."""
+    """Place each given key's value at its field path; the other fields keep their defaults."""
     top: dict = {}
     nested: dict[str, dict] = {}
     for key, value in values.items():
-        for path in _KEY_TABLE[key][0].split():
-            group, _, name = path.rpartition(".")
-            (nested.setdefault(group, {}) if group else top)[name] = value
+        group, _, name = _KEY_TABLE[key][0].rpartition(".")
+        (nested.setdefault(group, {}) if group else top)[name] = value
     for group, kwargs in nested.items():
-        top[group] = _FIELD_TYPES[group](**kwargs)
+        top[group] = _RECORDS[group](**kwargs)
     return ScenarioConfig(**top)
 
 
@@ -132,8 +165,9 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a key=value configuration.
 
     Raises :class:`ConfigError` naming the line for unknown keys, bad
-    values, out-of-range values or fractions, duplicates, missing required
-    keys, and ``alpha`` below 1 set together with ``delta_ns`` above 0.
+    values, out-of-range values, duplicates, missing required keys, and
+    the rules of :class:`ScenarioConfig` that span keys (naming the later
+    of their lines).
     """
     values: dict = {}
     lines_seen: dict[str, int] = {}
@@ -153,42 +187,33 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"line {lineno}: duplicate key {key!r} (first on line {lines_seen[key]})"
             )
         lines_seen[key] = lineno
-        _, converter, _, bounds, check = _KEY_TABLE[key]
+        converter, within = _KEY_TABLE[key][1], _FIELDS[key].metadata["range"]
         try:
             value = converter(value_text)
         except ValueError:
             raise ConfigError(
-                f"line {lineno}: {key} must be {bounds}, got {value_text!r}"
+                f"line {lineno}: {key} must be {within.text}, got {value_text!r}"
             ) from None
         if converter is float and not math.isfinite(value):
             raise ConfigError(f"line {lineno}: {key} must be finite, got {value}")
-        if not check(value):
-            raise ConfigError(f"line {lineno}: {key} must be {bounds}, got {value}")
+        if not within.holds(value):
+            raise ConfigError(f"line {lineno}: {key} must be {within.text}, got {value}")
         values[key] = value
-    for key, (_, _, default, _, _) in _KEY_TABLE.items():
-        if key not in values:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            values[key] = default
-    if values["countermeasure"] and values["key_fraction"] + values["monitor_fraction"] >= 1.0:
-        lineno = max(lines_seen.get("key_fraction", 0), lines_seen.get("monitor_fraction", 0))
-        raise ConfigError(
-            f"line {lineno}: key_fraction + monitor_fraction must be < 1 with the countermeasure on"
-        )
-    if values["alpha"] < 1.0 and values["delta_ns"] > 0.0:
-        lineno = max(lines_seen["alpha"], lines_seen["delta_ns"])
-        raise ConfigError(f"line {lineno}: set alpha < 1 or delta_ns > 0, not both")
+    for key, key_field in _FIELDS.items():
+        if key not in values and key_field.default is MISSING:
+            raise ConfigError(f"missing required key {key!r}")
     try:
         return _config_from_values(values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except _RuleError as exc:
+        lineno = max(lines_seen.get(key, 0) for key in exc.keys)
+        raise ConfigError(f"line {lineno}: {exc}") from None
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical text form; ``parse_config`` returns an identical object."""
     lines = []
-    for key, (paths, *_) in _KEY_TABLE.items():
-        value = attrgetter(paths.split()[0])(cfg)
+    for key, (path, _) in _KEY_TABLE.items():
+        value = attrgetter(path)(cfg)
         lines.append(f"{key} = {_format_bool(value) if isinstance(value, bool) else repr(value)}")
     return "\n".join(lines) + "\n"
 

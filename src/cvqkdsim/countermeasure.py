@@ -12,25 +12,19 @@ calibration-line prediction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .protocol import BLOCK_SIZE
+from .ranges import NON_NEGATIVE, UNIT, UNIT_ABOVE_0, UNIT_BELOW_1, checked, param
 
 
-@dataclass
+@checked
 class SwitchModel:
     """Optical switch on Bob's signal path."""
 
-    loss_db: float = 2.7
-    extinction: float = 0.0
-
-    def __post_init__(self):
-        if self.loss_db < 0:
-            raise ValueError(f"loss_db must be >= 0, got {self.loss_db}")
-        if not 0.0 <= self.extinction < 1.0:
-            raise ValueError(f"extinction must be in [0, 1), got {self.extinction}")
+    loss_db: float = param(2.7, within=NON_NEGATIVE)
+    extinction: float = param(0.0, within=UNIT_BELOW_1)
 
 
 def monitor_mask_block(
@@ -46,8 +40,7 @@ def monitor_mask_block(
     holds one element per pulse of the block; ``scratch``, a float array
     of at least ``out.size``, holds the uniforms.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    UNIT.check("fraction", fraction)
     bits = np.random.PCG64(seed)
     bits.advance(block * BLOCK_SIZE)
     uniforms = np.random.Generator(bits).random(out=scratch[: out.size])
@@ -67,8 +60,7 @@ def realtime_shot_noise(
     extinction 0, n0_rt = var_closed - v_el bit for bit, whatever
     ``var_open`` is: a scenario then draws only part of the open pulses.
     """
-    if not 0.0 <= extinction < 1.0:
-        raise ValueError(f"extinction must be in [0, 1), got {extinction}")
+    UNIT_BELOW_1.check("extinction", extinction)
     s_rt = (var_open - var_closed) / (1.0 - extinction)
     n0_rt = var_closed - v_el - extinction * s_rt
     if not math.isfinite(n0_rt):
@@ -78,10 +70,8 @@ def realtime_shot_noise(
 
 def effective_eta(eta: float, loss_db: float) -> float:
     """Detection efficiency after inserting a lossy component."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
-    if loss_db < 0:
-        raise ValueError(f"loss_db must be >= 0, got {loss_db}")
+    UNIT_ABOVE_0.check("eta", eta)
+    NON_NEGATIVE.check("loss_db", loss_db)
     return eta * 10.0 ** (-loss_db / 10.0)
 
 

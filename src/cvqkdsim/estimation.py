@@ -23,6 +23,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DegenerateDataError
+from .ranges import NON_NEGATIVE, OPEN_UNIT, POSITIVE, Range, checked, param
 
 # Above this sample count the chi-square quantiles switch to the
 # Wilson-Hilferty normal approximation; below it they are exact.
@@ -42,22 +43,14 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass
+@checked
 class MlEstimates:
     """Point estimates of the normal linear model y = t*x + z."""
 
-    m: int
+    m: int = param(within=Range(">= 2", lambda v: v >= 2))
     t_hat: float
-    sigma2_hat: float
-    va_hat: float
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
-        if self.sigma2_hat < 0:
-            raise ValueError(f"sigma2_hat must be >= 0, got {self.sigma2_hat}")
-        if self.va_hat < 0:
-            raise ValueError(f"va_hat must be >= 0, got {self.va_hat}")
+    sigma2_hat: float = param(within=NON_NEGATIVE)
+    va_hat: float = param(within=NON_NEGATIVE)
 
     @property
     def sum_x2(self) -> float:
@@ -162,8 +155,7 @@ def confidence_bounds(
     estimators follow chi-square with m-1 degrees of freedom (the normal
     approximation is used above m = 10^4).
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    OPEN_UNIT.check("epsilon", epsilon)
     m = est.m
     z = _NORMAL.inv_cdf(1.0 - epsilon / 2.0)
     half_width = z * float(np.sqrt(est.sigma2_hat / est.sum_x2))
@@ -187,8 +179,7 @@ def infer_channel(
     xi_hat = (sigma2_hat - n0_assumed - v_el)/t_hat^2.  xi_hat can be
     negative and is reported as-is.
     """
-    if not eta > 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+    POSITIVE.check("eta", eta)
     if est.t_hat == 0.0:
         raise DegenerateDataError("t_hat is zero; excess noise undefined")
     t2 = est.t_hat**2

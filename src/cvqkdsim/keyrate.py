@@ -31,6 +31,7 @@ from functools import partial
 
 from .countermeasure import SwitchModel, effective_eta
 from .errors import NumericalDomainError
+from .ranges import NON_NEGATIVE, POSITIVE, UNIT, UNIT_ABOVE_0, UNIT_BELOW_1, checked, param
 
 DISCRIMINANT_TOL = 1e-9
 EIGENVALUE_TOL = 1e-9
@@ -40,45 +41,26 @@ SEARCH_MAX_KM = 500.0
 SEARCH_RESOLUTION_KM = 0.1
 
 
-@dataclass
+@checked
 class KeyRateParams:
     """Inputs of the key-rate formulas, noise in shot-noise units."""
 
-    va: float
-    transmittance: float
-    eta: float
-    xi: float
-    v_el: float
-    beta: float
-
-    def __post_init__(self):
-        if self.va < 0:
-            raise ValueError(f"va must be >= 0, got {self.va}")
-        if not 0.0 <= self.transmittance <= 1.0:
-            raise ValueError(f"transmittance must be in [0, 1], got {self.transmittance}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.xi < 0:
-            raise ValueError(f"xi must be >= 0, got {self.xi}")
-        if self.v_el < 0:
-            raise ValueError(f"v_el must be >= 0, got {self.v_el}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+    va: float = param(within=NON_NEGATIVE)
+    transmittance: float = param(within=UNIT)
+    eta: float = param(within=UNIT_ABOVE_0)
+    xi: float = param(within=NON_NEGATIVE)
+    v_el: float = param(within=NON_NEGATIVE)
+    beta: float = param(within=UNIT)
 
 
-@dataclass
+@checked
 class LinkModel:
     """Fibre link; transmittance decays exponentially with distance."""
 
-    loss_db_per_km: float = 0.2
-
-    def __post_init__(self):
-        if not self.loss_db_per_km > 0:
-            raise ValueError(f"loss_db_per_km must be > 0, got {self.loss_db_per_km}")
+    loss_db_per_km: float = param(0.2, within=POSITIVE)
 
     def transmittance(self, distance_km: float) -> float:
-        if distance_km < 0:
-            raise ValueError(f"distance must be >= 0, got {distance_km}")
+        NON_NEGATIVE.check("distance", distance_km)
         return 10.0 ** (-self.loss_db_per_km * distance_km / 10.0)
 
 
@@ -185,8 +167,7 @@ def secret_key_rate(p: KeyRateParams) -> KeyRateBreakdown:
 
 def va_for_snr(snr: float, transmittance: float, eta: float, xi: float, v_el: float) -> float:
     """Modulation variance that hits the target SNR on Bob's side."""
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    NON_NEGATIVE.check("snr", snr)
     eta_t = eta * transmittance
     if not eta_t > 0:
         raise ValueError("snr targeting infeasible at eta*T = 0")
@@ -234,8 +215,7 @@ def rate_at_distance(
     monitoring fraction multiplies the rate by (1 - fraction).
     """
     link = link or LinkModel()
-    if not 0.0 <= monitor_fraction < 1.0:
-        raise ValueError(f"monitor_fraction must be in [0, 1), got {monitor_fraction}")
+    UNIT_BELOW_1.check("monitor_fraction", monitor_fraction)
     transmittance = link.transmittance(distance_km)
     eta_eff = effective_eta(eta, switch.loss_db) if switch is not None else eta
     xi_channel = xi_bob / (eta_eff * transmittance)
@@ -266,9 +246,8 @@ def max_secure_distance(**receiver) -> float | None:
     None when the rate is already non-positive at zero distance, and
     ``SEARCH_MAX_KM`` when the rate never crosses zero inside the bracket.
     """
-    snr_target = receiver.get("snr_target")
-    if snr_target is not None and not snr_target > 0:
-        raise ValueError(f"snr_target must be > 0, got {snr_target}")
+    if "snr_target" in receiver:
+        POSITIVE.check("snr_target", receiver["snr_target"])
     point = partial(rate_at_distance, **receiver)
     if point(0.0).key_rate <= 0.0:
         return None

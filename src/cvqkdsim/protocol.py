@@ -49,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .pulses import DetectorModel, detector_gain
+from .ranges import NON_NEGATIVE, POSITIVE, UNIT, UNIT_ABOVE_0, checked, param
 
 # Pulses per independently-seeded generation block.
 BLOCK_SIZE = 1 << 16
@@ -129,7 +130,7 @@ _STREAM_BOB = 1
 _STREAM_MONITOR = 2
 
 
-@dataclass
+@checked
 class ChannelParams:
     """True protocol parameters, all noise variances in shot-noise units.
 
@@ -142,29 +143,15 @@ class ChannelParams:
         n0: true shot-noise variance during the run (1 when unattacked).
     """
 
-    va: float
-    transmittance: float
-    eta: float
-    xi: float
-    v_el: float
-    n0: float = 1.0
-
-    def __post_init__(self):
-        if self.va < 0:
-            raise ValueError(f"va must be >= 0, got {self.va}")
-        if not 0.0 <= self.transmittance <= 1.0:
-            raise ValueError(f"transmittance must be in [0, 1], got {self.transmittance}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.xi < 0:
-            raise ValueError(f"xi must be >= 0, got {self.xi}")
-        if self.v_el < 0:
-            raise ValueError(f"v_el must be >= 0, got {self.v_el}")
-        if not self.n0 > 0:
-            raise ValueError(f"n0 must be > 0, got {self.n0}")
+    va: float = param(5.0, within=NON_NEGATIVE)
+    transmittance: float = param(0.5, within=UNIT)
+    eta: float = param(0.5, within=UNIT_ABOVE_0)
+    xi: float = param(0.1, within=NON_NEGATIVE)
+    v_el: float = param(0.01, within=NON_NEGATIVE)
+    n0: float = param(1.0, within=POSITIVE)
 
 
-@dataclass
+@checked
 class AttackParams:
     """Eve's knobs.
 
@@ -175,18 +162,10 @@ class AttackParams:
         delta_ns: trigger delay induced on reshaped pulses.
     """
 
-    mu: float = 0.0
-    nu: float = 0.0
-    alpha: float = 1.0
-    delta_ns: float = 0.0
-
-    def __post_init__(self):
-        for name in ("mu", "nu", "alpha"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.delta_ns < 0:
-            raise ValueError(f"delta_ns must be >= 0, got {self.delta_ns}")
+    mu: float = param(0.0, within=UNIT)
+    nu: float = param(0.0, within=UNIT)
+    alpha: float = param(1.0, within=UNIT)
+    delta_ns: float = param(0.0, within=NON_NEGATIVE)
 
 
 @dataclass
@@ -217,8 +196,7 @@ def generate_alice(n: int, va: float, seed: int) -> np.ndarray:
     """Alice's i.i.d. centred Gaussian quadratures with variance ``va``."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if va < 0:
-        raise ValueError(f"va must be >= 0, got {va}")
+    NON_NEGATIVE.check("va", va)
     out = np.empty(n)
     for block, start, size in pulse_blocks(n):
         alice_block(va, seed, block, out[start : start + size])

@@ -15,19 +15,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateFitError, InfeasiblePulseError
+from .ranges import NON_NEGATIVE, POSITIVE, UNIT, checked, param
 
-# Discharge constant (ns) chosen so that a 10 ns trigger delay on a 100 ns
-# integration window reduces the measured variance by the factor 1/1.5.
-DEFAULT_TAU_NS = 49.33
-
-
-@dataclass
+@checked
 class Waveform:
     """Sampled LO pulse intensity trace.
 
@@ -38,7 +33,7 @@ class Waveform:
     """
 
     samples: np.ndarray
-    dt: float
+    dt: float = param(within=POSITIVE)
     t0: float = 0.0
 
     def __post_init__(self):
@@ -49,8 +44,6 @@ class Waveform:
             raise ValueError("waveform samples must be finite")
         if np.any(samples < 0):
             raise ValueError("waveform samples must be >= 0")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
         samples = samples.copy()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
@@ -67,18 +60,14 @@ class Waveform:
         return self.t0 + np.arange(self.samples.size) * self.dt
 
 
-@dataclass
+@checked
 class PowerMeterConfig:
     """Windowed LO power integrator: the sum of the trailing ``window_ns`` of the waveform."""
 
-    window_ns: float
-
-    def __post_init__(self):
-        if not self.window_ns > 0:
-            raise ValueError(f"window_ns must be > 0, got {self.window_ns}")
+    window_ns: float = param(within=POSITIVE)
 
 
-@dataclass
+@checked
 class DetectorModel:
     """Homodyne detector timing and calibration constants.
 
@@ -89,32 +78,20 @@ class DetectorModel:
         v_el: electronic noise variance (shot-noise units).
     """
 
-    window_ns: float = 100.0
-    tau_ns: float = DEFAULT_TAU_NS
-    slope_cal: float = 1.0
-    v_el: float = 0.01
-
-    def __post_init__(self):
-        if not self.window_ns > 0:
-            raise ValueError(f"window_ns must be > 0, got {self.window_ns}")
-        if not self.tau_ns > 0:
-            raise ValueError(f"tau_ns must be > 0, got {self.tau_ns}")
-        if not self.slope_cal > 0:
-            raise ValueError(f"slope_cal must be > 0, got {self.slope_cal}")
-        if self.v_el < 0:
-            raise ValueError(f"v_el must be >= 0, got {self.v_el}")
+    window_ns: float = param(100.0, within=POSITIVE)
+    # chosen so that a 10 ns trigger delay on a 100 ns integration window
+    # reduces the measured variance by the factor 1/1.5
+    tau_ns: float = param(49.33, within=POSITIVE)
+    slope_cal: float = param(1.0, within=POSITIVE)
+    v_el: float = param(0.01, within=NON_NEGATIVE)
 
 
-@dataclass
+@checked
 class CalibrationLine:
     """Fitted linear relation between measurement variance and LO power."""
 
-    slope: float
+    slope: float = param(within=POSITIVE)
     intercept: float
-
-    def __post_init__(self):
-        if not self.slope > 0:
-            raise ValueError(f"slope must be > 0, got {self.slope}")
 
 
 def measure_power(waveform: Waveform, cfg: PowerMeterConfig) -> float:
@@ -145,8 +122,7 @@ def trigger_time(waveform: Waveform, threshold: float) -> float | None:
     This is the clock trigger: a level threshold on the LO intensity, its
     crossing interpolated linearly from the last sample at or below it.
     """
-    if not threshold > 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
+    POSITIVE.check("threshold", threshold)
     hits = np.flatnonzero(waveform.samples > threshold)
     if hits.size == 0:
         return None
@@ -165,8 +141,7 @@ def detector_gain(t_measure_ns: float, det: DetectorModel) -> float:
     window ends, and afterwards the capacitor discharges exponentially
     (variance gain exp(-2*(t - window)/tau)).
     """
-    if t_measure_ns <= 0:
-        raise ValueError(f"measurement time must be > 0, got {t_measure_ns}")
+    POSITIVE.check("measurement time", t_measure_ns)
     if t_measure_ns <= det.window_ns:
         return (t_measure_ns / det.window_ns) ** 2
     return math.exp(-2.0 * (t_measure_ns - det.window_ns) / det.tau_ns)
@@ -219,8 +194,7 @@ def attenuate_leading_edge(
     ``measure_power`` unchanged, so the shaping is invisible to the LO
     power meter.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    UNIT.check("alpha", alpha)
     if not 0.0 <= span_ns <= waveform.duration:
         raise ValueError(
             f"span_ns must be in [0, {waveform.duration}], got {span_ns}"

@@ -19,6 +19,8 @@ import cvqkdsim
 from cvqkdsim import (
     AttackParams,
     KeyRateParams,
+    ScenarioConfig,
+    SweepSettings,
     generate_alice,
     load_config,
     mutual_information,
@@ -90,7 +92,7 @@ KEY_CASES = {
     "transmittance": ("0.25", 0.25, ["channel.transmittance"]),
     "eta": ("0.75", 0.75, ["channel.eta"]),
     "xi": ("0.2", 0.2, ["channel.xi"]),
-    "vel": ("0.02", 0.02, ["channel.v_el", "detector.v_el"]),
+    "vel": ("0.02", 0.02, ["channel.v_el"]),
     "n0": ("1.5", 1.5, ["channel.n0"]),
     "mu": ("0.25", 0.25, ["attack.mu"]),
     "nu": ("0.5", 0.5, ["attack.nu"]),
@@ -112,6 +114,47 @@ KEY_CASES = {
     "sweep_d_max_km": ("100.0", 100.0, ["sweep.d_max_km"]),
     "sweep_step_km": ("2.0", 2.0, ["sweep.step_km"]),
 }
+
+
+# config key -> (value text, the value set through the record), each out of its range
+OUT_OF_RANGE = {
+    "pulses": ("5", 5),
+    "seed": ("-1", -1),
+    "key_fraction": ("1.0", 1.0),
+    "epsilon": ("0.0", 0.0),
+    "va": ("-1.0", -1.0),
+    "transmittance": ("1.5", 1.5),
+    "eta": ("0.0", 0.0),
+    "xi": ("-0.1", -0.1),
+    "vel": ("-0.01", -0.01),
+    "n0": ("0.0", 0.0),
+    "mu": ("1.5", 1.5),
+    "nu": ("-0.5", -0.5),
+    "alpha": ("1.5", 1.5),
+    "delta_ns": ("-1.0", -1.0),
+    "window_ns": ("0.0", 0.0),
+    "tau_ns": ("-1.0", -1.0),
+    "slope_cal": ("0.0", 0.0),
+    "n0_assumed": ("0.0", 0.0),
+    "countermeasure": ("maybe", "maybe"),
+    "monitor_fraction": ("1.0", 1.0),
+    "switch_loss_db": ("-1.0", -1.0),
+    "extinction": ("1", 1.0),
+    "z_threshold": ("-1.0", -1.0),
+    "beta": ("1.5", 1.5),
+    "snr_target": ("0.0", 0.0),
+    "xi_bob": ("-0.001", -0.001),
+    "loss_db_per_km": ("0.0", 0.0),
+    "sweep_d_max_km": ("-1.0", -1.0),
+    "sweep_step_km": ("0", 0.0),
+}
+
+
+def _key_range(key: str):
+    """The range that the field set by config ``key`` states, read from the field itself."""
+    group, _, name = KEY_CASES[key][2][0].rpartition(".")
+    record = getattr(DEFAULT, group) if group else DEFAULT
+    return {f.name: f for f in dataclasses.fields(record)}[name].metadata["range"]
 
 
 def _flat_fields(cfg) -> dict:
@@ -140,9 +183,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2: unknown key 'bogus'"):
             parse_config("pulses = 1000\nbogus = 3\n")
 
-    def test_range_error_names_key_and_line(self):
-        with pytest.raises(ConfigError, match=r"line 2: mu must be in \[0, 1\], got 1.5"):
-            parse_config("pulses = 1000\nmu = 1.5\n")
+    @pytest.mark.parametrize("key", list(OUT_OF_RANGE))
+    def test_range_error_names_key_and_line(self, key):
+        text, value = OUT_OF_RANGE[key]
+        base = "pulses = 1000\n" if key != "pulses" else "seed = 2\n"
+        shown = repr(text) if isinstance(value, str) else value
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"{base}{key} = {text}\n")
+        assert str(info.value) == f"line 2: {key} must be {_key_range(key).text}, got {shown}"
+        if key == "mu":
+            assert str(info.value) == "line 2: mu must be in [0, 1], got 1.5"
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="missing required key 'pulses'"):
@@ -256,12 +306,65 @@ class TestParseConfig:
 
     def test_readme_table_lists_every_key_with_its_default(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        table = readme.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
-        rows = [line.split(" | ")[:2] for line in table.split("\n\n", 1)[0].splitlines()]
-        documented = [(key.strip("|` "), default.strip("`")) for key, default in rows]
-        expected = [tuple(line.split(" = ")) for line in DEFAULT_TEXT.splitlines()]
-        expected[0] = ("pulses", "required")
+        head = "| key | default | range | meaning |\n| --- | --- | --- | --- |\n"
+        table = readme.split(head, 1)[1]
+        rows = [line.split(" | ")[:3] for line in table.split("\n\n", 1)[0].splitlines()]
+        documented = [(key.strip("|` "), default.strip("`"), bounds) for key, default, bounds in rows]
+        expected = [(*line.split(" = "), _key_range(line.split(" = ")[0]).text)
+                    for line in DEFAULT_TEXT.splitlines()]
+        expected[0] = ("pulses", "required", _key_range("pulses").text)
         assert documented == expected
+
+
+class TestRecordsCheckThemselves:
+    def test_out_of_range_cases_cover_every_config_key(self):
+        assert list(OUT_OF_RANGE) == list(KEY_CASES)
+
+    @pytest.mark.parametrize("key", list(OUT_OF_RANGE))
+    def test_replace_refuses_an_out_of_range_value(self, key):
+        _, value = OUT_OF_RANGE[key]
+        group, _, name = KEY_CASES[key][2][0].rpartition(".")
+        message = f"^{re.escape(f'{name} must be {_key_range(key).text}, got {value}')}$"
+        with pytest.raises(ValueError, match=message):
+            if group == "sweep":
+                SweepSettings(**{name: value})
+            elif group:
+                dataclasses.replace(
+                    DEFAULT, **{group: dataclasses.replace(getattr(DEFAULT, group), **{name: value})}
+                )
+            else:
+                dataclasses.replace(DEFAULT, **{name: value})
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: dataclasses.replace(DEFAULT, z_threshold=-1.0),
+             "z_threshold must be > 0, got -1.0"),
+            (lambda: dataclasses.replace(DEFAULT, pulses=5),
+             "pulses must be an integer >= 10, got 5"),
+            (lambda: SweepSettings(snr_target=0.075, xi_bob=0.001, loss_db_per_km=0.2,
+                                   d_max_km=120.0, step_km=0),
+             "step_km must be > 0, got 0"),
+            (lambda: dataclasses.replace(
+                parse_config("pulses = 1000\ncountermeasure = on\n"), key_fraction=0.95),
+             "key_fraction + monitor_fraction must be < 1 with the countermeasure on"),
+            (lambda: ScenarioConfig(pulses=1000, countermeasure_enabled=True, monitor_fraction=0.5),
+             "key_fraction + monitor_fraction must be < 1 with the countermeasure on"),
+            (lambda: dataclasses.replace(
+                DEFAULT, attack=AttackParams(alpha=0.5, delta_ns=2.0)),
+             "set alpha < 1 or delta_ns > 0, not both"),
+        ],
+        ids=["z_threshold", "pulses", "step_km", "key_fraction", "monitor_fraction", "alpha"],
+    )
+    def test_construction_and_replace_refuse(self, build, message):
+        # each of these once ran, or failed only in a later stage
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_keys_left_out_take_the_field_defaults(self):
+        assert ScenarioConfig(pulses=1000) == DEFAULT
+        assert serialize_config(ScenarioConfig(pulses=1000)) == DEFAULT_TEXT
 
 
 class TestTriggerDelayFromAttenuation:
@@ -800,6 +903,11 @@ class TestCli:
         main(["run", "--config", str(cfg_path), "--seed", "99"])
         out = capsys.readouterr().out
         assert "seed=99" in out
+
+    def test_negative_seed_is_a_config_error(self, capsys):
+        cfg_path = Path(__file__).resolve().parents[1] / "configs" / "quantitative-example.cfg"
+        assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "config error: seed must be an integer >= 0, got -1\n"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
