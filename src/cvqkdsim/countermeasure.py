@@ -1,8 +1,8 @@
 """Real-time shot-noise monitoring and attack detection.
 
 An optical switch blocks the signal path on a random subset of pulses,
-the monitoring mask.  A scenario draws the mask block by block, each
-block on the lane that draws the block's pulses (``monitor_mask_block``).
+the monitoring mask.  A scenario that draws every pulse draws the mask
+block by block, with the block's pulses (``monitor_mask_block``).
 The noise measured with the switch open and closed is inverted as a
 linear system to separate the shot noise from the signal-plus-excess
 variance, and the real-time shot noise is compared against the
@@ -36,7 +36,7 @@ def monitor_mask_block(
     fraction``, cut into ``BLOCK_SIZE`` blocks: block k's generator
     steps past the k*BLOCK_SIZE uniforms of the blocks before it (a
     PCG64 double takes one 64-bit output), so the blocks join to the same
-    mask whatever the order or the thread they are drawn in.  ``out``
+    mask whatever the order they are drawn in.  ``out``
     holds one element per pulse of the block; ``scratch``, a float array
     of at least ``out.size``, holds the uniforms.
     """
@@ -58,7 +58,7 @@ def realtime_shot_noise(
     v_el is taken from calibration and trusted; ``extinction`` must be
     in [0, 1), as in ``SwitchModel``.  Returns (n0_rt, s_rt).  At
     extinction 0, n0_rt = var_closed - v_el bit for bit, whatever
-    ``var_open`` is: a scenario then draws only part of the open pulses.
+    ``var_open`` is.
     """
     UNIT_BELOW_1.check("extinction", extinction)
     s_rt = (var_open - var_closed) / (1.0 - extinction)

@@ -17,7 +17,7 @@ closed-form bias formulas for every (mu, nu, delay) configuration.
 Draw-order contract.  Pulses are processed in blocks of ``BLOCK_SIZE``,
 and block k of each stream draws from its own generator, seeded from
 (seed, stream, k), so a block's draws do not depend on how many blocks
-precede or follow it, nor on when or on which thread they are drawn.
+precede or follow it, nor on when they are drawn.
 Alice's block k draws one standard normal per pulse.  Bob's block k
 (stream 1), given the block's pulses, draws one uniform per pulse for
 the intercept flags, one per pulse for the LO-attack flags, then one
@@ -26,24 +26,20 @@ same way for its closed-switch pulses.  A flag of probability 0 or 1
 still owns its block of uniforms, and the generator steps past them
 (``BitGenerator.advance``), so the normals that follow are the same.
 The whole-array references ``generate_alice`` and ``simulate_bob``
-draw their input's ``BLOCK_SIZE`` blocks one after the other on the
-calling thread; a scenario hands block k only the open (or closed)
-pulses of its k-th block of Alice's pulses, as block k of the monitor
-mask picks them (``countermeasure.monitor_mask_block``).
-Only a scenario without a dump draws blocks at once: ``map_blocks`` draws
-up to one block per CPU (at most ``MAX_LANES``), keeps one more queued
-behind them, and hands their results back in block order, so whatever is
-summed over blocks is summed in the same order on any host.
+draw their input's ``BLOCK_SIZE`` blocks one after the other; a scenario
+with a pulse dump hands block k only the open (or closed) pulses of its
+k-th block of Alice's pulses, as block k of the monitor mask picks them
+(``countermeasure.monitor_mask_block``).  Every block is drawn on the
+calling thread.  A scenario without a dump draws no pulse: it draws the
+sums of its pulses from their exact law (``scenario.draw_moments``),
+which ``outcome_law`` states once for both.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from itertools import chain, islice
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,69 +55,6 @@ def pulse_blocks(n: int) -> Iterable[tuple[int, int, int]]:
     """(block, start, size) of each ``BLOCK_SIZE`` block of ``n`` pulses, in order."""
     starts = range(0, n, BLOCK_SIZE)
     return ((k, start, min(BLOCK_SIZE, n - start)) for k, start in enumerate(starts))
-
-
-# Most blocks drawn at once, whatever the CPU count.  A run has one slot
-# more than lanes, each holding a block's arrays (2.2 MiB traced in a
-# scenario), so four lanes keep a scenario's traced peak under 12 MiB.
-MAX_LANES = 4
-
-
-def _lanes() -> int:
-    """The CPUs this process may use, at most ``MAX_LANES``."""
-    if hasattr(os, "sched_getaffinity"):  # Linux; macOS and Windows lack it
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, MAX_LANES)
-
-
-def map_blocks(
-    fn: Callable, jobs: Iterable, fold: Callable, scratch: Callable, lanes: int | None = None
-) -> None:
-    """Run ``fn(job, buffers)`` for every job, ``lanes`` at once; ``fold`` results in job order.
-
-    numpy's generators and ufuncs release the GIL, so the jobs run at
-    the same time.  There is one slot more than lanes, each with
-    ``buffers`` made once, up front, by ``scratch()``: job k gets slot
-    k mod (lanes + 1), handed to job k + lanes + 1 only after
-    ``fold(result of job k)`` has returned.  So one job waits in the
-    pool's queue while ``fold`` runs, and a lane that finishes its job
-    starts it without waiting for the calling thread.  A run's memory
-    depends on the lane count, not on the job count or on timing.
-    ``jobs`` is read and ``fold`` called on the calling thread only.  An
-    exception raised by ``fn`` or ``fold`` cancels the queued jobs that
-    no lane has started and is raised here once every pool thread has
-    stopped.  One lane, or one job, runs on the calling thread alone,
-    with one slot and no pool.  ``lanes`` defaults to ``_lanes()``.  A
-    scenario's pulse blocks are its only jobs; the references draw block
-    by block.
-    """
-    lanes = _lanes() if lanes is None else lanes
-    jobs = iter(jobs)
-    first = list(islice(jobs, 2))
-    jobs = chain(first, jobs)
-    if lanes == 1 or len(first) < 2:
-        slot = scratch()
-        for job in jobs:
-            fold(fn(job, slot))
-        return
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    slots = [scratch() for _ in range(lanes + 1)]
-    with ThreadPoolExecutor(lanes) as pool:
-        window = deque((slot, pool.submit(fn, job, slot)) for slot, job in zip(slots, jobs))
-        try:
-            while window:
-                slot, future = window.popleft()
-                fold(future.result())
-                del future  # so that its result is freed before the slot's next job runs
-                for job in islice(jobs, 1):  # the next job, if there is one
-                    window.append((slot, pool.submit(fn, job, slot)))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
 
 
 # Stream identifiers for seed splitting; fixed for reproducibility.
@@ -208,38 +141,58 @@ def attack_gain(atk: AttackParams, det: DetectorModel) -> float:
     return detector_gain(det.window_ns + atk.delta_ns, det)
 
 
+def outcome_law(
+    ch: ChannelParams, gain: float, extinction: float | None = None
+) -> tuple[float, np.ndarray]:
+    """The law of Bob's outcome given Alice's quadrature x and the pulse's attack class.
+
+    Returns ``(slope, sd)``: the outcome is ``slope*x`` plus a standard
+    normal scaled by ``sd[c]``, the noise standard deviation of class
+    ``c = intercepted + 2*lo_attacked``,
+
+        sqrt(g*(s**2*eta*T*2*n0*intercepted + n0 + eta*T*xi) + v_el),
+
+    with ``slope = s*sqrt(eta*T)``, s = 1 and g the timing ``gain`` on
+    LO-attacked pulses (1 otherwise): the law of the resend, optical and
+    electronic noise summed.  With ``extinction``, the law of a
+    closed-switch pulse: the switch transmits the fraction ``extinction``
+    of the signal-path variance (s = sqrt(extinction), and xi times
+    ``extinction``); shot noise arises at the detector and keeps the
+    pulse's timing gain.
+    """
+    signal_scale, xi = 1.0, ch.xi
+    if extinction is not None:
+        signal_scale, xi = float(np.sqrt(extinction)), ch.xi * extinction
+    eta_t = ch.eta * ch.transmittance
+    resend = signal_scale**2 * eta_t * 2.0 * ch.n0
+    optical = ch.n0 + eta_t * xi
+    sd = np.sqrt([g * (r + optical) + ch.v_el for g in (1.0, gain) for r in (0.0, resend)])
+    return signal_scale * np.sqrt(eta_t), sd
+
+
 def _simulate_block(
     rng: np.random.Generator,
     x: np.ndarray,
-    ch: ChannelParams,
     atk: AttackParams,
-    gain: float,
-    signal_scale: float,
+    law: tuple[float, np.ndarray],
     out: tuple[np.ndarray, np.ndarray, np.ndarray],
     scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One seeded block of Bob outcomes, written to ``out`` (y, intercepted, lo_attacked).
+    """One seeded block of outcomes under ``law``, from ``outcome_law``, into ``out``.
 
     Draw order, part of the reproducibility contract: ``x.size``
     uniforms for the intercept flags, ``x.size`` uniforms for the
     LO-attack flags, then ``x.size`` standard normals, one per pulse.
     A flag of probability 0 or 1 still owns its ``x.size`` uniforms: its
     outcome is certain, so the generator steps past them unread.
-    Given its flags, a pulse's outcome is
-    ``signal_scale*sqrt(eta*T)*x`` plus that normal scaled by the
-    standard deviation of its class,
-
-        sqrt(g*(signal_scale**2*eta*T*2*n0*intercepted + n0 + eta*T*xi) + v_el),
-
-    with g the timing gain on LO-attacked pulses and 1 otherwise: the
-    law of the resend, optical and electronic noise summed.  ``scratch``,
-    a float array of at least ``x.size``, holds the uniforms and the
-    per-pulse factors, so that the block allocates no array of its size.
+    ``scratch``, a float array of at least ``x.size``, holds the uniforms
+    and the per-pulse factors, so that the block allocates no array of
+    its size.
     """
     size = x.size
     y, intercepted, lo_attacked = out
     scratch = scratch[:size]
-    eta_t = ch.eta * ch.transmittance
+    slope, sd = law
     certain = atk.mu in (0.0, 1.0) and atk.nu in (0.0, 1.0)
     for flags, p in ((intercepted, atk.mu), (lo_attacked, atk.nu)):
         if p in (0.0, 1.0):
@@ -250,10 +203,6 @@ def _simulate_block(
         else:
             np.less(rng.random(out=scratch), p, out=flags)
     rng.standard_normal(out=y)
-    resend = signal_scale**2 * eta_t * 2.0 * ch.n0
-    optical = ch.n0 + eta_t * ch.xi
-    # noise standard deviation per class, indexed by intercepted + 2*lo_attacked
-    sd = np.sqrt([g * (r + optical) + ch.v_el for g in (1.0, gain) for r in (0.0, resend)])
     if certain:  # every pulse is of one class
         y *= sd[int(atk.mu) + 2 * int(atk.nu)]
     else:
@@ -261,7 +210,7 @@ def _simulate_block(
         index |= intercepted.view(np.uint8)
         # "clip" never buffers ``out``, as the default "raise" does; index is 0-3
         y *= np.take(sd, index, out=scratch, mode="clip")
-    y += np.multiply(x, signal_scale * np.sqrt(eta_t), out=scratch)
+    y += np.multiply(x, slope, out=scratch)
     return y, intercepted, lo_attacked
 
 
@@ -280,7 +229,7 @@ def bob_block(
     ``out`` and ``scratch`` as in ``_simulate_block``.
     """
     rng = _rng(seed, _STREAM_BOB, block)
-    return _simulate_block(rng, x, ch, atk, gain, 1.0, out, scratch)
+    return _simulate_block(rng, x, atk, outcome_law(ch, gain), out, scratch)
 
 
 def monitor_block(
@@ -296,14 +245,12 @@ def monitor_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-switch outcomes for the pulses ``x`` of block ``block``.
 
-    The switch transmits the fraction ``extinction`` of the signal-path
-    variance (signal, resend noise and channel excess); shot noise
-    arises at the detector and keeps the pulse's timing gain.  ``out``
-    and ``scratch`` as in ``_simulate_block``.
+    The law is ``outcome_law(ch, gain, extinction)``; ``out`` and
+    ``scratch`` as in ``_simulate_block``.
     """
-    blocked = replace(ch, xi=ch.xi * extinction)
     rng = _rng(seed, _STREAM_MONITOR, block)
-    return _simulate_block(rng, x, blocked, atk, gain, float(np.sqrt(extinction)), out, scratch)
+    law = outcome_law(ch, gain, extinction)
+    return _simulate_block(rng, x, atk, law, out, scratch)
 
 
 def simulate_bob(

@@ -3,12 +3,15 @@
 A field states its default and range with :func:`param`.  A record made
 with :func:`checked` refuses a value outside a field's range, both on
 construction and on ``dataclasses.replace``, with the message
-``"{field} must be {range}, got {value}"``.  The config parser prints the
-same range text for the key that sets the field.
+``"{field} must be {range}, got {value}"``, or ``"{field} must be finite,
+got {value}"`` for an infinite float inside the range.  The config parser
+prints the range text for the key that sets the field, and refuses every
+infinite or NaN number as "must be finite".
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
@@ -21,9 +24,15 @@ class Range(NamedTuple):
     holds: Callable[[object], bool]
 
     def check(self, name: str, value) -> None:
-        """Raise ``"{name} must be {text}, got {value}"`` unless ``value`` lies in the range."""
+        """Raise ``"{name} must be {text}, got {value}"`` unless ``value`` lies in the range.
+
+        An infinite float that the range's test lets through, as ``>= 0``
+        does, is refused as ``"{name} must be finite, got {value}"``.
+        """
         if not self.holds(value):
             raise ValueError(f"{name} must be {self.text}, got {value}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 # The ranges that several fields or arguments share.

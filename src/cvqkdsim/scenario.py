@@ -10,6 +10,7 @@ supports.
 from __future__ import annotations
 
 import csv
+import math
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, replace
@@ -43,8 +44,8 @@ from .protocol import (
     alice_block,
     attack_gain,
     bob_block,
-    map_blocks,
     monitor_block,
+    outcome_law,
     pulse_blocks,
 )
 from .pulses import (
@@ -62,8 +63,10 @@ EXIT_BREACHED = 3
 
 VERDICT_EXIT_CODES = {"secure": EXIT_SECURE, "abort": EXIT_ABORT, "breached": EXIT_BREACHED}
 
-# Seed-stream tag of the monitor mask, the one scenario-level draw.
+# Seed-stream tags of the scenario-level draws: the monitor mask of a pulse
+# draw, and the moments drawn without one.
 _TAG_MONITOR_MASK = 100
+_TAG_MOMENTS = 101
 
 # Nominal LO pulse: linear rise, flat top, linear fall (ns grid).
 _RISE_NS = 30
@@ -153,19 +156,14 @@ def _resolve_attack(cfg: ScenarioConfig):
 class Moments:
     """Counts and sums of one scenario's pulses: all that the analysis reads.
 
-    ``est_*`` cover the estimation set, ``n_open`` every open-switch
-    pulse, drawn or not, ``open_yy`` the ``m_open`` open-switch pulses
-    actually drawn, and ``monitor_yy`` the closed-switch pulses.  Open
+    ``est_*`` cover the estimation set, ``n_open`` and ``open_yy`` every
+    open-switch pulse, and ``monitor_yy`` the closed-switch pulses.  Open
     pulses are added in pulse order; the first ``key_target`` of them
-    form the key set and the rest the estimation set.  Every open pulse
-    is drawn with ``on_open``, or with the countermeasure on at an
-    extinction above 0; otherwise the open pulses of the blocks wholly
-    inside the key set are only counted (``add_unread_open``).
+    form the key set and the rest the estimation set.
     """
 
     key_target: int
     n_open: int = 0
-    m_open: int = 0
     open_yy: float = 0.0
     m_est: int = 0
     est_xx: float = 0.0
@@ -181,7 +179,6 @@ class Moments:
         split = min(max(self.key_target - self.n_open, 0), x.size)
         key_y, est_x, est_y = y[:split], x[split:], y[split:]
         self.n_open += x.size
-        self.m_open += x.size
         est_yy = dot(est_y, est_y)
         self.open_yy += dot(key_y, key_y) + est_yy
         if est_x.size:
@@ -192,27 +189,126 @@ class Moments:
             self.est_x += float(est_x.sum())
             self.est_y += float(est_y.sum())
 
-    def add_unread_open(self, count: int) -> None:
-        """Count the next ``count`` open-switch pulses, all in the key set, without their sums."""
-        if self.n_open + count > self.key_target:
-            raise ValueError(f"{count} unread open pulses would pass the key set")
-        self.n_open += count
-
     def add_monitor(self, y: np.ndarray) -> None:
         """Add closed-switch outcomes."""
         self.m_monitor += y.size
         self.monitor_yy += dot(y, y)
 
 
+def _key_target(cfg: ScenarioConfig) -> int:
+    """The size of the key set, the first open pulses; the estimation set is the rest.
+
+    Eve's per-pulse choices are i.i.d. and independent of position, so this
+    positional split is as good as a random one; an attack that depended
+    on position would need a random split again.
+    """
+    return int(round(cfg.key_fraction * cfg.pulses))
+
+
+def _class_counts(rng: np.random.Generator, n: int, atk: AttackParams) -> list[int]:
+    """How many of ``n`` pulses fall in each attack class, indexed by intercepted + 2*lo_attacked.
+
+    One binomial splits the pulses by the intercept flag, one more (on
+    both parts at once) by the LO flag; a flag of probability 0 or 1
+    draws nothing.
+    """
+    counts = [n]
+    for p in (atk.mu, atk.nu):
+        if p in (0.0, 1.0):
+            hits = counts if p == 1.0 else [0] * len(counts)
+        else:
+            hits = rng.binomial(counts, p).tolist()
+        counts = [k - h for k, h in zip(counts, hits)] + hits
+    return counts
+
+
+def _chi2(rng: np.random.Generator, df: int) -> float:
+    """A chi-square variate with ``df`` >= 0 degrees of freedom; 0, drawing nothing, at 0."""
+    return float(rng.chisquare(df)) if df > 0 else 0.0
+
+
+def _standard_sums(rng: np.random.Generator, n: int) -> tuple[float, ...]:
+    """(Σu², Σuz, Σz², Σu, Σz) over ``n`` >= 1 i.i.d. pairs (u, z) of standard normals.
+
+    The sums (Σu, Σz) are N(0, n) each; the centred scatter, independent
+    of them, is Wishart(n - 1, I), drawn by the Bartlett decomposition
+    [[a, 0], [c, b]] times its transpose, with a² ~ χ²(n - 1), b² ~
+    χ²(n - 2) and c ~ N(0, 1).  A single pair has zero scatter.
+    """
+    su, sz = (float(v) for v in rng.standard_normal(2) * math.sqrt(n))
+    suu, suz, szz = su * su / n, su * sz / n, sz * sz / n
+    if n > 1:
+        a2, b2, c = _chi2(rng, n - 1), _chi2(rng, n - 2), float(rng.standard_normal())
+        suu += a2
+        suz += math.sqrt(a2) * c
+        szz += c * c + b2
+    return suu, suz, szz, su, sz
+
+
+def draw_moments(cfg: ScenarioConfig, atk: AttackParams, gain: float) -> Moments:
+    """The scenario's ``Moments``, drawn from their exact law in O(1) time and memory.
+
+    They have the distribution of the moments of the per-pulse draw
+    (``_draw_pulses``), not its bits.  The open count is Binomial(N, 1 -
+    monitor_fraction) with the countermeasure on, N otherwise; the key
+    set is its first ``key_target`` pulses and the estimation set the
+    rest.  In each set the pulses of each attack class (``_class_counts``)
+    are i.i.d. with x = sqrt(va)*u and y = slope*x + sd*z, for standard
+    normals u and z and the class's ``protocol.outcome_law``; an
+    estimation class draws the sums of its pairs (``_standard_sums``), a
+    key-set or closed-switch class only its sum of y², (slope²*va +
+    sd²) times χ²(n).  Draw order, from one generator seeded from (seed,
+    ``_TAG_MOMENTS``): the closed count, then the estimation set's class
+    counts and each non-empty class's sums, the key set's class counts
+    and χ² variates, and the closed-switch pulses' likewise.  A class of
+    no pulses draws nothing, so neither does a certain flag.
+    """
+    ch = cfg.channel
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_TAG_MOMENTS,)))
+    n_closed = 0
+    with _stage("monitoring"):
+        if cfg.countermeasure_enabled:
+            n_closed = int(rng.binomial(cfg.pulses, cfg.monitor_fraction))
+    n_open = cfg.pulses - n_closed
+    moments = Moments(key_target=_key_target(cfg), n_open=n_open)
+    n_key = min(moments.key_target, n_open)
+
+    def sum_y2(n: int, law) -> float:
+        slope, sd = law
+        return sum(
+            float(slope**2 * ch.va + s * s) * _chi2(rng, k)
+            for k, s in zip(_class_counts(rng, n, atk), sd.tolist())
+            if k
+        )
+
+    with _stage("channel-simulation"):
+        law = outcome_law(ch, gain)
+        slope, sqrt_va = float(law[0]), math.sqrt(ch.va)
+        moments.m_est = n_open - n_key
+        for k, sd in zip(_class_counts(rng, moments.m_est, atk), law[1].tolist()):
+            if k:
+                suu, suz, szz, su, sz = _standard_sums(rng, k)
+                xx, xz, zz = ch.va * suu, sqrt_va * sd * suz, sd * sd * szz
+                moments.est_xx += xx
+                moments.est_xy += slope * xx + xz
+                moments.est_yy += slope * slope * xx + 2.0 * slope * xz + zz
+                moments.est_x += sqrt_va * su
+                moments.est_y += slope * sqrt_va * su + sd * sz
+        moments.open_yy = moments.est_yy + sum_y2(n_key, law)
+    if n_closed:
+        with _stage("monitoring"):
+            moments.m_monitor = n_closed
+            moments.monitor_yy = sum_y2(n_closed, outcome_law(ch, gain, cfg.switch.extinction))
+    return moments
+
+
 class _BlockArrays:
-    """The arrays of one pulse block, reused by every block drawn in the same window slot.
+    """The arrays of one pulse block, made once and reused by every block of a run.
 
     ``x`` holds Alice's block and ``closed`` its monitor mask; ``y``,
     ``intercepted`` and ``lo_attacked`` the outcomes of its open pulses
     followed by those of its closed ones; ``scratch`` the uniforms and
-    per-pulse factors of the draws.  ``map_blocks`` makes one set per
-    slot: lanes + 1 sets on a pool, one on the calling thread alone (and
-    so in every run with a dump).
+    per-pulse factors of the draws.
     They are made once because fresh arrays per block, 1.7 MiB at
     ``BLOCK_SIZE``, are page-faulted again every block: that draws the
     same bits, but on a 2-vCPU Xeon host (2M-pulse quantitative example,
@@ -232,9 +328,61 @@ class _BlockArrays:
         return self.y[part], self.intercepted[part], self.lo_attacked[part]
 
 
+def _draw_pulses(
+    cfg: ScenarioConfig, atk: AttackParams, gain: float, on_open: Callable[[PulseBatch], None]
+) -> Moments:
+    """Draw every pulse, one block after the other, and hand ``on_open`` each block's open ones.
+
+    Per block: Alice's modulation, the block's monitor mask, Bob's
+    attacked outcomes on the open-switch pulses and the monitoring
+    outcomes on the closed-switch ones, drawn into one set of arrays and
+    added to the moments in pulse order.  ``on_open`` receives each
+    block's open-switch pulses; the arrays are reused for the next block
+    once it returns, so it must copy what it keeps.  Memory does not grow
+    with the pulse count.
+    """
+    ch = cfg.channel
+    extinction = cfg.switch.extinction
+    moments = Moments(key_target=_key_target(cfg))
+    mask_seed = _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
+    arrays = _BlockArrays(min(BLOCK_SIZE, cfg.pulses))
+    for block, _, size in pulse_blocks(cfg.pulses):
+        with _stage("modulation"):
+            x = alice_block(ch.va, cfg.seed, block, arrays.x[:size])
+        closed = None
+        n_open = size
+        if cfg.countermeasure_enabled:
+            with _stage("monitoring"):
+                closed = monitor_mask_block(
+                    cfg.monitor_fraction, mask_seed, block, arrays.closed[:size], arrays.scratch
+                )
+                n_open -= int(np.count_nonzero(closed))
+        with _stage("channel-simulation"):
+            # boolean indexing allocates only the result; np.compress would add an index array
+            x_open = x if closed is None else x[~closed]
+            y, intercepted, lo_attacked = bob_block(
+                x_open, ch, atk, gain, cfg.seed, block, arrays.outcomes(slice(n_open)),
+                arrays.scratch,
+            )
+        moments.add_open(x_open, y)
+        if closed is not None:
+            with _stage("monitoring"):
+                # at extinction 0 the switch scales the signal by 0, so zeros in place of
+                # x[closed] give the same outcomes without a gather (nor the scratch,
+                # which monitor_block overwrites)
+                x_closed = np.broadcast_to(0.0, size - n_open) if extinction == 0.0 else x[closed]
+                y_closed, _, _ = monitor_block(
+                    x_closed, ch, atk, gain, extinction, cfg.seed, block,
+                    arrays.outcomes(slice(n_open, size)), arrays.scratch,
+                )
+            moments.add_monitor(y_closed)
+        on_open(PulseBatch(x=x_open, y=y, intercepted=intercepted, lo_attacked=lo_attacked))
+    return moments
+
+
 @dataclass
 class ScenarioSample:
-    """The resolved attack, its timing gain and the moments of the drawn pulses."""
+    """The resolved attack, its timing gain and the moments of the scenario's pulses."""
 
     attack: AttackParams
     gain: float
@@ -244,98 +392,20 @@ class ScenarioSample:
 def sample_scenario(
     cfg: ScenarioConfig, on_open: Callable[[PulseBatch], None] | None = None
 ) -> ScenarioSample:
-    """Draw the scenario one pulse block at a time, keeping only its moments.
+    """Draw the scenario's moments: every pulse with ``on_open``, their exact law without.
 
-    Per block: Alice's modulation, the block's monitor mask, Bob's
-    attacked outcomes on the open-switch pulses and the monitoring
-    outcomes on the closed-switch ones.  The blocks are drawn several at
-    once (``protocol.map_blocks``), each into its slot's arrays, and
-    added to the moments on the calling thread in block order, so the
-    sums do not depend on the CPU count.
-    ``on_open``, when given, receives each block's open-switch pulses, in
-    pulse order, on the calling thread; the arrays are reused for the
-    next block once it returns, so it must copy what it keeps.  With
-    ``on_open`` every block is drawn on the calling thread into one set
-    of arrays, whatever the CPU count: a dump writes a pulse in over a
-    microsecond, a lane draws one in tens of nanoseconds, so a pool would
-    only hold more slots.  Memory does not grow with the pulse count.
-    The blocks wholly inside the key set, the first ``key_target //
-    BLOCK_SIZE``, draw only what the report reads from them, unless
-    ``on_open`` is given or the countermeasure is on at an extinction
-    above 0: with the countermeasure off, nothing; with it on, their
-    monitor mask and monitoring outcomes.  Their open pulses are counted
-    in ``n_open`` but not drawn, so ``open_yy`` covers only the
-    ``m_open`` open pulses drawn; at extinction 0 the real-time shot
-    noise does not depend on it.  Each block draws from its own
-    generators, so the blocks that are drawn get the same bits.
+    With ``on_open`` (a pulse dump) every pulse is drawn and handed to it
+    (``_draw_pulses``); without, the moments are drawn directly, in O(1)
+    time and memory (``draw_moments``).  The two give moments of the same
+    distribution, not the same bits.
     """
-    ch = cfg.channel
-    det = cfg.detector
-    n_pulses = cfg.pulses
-    extinction = cfg.switch.extinction
-
     with _stage("pulse-model"):
         atk = _resolve_attack(cfg)
-        gain = attack_gain(atk, det)
-
-    # The key set is the first open pulses and the estimation set the rest.
-    # Eve's per-pulse choices are i.i.d. and independent of position, so this
-    # positional split is as good as a random one; an attack that depended
-    # on position would need a random split again.
-    moments = Moments(key_target=int(round(cfg.key_fraction * n_pulses)))
-    mask_seed = _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
-    # blocks 0..k hold at most (k + 1)*BLOCK_SIZE open pulses, all in the key set
-    reads_key_set = on_open is not None or (cfg.countermeasure_enabled and extinction > 0.0)
-    unread = 0 if reads_key_set else moments.key_target // BLOCK_SIZE
-
-    def draw(job, arrays: _BlockArrays):
-        block, _, size = job
-        read = block >= unread
-        if read:
-            with _stage("modulation"):
-                x = alice_block(ch.va, cfg.seed, block, arrays.x[:size])
-        closed = batch = None
-        n_open = size
-        if cfg.countermeasure_enabled:
-            with _stage("monitoring"):
-                closed = monitor_mask_block(
-                    cfg.monitor_fraction, mask_seed, block, arrays.closed[:size], arrays.scratch
-                )
-                n_open -= int(np.count_nonzero(closed))
-        if read:
-            with _stage("channel-simulation"):
-                # boolean indexing allocates only the result; np.compress would add an index array
-                x_open = x if closed is None else x[~closed]
-                y, intercepted, lo_attacked = bob_block(
-                    x_open, ch, atk, gain, cfg.seed, block, arrays.outcomes(slice(n_open)),
-                    arrays.scratch,
-                )
-            batch = PulseBatch(x=x_open, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
-        if closed is not None:
-            with _stage("monitoring"):
-                # at extinction 0 the switch scales the signal by 0, so zeros in place of
-                # x[closed] give the same squared outcomes without a gather (nor the scratch,
-                # which monitor_block overwrites)
-                x_closed = np.broadcast_to(0.0, size - n_open) if extinction == 0.0 else x[closed]
-                monitor_block(
-                    x_closed, ch, atk, gain, extinction, cfg.seed, block,
-                    arrays.outcomes(slice(n_open, size)), arrays.scratch,
-                )
-        return n_open, batch, arrays.y[n_open:size]
-
-    def fold(result):
-        n_open, batch, y_closed = result
-        if batch is None:
-            moments.add_unread_open(n_open)
-        else:
-            moments.add_open(batch.x, batch.y)
-        moments.add_monitor(y_closed)
-        if on_open is not None:
-            on_open(batch)
-
-    slot_size = min(BLOCK_SIZE, n_pulses)
-    lanes = None if on_open is None else 1  # a dump's blocks are drawn on this thread alone
-    map_blocks(draw, pulse_blocks(n_pulses), fold, lambda: _BlockArrays(slot_size), lanes=lanes)
+        gain = attack_gain(atk, cfg.detector)
+    if on_open is None:
+        moments = draw_moments(cfg, atk, gain)
+    else:
+        moments = _draw_pulses(cfg, atk, gain, on_open)
     return ScenarioSample(attack=atk, gain=gain, moments=moments)
 
 
@@ -360,7 +430,7 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
     moments = sample.moments
     n0_line = cfg.n0_assumed
 
-    # m_est >= 2 also gives monitoring the two drawn open pulses it divides by
+    # m_est >= 2 also gives monitoring the open pulses it divides by
     with _stage("estimation"):
         m_est = moments.m_est
         if m_est < 2:
@@ -389,7 +459,7 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
                 alarm = True
             else:
                 n0_rt, _ = realtime_shot_noise(
-                    moments.open_yy / moments.m_open,
+                    moments.open_yy / moments.n_open,
                     moments.monitor_yy / m_monitor,
                     cfg.switch.extinction,
                     ch.v_el,
@@ -455,12 +525,9 @@ def run_scenario(
     verdict: "secure" (both the estimated and the true rate are
     positive), "abort" (alarm raised or estimated rate non-positive) or
     "breached" (Alice and Bob believe in a positive rate that the true
-    channel does not support).  ``on_open`` is passed on to
-    ``sample_scenario``, which then draws every block on the calling
-    thread, with no pool; without it, with the countermeasure off or at
-    an extinction of 0, the blocks wholly inside the key set draw
-    neither Alice's nor Bob's pulses (``Moments.open_yy`` then covers
-    only the ``m_open`` open pulses drawn), which changes no report byte.
+    channel does not support).  ``on_open``, a pulse dump, is passed on
+    to ``sample_scenario``: with it every pulse is drawn, without it the
+    moments are drawn from their exact law.
     """
     return analyse_scenario(cfg, sample_scenario(cfg, on_open))
 

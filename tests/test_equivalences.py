@@ -1,10 +1,11 @@
 """Equivalence oracles: pairs of configs that the sampler's law makes one experiment.
 
-With the same seed, attack flags of probability 0 or 1 step past their
-uniforms, so both configs of a pair draw the same normals and their
-reports must agree line for line, up to rounding where a unit changes.
-Each config spans three pulse blocks, so the blocks are drawn on the
-pool where the host has more than one CPU.
+With the same seed, attack flags of probability 0 or 1 consume no
+randomness: per pulse they step past their uniforms, and the moments
+drawn from their law draw no binomial for them and nothing for an empty
+class.  So both configs of a pair draw the same normals, on either path,
+and their reports must agree line for line, up to rounding where a unit
+changes.  Each config spans three pulse blocks.
 """
 
 import pytest
@@ -19,10 +20,20 @@ SEEDS_AND_COUNTERMEASURE = [
 ]
 
 
-def _report(head: str, body: str) -> dict[str, str]:
-    """The report lines of a run, as a map from name to printed value."""
-    text = run_scenario(parse_config(head + body)).to_text()
-    return dict(line.split("=", 1) for line in text.splitlines())
+@pytest.fixture(params=["moments", "pulses"])
+def dump(request):
+    """The ``on_open`` of a run: none draws the moments, a no-op one every pulse."""
+    return None if request.param == "moments" else lambda batch: None
+
+
+@pytest.fixture
+def _report(dump):
+    def report(head: str, body: str) -> dict[str, str]:
+        """The report lines of a run, as a map from name to printed value."""
+        text = run_scenario(parse_config(head + body), on_open=dump).to_text()
+        return dict(line.split("=", 1) for line in text.splitlines())
+
+    return report
 
 
 def _head(seed: int, cm: str) -> str:
@@ -35,7 +46,7 @@ def _differing(a: dict, b: dict) -> list[str]:
 
 
 @pytest.mark.parametrize("seed,cm", SEEDS_AND_COUNTERMEASURE)
-def test_r1_a_reshaped_lo_is_a_lower_shot_noise(seed, cm):
+def test_r1_a_reshaped_lo_is_a_lower_shot_noise(seed, cm, _report):
     """R1: the timing gain g scales a reshaped pulse's shot and channel noise, as n0 = g would."""
     shaped = parse_config("pulses = 10\nnu = 1.0\ndelta_ns = 10.0\n")
     g = attack_gain(shaped.attack, shaped.detector)
@@ -48,7 +59,7 @@ def test_r1_a_reshaped_lo_is_a_lower_shot_noise(seed, cm):
 
 
 @pytest.mark.parametrize("seed,cm", SEEDS_AND_COUNTERMEASURE)
-def test_r2_the_verdict_does_not_depend_on_the_unit_of_variance(seed, cm):
+def test_r2_the_verdict_does_not_depend_on_the_unit_of_variance(seed, cm, _report):
     """R2: scaling every variance, shot noise included, by one factor leaves SNU figures alone."""
     attack = "mu = 0.3\nnu = 1.0\ndelta_ns = 2.0\n"
     default = parse_config("pulses = 10\n")
@@ -67,7 +78,7 @@ def test_r2_the_verdict_does_not_depend_on_the_unit_of_variance(seed, cm):
 
 
 @pytest.mark.parametrize("seed,cm", SEEDS_AND_COUNTERMEASURE)
-def test_r3_a_full_intercept_is_an_entanglement_breaking_channel(seed, cm):
+def test_r3_a_full_intercept_is_an_entanglement_breaking_channel(seed, cm, _report):
     """R3: intercept-resend on every pulse adds 2 n0 = 2 to the default excess noise xi = 0.1."""
     intercepted = _report(_head(seed, cm), "mu = 1.0\n")
     noisy = _report(_head(seed, cm), "xi = 2.1\n")
@@ -76,7 +87,7 @@ def test_r3_a_full_intercept_is_an_entanglement_breaking_channel(seed, cm):
 
 @pytest.mark.parametrize("seed,cm", SEEDS_AND_COUNTERMEASURE)
 @pytest.mark.parametrize("alpha", [0.6, 0.9])
-def test_r4_an_attenuation_is_the_trigger_delay_it_causes(alpha, seed, cm):
+def test_r4_an_attenuation_is_the_trigger_delay_it_causes(alpha, seed, cm, _report):
     """R4: the attack reads alpha only through the delay the pulse model derives from it."""
     attenuated = _report(_head(seed, cm), f"mu = 0.5\nnu = 1.0\nalpha = {alpha!r}\n")
     delay = trigger_delay_from_attenuation(alpha)

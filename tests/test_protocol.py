@@ -1,8 +1,5 @@
 import csv
 import math
-import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -17,12 +14,10 @@ from cvqkdsim import (
 )
 from cvqkdsim.protocol import (
     BLOCK_SIZE,
-    MAX_LANES,
     PulseBatch,
     alice_block,
     attack_gain,
     bob_block,
-    map_blocks,
     monitor_block,
     pulse_blocks,
     pulses_csv,
@@ -38,143 +33,9 @@ def var_se(true_var, n):
     return true_var * math.sqrt(2.0 / n)
 
 
-def _on_cpus(monkeypatch, cpus: int) -> None:
-    """Make this process look as if it may run on ``cpus`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 def _outcomes(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fresh (y, intercepted, lo_attacked) arrays for one block's outcomes."""
     return np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-
-
-class TestMapBlocks:
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_folds_in_job_order_and_hands_a_slot_on_only_after_its_fold(self, cpus, monkeypatch):
-        _on_cpus(monkeypatch, cpus)
-        n_slots = 1 if cpus == 1 else cpus + 1  # a pool has one slot more than lanes
-        slots, folded = [], []
-
-        def scratch():
-            slots.append([])
-            return slots[-1]
-
-        def fn(job, slot):
-            slot.append(job)
-            return job, len(slot)
-
-        def fold(result):
-            # the slot of this job is not handed to the next job of the slot before now
-            job, held = result
-            assert slots[job % n_slots][held - 1 :] == [job]
-            folded.append(job)
-
-        map_blocks(fn, range(23), fold, scratch)
-        assert folded == list(range(23))
-        assert slots == [list(range(k, 23, n_slots)) for k in range(n_slots)]
-
-    @pytest.mark.parametrize("cpus", [2, 4])
-    def test_a_lane_starts_the_queued_job_before_the_fold_returns(self, cpus, monkeypatch):
-        _on_cpus(monkeypatch, cpus)
-        started = [threading.Event() for _ in range(12)]
-        folded = []
-
-        def fn(job, _):
-            started[job].set()
-            return job
-
-        def fold(job):
-            # job + lanes is queued before this fold, and the lane that drew job is free
-            if job + cpus < len(started):
-                assert started[job + cpus].wait(5.0), f"job {job + cpus} waited for fold({job})"
-            folded.append(job)
-
-        map_blocks(fn, range(len(started)), fold, lambda: None)
-        assert folded == list(range(len(started)))
-
-    def test_a_failing_job_is_raised_after_every_pool_thread_stopped(self, monkeypatch):
-        _on_cpus(monkeypatch, 4)
-        before = set(threading.enumerate())
-        started = []
-
-        def fn(job, _):
-            started.append(job)
-            if job == 5:
-                raise KeyError(job)
-            return job
-
-        with pytest.raises(KeyError):
-            map_blocks(fn, range(40), lambda _: None, lambda: None)
-        assert set(threading.enumerate()) == before
-        # no job is submitted after the failure: none past jobs 5 to 5 + lanes starts
-        assert 5 in started and max(started) <= 5 + 4
-
-    def test_stress_more_threads_than_cores_never_share_a_slot(self, monkeypatch):
-        _on_cpus(monkeypatch, 8)
-        folded, overlaps = [], []
-
-        def fn(job, slot):
-            slot[0] += 1  # a job in flight holds its slot alone
-            overlaps.append(slot[0] != 1)
-            total = sum(range(job % 50))
-            slot[0] -= 1
-            return job, total
-
-        def stress():
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                map_blocks(fn, range(3000), folded.append, lambda: [0])
-            finally:
-                sys.setswitchinterval(interval)
-
-        runner = threading.Thread(target=stress)
-        runner.start()
-        runner.join(timeout=60.0)
-        assert not runner.is_alive()
-        assert folded == [(job, sum(range(job % 50))) for job in range(3000)]
-        assert len(overlaps) == 3000 and not any(overlaps)
-
-    @pytest.mark.parametrize("cpus", [8, 64])
-    def test_at_most_max_lanes_slots_and_threads(self, cpus, monkeypatch):
-        _on_cpus(monkeypatch, cpus)
-        slots, threads = [], set()
-
-        def fn(job, slot):
-            threads.add(threading.get_ident())
-            return job
-
-        map_blocks(fn, range(50), lambda _: None, lambda: slots.append(None))
-        assert len(slots) == MAX_LANES + 1 and len(threads) <= MAX_LANES
-
-    def test_without_sched_getaffinity_the_lanes_are_the_cpu_count(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        slots, folded = [], []
-        map_blocks(lambda job, _: job, range(9), folded.append, lambda: slots.append(None))
-        assert folded == list(range(9)) and len(slots) == 2 + 1
-
-    @pytest.mark.parametrize("lanes,n_slots", [(1, 1), (2, 3)])
-    def test_the_lanes_given_override_the_cpu_count(self, lanes, n_slots, monkeypatch):
-        _on_cpus(monkeypatch, 64)
-        slots, threads, folded = [], set(), []
-
-        def fn(job, _):
-            threads.add(threading.get_ident())
-            return job
-
-        map_blocks(fn, range(9), folded.append, lambda: slots.append(None), lanes=lanes)
-        assert folded == list(range(9)) and len(slots) == n_slots
-        if lanes == 1:  # the calling thread alone, with no pool
-            assert threads == {threading.get_ident()}
-        else:
-            assert threading.get_ident() not in threads and len(threads) <= lanes
-
-    def test_one_job_starts_no_thread(self, monkeypatch):
-        _on_cpus(monkeypatch, 4)
-        counts = []
-        map_blocks(lambda job, _: threading.active_count(), [0], counts.append, lambda: None)
-        assert counts == [threading.active_count()]
 
 
 def _outcomes_as_first_written(rng, x, ch, atk, gain, signal_scale):
@@ -195,9 +56,7 @@ def _outcomes_as_first_written(rng, x, ch, atk, gain, signal_scale):
     return z, intercepted, lo_attacked
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_samplers_draw_the_same_bits_on_any_cpu_count(cpus, monkeypatch):
-    _on_cpus(monkeypatch, cpus)
+def test_samplers_draw_the_bits_of_the_first_writing():
     n, seed, extinction = 2 * BLOCK_SIZE + 777, 21, 0.05
     atk = AttackParams(mu=0.3, nu=0.6, delta_ns=10.0)
     gain = attack_gain(atk, DET)
@@ -238,13 +97,7 @@ def test_certain_flags_step_past_their_uniforms_bit_for_bit(mu, nu, size):
             np.testing.assert_array_equal(have, want)
 
 
-def test_references_draw_block_by_block_without_the_pool(monkeypatch):
-    _on_cpus(monkeypatch, 4)
-
-    def pool(*args):
-        raise AssertionError("a reference sampler drew through map_blocks")
-
-    monkeypatch.setattr(protocol, "map_blocks", pool)
+def test_references_draw_block_by_block_without_the_pool():
     n, seed, extinction = 2 * BLOCK_SIZE + 777, 24, 0.05
     atk = AttackParams(mu=0.3, nu=0.6, delta_ns=10.0)
     gain = attack_gain(atk, DET)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from cvqkdsim import (
     simulate_bob,
     sweep_keyrate,
 )
-from cvqkdsim import protocol, scenario
+from cvqkdsim import scenario
 from cvqkdsim.cli import main
 from cvqkdsim.errors import ConfigError, ScenarioStageError
 from cvqkdsim.protocol import (
@@ -71,6 +72,15 @@ def _planned_mask(cfg) -> np.ndarray:
     """The scenario's monitor mask, drawn at once from one generator."""
     rng = np.random.default_rng(_sub_seed(cfg.seed, _TAG_MONITOR_MASK))
     return rng.random(cfg.pulses) < cfg.monitor_fraction
+
+
+def _every_pulse(cfg, on_open=lambda batch: None):
+    """The report of the per-pulse path: a run with a pulse dump, by default one that keeps nothing."""
+    return run_scenario(cfg, on_open=on_open)
+
+
+# run_scenario's two paths: the moments drawn from their law, and every pulse drawn
+PATHS = [pytest.param(run_scenario, id="moments"), pytest.param(_every_pulse, id="pulses")]
 
 
 def _keep(blocks: list):
@@ -316,6 +326,19 @@ class TestParseConfig:
         assert documented == expected
 
 
+def _set_on_its_record(key: str, value) -> None:
+    """Set the field of config ``key`` to ``value``: ``SweepSettings`` built anew, else replaced."""
+    group, _, name = KEY_CASES[key][2][0].rpartition(".")
+    if group == "sweep":
+        SweepSettings(**{name: value})
+    elif group:
+        dataclasses.replace(
+            DEFAULT, **{group: dataclasses.replace(getattr(DEFAULT, group), **{name: value})}
+        )
+    else:
+        dataclasses.replace(DEFAULT, **{name: value})
+
+
 class TestRecordsCheckThemselves:
     def test_out_of_range_cases_cover_every_config_key(self):
         assert list(OUT_OF_RANGE) == list(KEY_CASES)
@@ -323,17 +346,22 @@ class TestRecordsCheckThemselves:
     @pytest.mark.parametrize("key", list(OUT_OF_RANGE))
     def test_replace_refuses_an_out_of_range_value(self, key):
         _, value = OUT_OF_RANGE[key]
-        group, _, name = KEY_CASES[key][2][0].rpartition(".")
+        name = KEY_CASES[key][2][0].rpartition(".")[2]
         message = f"^{re.escape(f'{name} must be {_key_range(key).text}, got {value}')}$"
         with pytest.raises(ValueError, match=message):
-            if group == "sweep":
-                SweepSettings(**{name: value})
-            elif group:
-                dataclasses.replace(
-                    DEFAULT, **{group: dataclasses.replace(getattr(DEFAULT, group), **{name: value})}
-                )
-            else:
-                dataclasses.replace(DEFAULT, **{name: value})
+            _set_on_its_record(key, value)
+
+    @pytest.mark.parametrize(
+        "key", [key for key in KEY_CASES if isinstance(KEY_CASES[key][1], float)]
+    )
+    def test_a_record_refuses_an_infinite_value(self, key):
+        # once accepted where the range is unbounded, to fail in a later stage
+        # ("sigma2_hat must be >= 0, got nan") or with a bare OverflowError
+        within = _key_range(key)
+        text = "finite" if within.holds(math.inf) else within.text
+        name = KEY_CASES[key][2][0].rpartition(".")[2]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {text}, got inf')}$"):
+            _set_on_its_record(key, math.inf)
 
     @pytest.mark.parametrize(
         "build,message",
@@ -455,10 +483,12 @@ class TestRunScenario:
             " with the countermeasure on\n"
         )
 
-    def test_an_estimation_set_of_one_pulse_fails_its_stage(self, tmp_path, capsys):
+    @pytest.mark.parametrize("dump", [[], ["--csv"]], ids=["moments", "pulses"])
+    def test_an_estimation_set_of_one_pulse_fails_its_stage(self, dump, tmp_path, capsys):
         cfg_path = tmp_path / "one-left.cfg"
         cfg_path.write_text("pulses = 10\nkey_fraction = 0.9\n")
-        assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
+        args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *dump]
+        assert main(args) == EXIT_ERROR
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
@@ -477,33 +507,44 @@ class TestRunScenario:
     def test_a_sigma2_interval_above_its_point_estimate_still_gives_a_verdict(self, text):
         # the chi-square interval lies above the ML point when the (1 - eps/2)
         # quantile of chi2(m - 1) is below m: at large epsilon or small m
+        # the seeds are those of the per-pulse draws, which leave 2 to 3 pulses to estimate
         above = 0
         for seed in range(8):
-            report = run_scenario(parse_config(f"{text}seed = {seed}\n"))
+            report = _every_pulse(parse_config(f"{text}seed = {seed}\n"))
             assert report.exit_code in (EXIT_SECURE, EXIT_ABORT, EXIT_BREACHED)
             low, _ = report.estimation.intervals["sigma2"]
             above += low > report.estimation.estimates.sigma2_hat
         assert above >= 5
 
-    def test_key_set_is_the_first_open_pulses_estimation_the_rest(self):
+    @pytest.mark.parametrize("run", PATHS)
+    def test_key_set_is_the_first_open_pulses_estimation_the_rest(self, run):
         reports = 0
-        for pulses, key_fraction, countermeasure, seed in itertools.product(
-            (10, 37, 200), (0.1, 0.5, 0.8), ("off", "on"), range(6)
-        ):
-            cfg = parse_config(
-                f"pulses = {pulses}\nkey_fraction = {key_fraction}\nseed = {seed}\n"
-                f"countermeasure = {countermeasure}\n"
-            )
+        splits = [
+            f"key_fraction = {key_fraction}\ncountermeasure = {countermeasure}\n"
+            for key_fraction in (0.1, 0.5, 0.8)
+            for countermeasure in ("off", "on")
+        ]
+        # fractions near their limits
+        splits += [
+            "key_fraction = 1e-07\n",
+            "key_fraction = 0.9999999\n",
+            "key_fraction = 1e-07\ncountermeasure = on\nmonitor_fraction = 0.9999998\n",
+            "key_fraction = 0.9999998\ncountermeasure = on\nmonitor_fraction = 1e-07\n",
+            "key_fraction = 0.5\ncountermeasure = on\nmonitor_fraction = 0.4999999\n",
+        ]
+        for pulses, split, seed in itertools.product((10, 37, 200), splits, range(6)):
+            cfg = parse_config(f"pulses = {pulses}\nseed = {seed}\n{split}")
             try:
-                report = run_scenario(cfg)
+                report = run(cfg)
             except ScenarioStageError as exc:
                 assert str(exc).startswith("stage 'estimation' failed: too few")
                 continue
             reports += 1
             n_open = pulses - report.m_monitor
-            assert report.n_key == min(round(key_fraction * pulses), n_open)
-            assert report.n_key + report.m_estimation == n_open
-        assert reports >= 100
+            assert report.n_key == min(round(cfg.key_fraction * pulses), n_open)
+            assert report.m_monitor + report.m_estimation + report.n_key == pulses
+            assert report.m_monitor == 0 or cfg.countermeasure_enabled
+        assert reports >= 120
 
     def test_open_pulses_are_the_protocol_samplers_draws(self):
         cfg = parse_config(BREACH.replace("pulses = 400000", "pulses = 150000"))
@@ -526,11 +567,12 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_too_few_monitor_pulses_abort(self, seed):
-        # about one monitor pulse expected: seeds 0, 2 and 4 draw fewer than two
+        # about one monitor pulse expected: the per-pulse draws of seeds 0, 2 and 4
+        # give fewer than two
         cfg = parse_config(
             f"pulses = 100\ncountermeasure = on\nmonitor_fraction = 0.01\nseed = {seed}\n"
         )
-        report = run_scenario(cfg)
+        report = _every_pulse(cfg)
         if seed in (0, 2, 4):
             assert report.m_monitor < 2
             assert (report.verdict, report.exit_code, report.alarm) == ("abort", EXIT_ABORT, True)
@@ -573,18 +615,8 @@ class TestMoments:
             moments.est_y,
         )
         assert got == pytest.approx(expected, rel=1e-15)
-        assert moments.n_open == moments.m_open == self.X.size
+        assert moments.n_open == self.X.size
         assert moments.open_yy == pytest.approx(self.Y @ self.Y, rel=1e-15)
-
-    def test_unread_open_pulses_are_key_pulses_counted_but_not_summed(self):
-        moments = Moments(key_target=6)
-        moments.add_unread_open(4)
-        moments.add_open(self.X, self.Y)
-        assert (moments.n_open, moments.m_open, moments.m_est) == (14, 10, 8)
-        assert moments.open_yy == pytest.approx(self.Y @ self.Y, rel=1e-15)
-        assert moments.est_xx == pytest.approx(self.X[2:] @ self.X[2:], rel=1e-15)
-        with pytest.raises(ValueError, match="would pass the key set"):
-            Moments(key_target=6).add_unread_open(7)
 
 
 # The key/estimation split falls inside block 1 and the last block is partial.
@@ -622,34 +654,18 @@ def _serial_fold(cfg):
 
 
 @pytest.mark.parametrize(
-    "cpus,text",
-    [
-        pytest.param(cpus, text, id=f"{prefix}{cpus}")
-        for prefix, text in [
-            ("", SPLIT_MID_BLOCK),
-            ("countermeasure-off-", SPLIT_MID_BLOCK.replace("= on", "= off")),
-        ]
-        for cpus in (1, 2, 4)
-    ],
+    "text", [SPLIT_MID_BLOCK, SPLIT_MID_BLOCK.replace("= on", "= off")],
+    ids=["countermeasure-on", "countermeasure-off"],
 )
-def test_moments_are_the_serial_fold_bit_for_bit_on_any_cpu_count(cpus, text, monkeypatch):
+def test_a_dump_run_adds_every_pulse_as_the_serial_fold_does_bit_for_bit(text):
     cfg = parse_config(text)
     serial, opened, splits = _serial_fold(cfg)
     assert cfg.pulses % BLOCK_SIZE and 0 < splits[1] < opened[1][0].size
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    # without on_open the blocks are drawn on the pool; with the countermeasure off
-    # (extinction 0.05 reads every block when it is on) the key-set block goes unread
-    pooled = sample_scenario(cfg).moments
-    unread = 0 if cfg.countermeasure_enabled else opened[0][0].size
-    assert pooled.m_open == serial.m_open - unread
     blocks = []
     drawn = sample_scenario(cfg, on_open=_keep(blocks)).moments
     for f in dataclasses.fields(Moments):
         np.testing.assert_array_equal(getattr(drawn, f.name), getattr(serial, f.name), f.name)
         assert type(getattr(drawn, f.name)) is type(getattr(serial, f.name))
-        if unread == 0 or f.name not in ("open_yy", "m_open"):
-            assert getattr(pooled, f.name) == getattr(serial, f.name), f.name
-            assert type(getattr(pooled, f.name)) is type(getattr(serial, f.name))
     # on_open saw each block's open pulses, in pulse order
     assert len(blocks) == len(opened)
     for batch, expected in zip(blocks, opened):
@@ -657,107 +673,48 @@ def test_moments_are_the_serial_fold_bit_for_bit_on_any_cpu_count(cpus, text, mo
             np.testing.assert_array_equal(got, want)
 
 
-def _report_or_error(cfg, sample):
-    """The report text of a drawn sample, or the type and message of its stage's error."""
-    try:
-        return analyse_scenario(cfg, sample).to_text()
-    except ScenarioStageError as exc:
-        return type(exc.__cause__), str(exc)
+def _mean_and_variance_agree(a: list[float], b: list[float], z: float = 5.0) -> None:
+    """The two samples' means, and their variances, differ by at most ``z`` standard errors."""
+    a, b = np.asarray(a), np.asarray(b)
+    mean_se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    assert abs(a.mean() - b.mean()) <= z * mean_se, (a.mean(), b.mean(), mean_se)
+    # a variance is the mean of the squared deviations, so its SE is theirs
+    da, db = (a - a.mean()) ** 2, (b - b.mean()) ** 2
+    var_se = math.sqrt(da.var(ddof=1) / da.size + db.var(ddof=1) / db.size)
+    assert abs(da.mean() - db.mean()) <= z * var_se, (da.mean(), db.mean(), var_se)
 
 
-@pytest.mark.parametrize(
-    "pulses", [10, BLOCK_SIZE, 2 * BLOCK_SIZE, 3 * BLOCK_SIZE + 1234, 5 * BLOCK_SIZE - 1]
-)
-@pytest.mark.parametrize("key_fraction", [0.1, 0.5, 0.75, 0.9999999])
-def test_skipping_the_key_set_blocks_changes_no_report_byte(pulses, key_fraction):
-    text = f"pulses = {pulses}\nseed = 5\nkey_fraction = {key_fraction}\ndelta_ns = 10.0\n"
-    fractional, certain = "mu = 0.4\nnu = 0.5\n", "mu = 1.0\nnu = 1.0\n"
-    texts = [text + fractional]
-    if key_fraction < 0.9:
-        texts += [
-            f"{text}{flags}countermeasure = on\nextinction = {extinction}\n"
-            for flags in (fractional, certain)
-            for extinction in (0.0, 0.3)
-        ]
-    for cfg_text in texts:
-        cfg = parse_config(cfg_text)
-        skipping = sample_scenario(cfg)
-        drawing = sample_scenario(cfg, on_open=lambda batch: None)
-        skipped, drawn = skipping.moments, drawing.moments
-        # only the open pulses of the blocks wholly inside the key set go unread
-        unread = 0
-        if not cfg.countermeasure_enabled or cfg.switch.extinction == 0.0:
-            unread = skipped.key_target // BLOCK_SIZE * BLOCK_SIZE
-        if cfg.countermeasure_enabled:
-            unread -= int(_planned_mask(cfg)[:unread].sum())
-        assert (drawn.m_open, skipped.m_open) == (drawn.n_open, drawn.n_open - unread)
-        for f in dataclasses.fields(Moments):
-            if unread == 0 or f.name not in ("open_yy", "m_open"):
-                assert getattr(skipped, f.name) == getattr(drawn, f.name), (f.name, cfg_text)
-        assert _report_or_error(cfg, skipping) == _report_or_error(cfg, drawing), cfg_text
+@pytest.mark.parametrize("extinction", [0.0, 0.3])
+@pytest.mark.parametrize("mu,nu", [(0.4, 0.5), (1.0, 1.0)])
+def test_the_moments_and_the_pulses_give_one_distribution(mu, nu, extinction):
+    # 40% of the pulses for the key, so that about 12 500 are left to estimate and the
+    # chi-square quantiles need no scipy
+    text = (
+        f"pulses = 25000\nkey_fraction = 0.4\nmu = {mu}\nnu = {nu}\ndelta_ns = 10.0\n"
+        f"countermeasure = on\nextinction = {extinction}\n"
+    )
+    reports = {run: [] for run in (run_scenario, _every_pulse)}
+    for seed in range(120):
+        cfg = parse_config(f"{text}seed = {seed}\n")
+        for run, got in reports.items():
+            got.append(run(cfg))
+    for name in ("xi_hat_snu", "n0_rt"):
+        moments, pulses = ([getattr(r, name) for r in got] for got in reports.values())
+        _mean_and_variance_agree(moments, pulses)
+    # the moments differ from the pulses' sums, not only their report's last digits
+    assert reports[run_scenario][0].xi_hat_snu != reports[_every_pulse][0].xi_hat_snu
 
 
-@pytest.mark.parametrize("key_fraction", [0.1, 0.5, 0.75, 0.9999999])
-def test_the_key_set_blocks_are_drawn_only_when_something_reads_them(key_fraction, monkeypatch):
-    real_alice_block = scenario.alice_block
-    real_monitor_mask_block = scenario.monitor_mask_block
-    drawn, masked = [], []
-
-    def alice_block_recording(va, seed, block, out):
-        drawn.append(block)
-        return real_alice_block(va, seed, block, out)
-
-    def monitor_mask_block_recording(fraction, seed, block, out, scratch):
-        masked.append(block)
-        return real_monitor_mask_block(fraction, seed, block, out, scratch)
-
-    monkeypatch.setattr(scenario, "alice_block", alice_block_recording)
-    monkeypatch.setattr(scenario, "monitor_mask_block", monitor_mask_block_recording)
-    text = f"pulses = {3 * BLOCK_SIZE + 1234}\nkey_fraction = {key_fraction}\n"
-    n_blocks = 4
-    every = list(range(n_blocks))
-
-    def blocks(cfg_text, on_open=None):
-        drawn.clear()
-        masked.clear()
-        sample_scenario(parse_config(cfg_text), on_open)
-        return sorted(drawn), sorted(masked)
-
-    key_target = round(key_fraction * (3 * BLOCK_SIZE + 1234))
-    read = list(range(key_target // BLOCK_SIZE, n_blocks))
-    assert blocks(text) == (read, [])
-    assert blocks(text, on_open=lambda batch: None) == (every, [])
-    if key_fraction < 0.9:
-        monitored = text + "countermeasure = on\n"
-        assert blocks(monitored) == (read, every)
-        assert blocks(monitored + "extinction = 0.3\n") == (every, every)
-        assert blocks(monitored, on_open=lambda batch: None) == (every, every)
-
-
-def test_a_block_failing_on_a_pool_thread_fails_its_stage_and_leaves_no_thread(
-    tmp_path, capsys, monkeypatch
-):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    real_bob_block = scenario.bob_block
-    failed = threading.Event()
-
-    def bob_block_failing_off_the_main_thread(*args, **kwargs):
-        if threading.current_thread() is threading.main_thread():
-            failed.wait(10.0)  # leaves the next block to the pool thread
-            return real_bob_block(*args, **kwargs)
-        failed.set()
+@pytest.mark.parametrize("run", PATHS)
+def test_a_failing_draw_fails_its_stage(run, monkeypatch):
+    # both paths take the class laws from outcome_law, the per-pulse one through bob_block
+    def fail(*args):
         raise MemoryError
 
-    monkeypatch.setattr(scenario, "bob_block", bob_block_failing_off_the_main_thread)
-    cfg_path = tmp_path / "four-blocks.cfg"
-    # a key set of under one block, so that all four blocks are drawn and a slot is reused
-    cfg_path.write_text(f"pulses = {4 * BLOCK_SIZE}\nkey_fraction = 0.1\n")
-    before = set(threading.enumerate())
-    assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
-    assert failed.is_set()
-    err = capsys.readouterr().err
-    assert err == "error (run): stage 'channel-simulation' failed: MemoryError\n"
-    assert set(threading.enumerate()) == before
+    monkeypatch.setattr(scenario, "outcome_law", fail)
+    monkeypatch.setattr(scenario, "bob_block", fail)
+    with pytest.raises(ScenarioStageError, match="^stage 'channel-simulation' failed: MemoryError$"):
+        run(parse_config("pulses = 1000\n"))
 
 
 @pytest.mark.parametrize(
@@ -774,50 +731,27 @@ def test_unexpected_errors_exit_1_without_a_traceback(exc, message, tmp_path, ca
     assert capsys.readouterr().err == f"error (run): {message}\n"
 
 
-def _peak_traced_bytes(pulses: int) -> int:
+def test_ten_billion_pulses_take_under_a_second_and_a_mebibyte():
     cfg = parse_config(
-        f"pulses = {pulses}\nseed = 3\nmu = 0.5\nnu = 0.5\ndelta_ns = 10.0\n"
-        "countermeasure = on\n"
+        "pulses = 10000000000\nseed = 3\nmu = 0.5\nnu = 0.5\ndelta_ns = 10.0\n"
+        "countermeasure = on\nextinction = 0.1\n"
     )
+    run_scenario(cfg)  # numpy loads the modules of its generators on first use
+    before = threading.active_count()
     tracemalloc.start()
     try:
-        run_scenario(cfg)
-        return tracemalloc.get_traced_memory()[1]
+        start = time.perf_counter()
+        report = run_scenario(cfg)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert seconds < 1.0 and peak < 2**20, (seconds, peak)
+    assert threading.active_count() == before
+    assert report.m_monitor + report.m_estimation + report.n_key == cfg.pulses
 
 
-def test_memory_does_not_grow_with_the_pulse_count():
-    small = _peak_traced_bytes(2**17)
-    large = _peak_traced_bytes(2**20)
-    assert large < 16 * 2**20
-    assert large <= 1.5 * small
-
-
-@pytest.mark.parametrize("cpus", [8, 12, 64])
-def test_memory_does_not_grow_with_the_cpu_count(cpus, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    test_memory_does_not_grow_with_the_pulse_count()
-
-
-def _dump_run(cfg, path):
-    """The traced peak of ``run_scenario`` dumping to ``path``; the thread count at each block."""
-    threads = []
-    tracemalloc.start()
-    try:
-        with pulses_csv(path) as append:
-
-            def on_open(batch):
-                threads.append(threading.active_count())
-                append(batch)
-
-            run_scenario(cfg, on_open=on_open)
-        return tracemalloc.get_traced_memory()[1], threads
-    finally:
-        tracemalloc.stop()
-
-
-def test_a_dump_run_starts_no_thread_and_holds_one_slot(tmp_path, monkeypatch):
+def test_a_dump_run_starts_no_thread_and_holds_one_block(tmp_path):
     # four-fifths of the pulses monitored, so that the traced dump formats only a fifth
     # of them, and 15% left for estimation, so that the χ² quantiles need no scipy
     cfg = parse_config(
@@ -825,18 +759,23 @@ def test_a_dump_run_starts_no_thread_and_holds_one_slot(tmp_path, monkeypatch):
         "countermeasure = on\nmonitor_fraction = 0.8\nkey_fraction = 0.05\n"
     )
     np.random.default_rng()  # numpy imports its random module on first use, not per run
-    peaks = {}
-    for cpus in (1, 64):
-        on_cpus = set(range(cpus))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: on_cpus, raising=False)
-        before = threading.active_count()
-        peaks[cpus], threads = _dump_run(cfg, tmp_path / f"{cpus}.csv")
-        assert threads == [before] * 4
-    # one CSV part's row strings and their join take about 128 bytes a row; a pool at
-    # 64 CPUs would hold MAX_LANES + 1 = 5 block slots of 2.2 MiB each
-    assert abs(peaks[64] - peaks[1]) <= 128 * protocol._CSV_PART, peaks
-    assert peaks[64] < 4 * 2**20, peaks
-    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "64.csv").read_bytes()
+    threads = []
+    before = threading.active_count()
+    tracemalloc.start()
+    try:
+        with pulses_csv(tmp_path / "pulses.csv") as append:
+
+            def on_open(batch):
+                threads.append(threading.active_count())
+                append(batch)
+
+            _every_pulse(cfg, on_open)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert threads == [before] * 4
+    # one block's arrays take 2.2 MiB, one CSV part's row strings about 128 bytes a row
+    assert peak < 4 * 2**20, peak
 
 
 class TestSweep:
@@ -995,25 +934,24 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["quantitative-example", "countermeasure-example"])
-def test_shipped_config_report_matches_its_golden_file(name):
-    report = run_scenario(load_config(CONFIGS / f"{name}.cfg"))
-    assert (report.to_text() + "\n").encode() == (GOLDEN / f"{name}.txt").read_bytes()
-
-
-def test_unattacked_twin_report_matches_its_golden_file():
+# name -> the config whose report the golden files tests/golden/<name>.moments.txt
+# (run) and <name>.pulses.txt (run --csv) pin
+GOLDEN_CONFIGS = {
+    "quantitative-example": lambda: load_config(CONFIGS / "quantitative-example.cfg"),
+    "countermeasure-example": lambda: load_config(CONFIGS / "countermeasure-example.cfg"),
     # the shipped configs attack every pulse; this pins the mu = nu = 0 draws
-    cfg = parse_config("pulses = 2000000\nseed = 11\nn0 = 1\nn0_assumed = 1\n")
-    report = run_scenario(cfg)
-    assert (report.to_text() + "\n").encode() == (GOLDEN / "unattacked-twin.txt").read_bytes()
+    "unattacked-twin": lambda: parse_config(
+        "pulses = 2000000\nseed = 11\nn0 = 1\nn0_assumed = 1\n"
+    ),
+}
 
 
-@pytest.mark.parametrize("name", ["quantitative-example", "countermeasure-example"])
-def test_shipped_config_report_is_the_same_without_cpu_affinity(name, monkeypatch):
-    # macOS and Windows have no os.sched_getaffinity; the lanes come from os.cpu_count()
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    report = run_scenario(load_config(CONFIGS / f"{name}.cfg"))
-    assert (report.to_text() + "\n").encode() == (GOLDEN / f"{name}.txt").read_bytes()
+@pytest.mark.parametrize("path", ["moments", "pulses"])
+@pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+def test_report_matches_its_golden_file(name, path):
+    cfg = GOLDEN_CONFIGS[name]()
+    report = run_scenario(cfg) if path == "moments" else _every_pulse(cfg)
+    assert (report.to_text() + "\n").encode() == (GOLDEN / f"{name}.{path}.txt").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -1029,7 +967,7 @@ def test_shipped_config_report_does_not_depend_on_the_blas_thread_count(name, co
         capture_output=True, env=env,
     )
     assert proc.returncode == code, proc.stderr
-    assert (tmp_path / "report.txt").read_bytes() == (GOLDEN / f"{name}.txt").read_bytes()
+    assert (tmp_path / "report.txt").read_bytes() == (GOLDEN / f"{name}.moments.txt").read_bytes()
 
 
 def test_run_csv_dumps_the_pulses_the_report_used(tmp_path, capsys):
@@ -1062,7 +1000,7 @@ def test_run_csv_dumps_the_pulses_the_report_used(tmp_path, capsys):
     for xb, yb in zip(np.split(x, cuts), np.split(y, cuts)):
         dumped.add_open(xb, yb)
     reanalysed = analyse_scenario(cfg, dataclasses.replace(sample, moments=dumped))
-    assert reanalysed.to_text() == printed == run_scenario(cfg).to_text()
+    assert reanalysed.to_text() == printed == _every_pulse(cfg).to_text()
     # the draws and their formatting together, pinned byte for byte
     digest = hashlib.sha256((out / "pulses.csv").read_bytes()).hexdigest()
     assert digest == "379a320940e327f1d81e6d36b12153f1971a5ebed4815d420ac964623cdd243c"
