@@ -11,7 +11,6 @@ canonical text that re-parses to an identical object.
 from __future__ import annotations
 
 import hashlib
-import math
 from collections.abc import Callable
 from dataclasses import MISSING, Field, field, fields
 from numbers import Integral
@@ -194,10 +193,10 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(
                 f"line {lineno}: {key} must be {within.text}, got {value_text!r}"
             ) from None
-        if converter is float and not math.isfinite(value):
-            raise ConfigError(f"line {lineno}: {key} must be finite, got {value}")
-        if not within.holds(value):
-            raise ConfigError(f"line {lineno}: {key} must be {within.text}, got {value}")
+        try:
+            within.check(key, value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
         values[key] = value
     for key, key_field in _FIELDS.items():
         if key not in values and key_field.default is MISSING:

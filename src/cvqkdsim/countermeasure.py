@@ -27,24 +27,19 @@ class SwitchModel:
     extinction: float = param(0.0, within=UNIT_BELOW_1)
 
 
-def monitor_mask_block(
-    fraction: float, seed: int, block: int, out: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Block ``block`` of the i.i.d. Bernoulli(fraction) monitoring mask, into ``out``.
+def monitor_mask_block(fraction: float, seed: int, block: int, size: int) -> np.ndarray:
+    """Block ``block``, of ``size`` pulses, of the i.i.d. Bernoulli(fraction) monitoring mask.
 
     The whole mask is one draw of ``default_rng(seed).random(n) <
     fraction``, cut into ``BLOCK_SIZE`` blocks: block k's generator
     steps past the k*BLOCK_SIZE uniforms of the blocks before it (a
     PCG64 double takes one 64-bit output), so the blocks join to the same
-    mask whatever the order they are drawn in.  ``out``
-    holds one element per pulse of the block; ``scratch``, a float array
-    of at least ``out.size``, holds the uniforms.
+    mask whatever the order they are drawn in.
     """
     UNIT.check("fraction", fraction)
     bits = np.random.PCG64(seed)
     bits.advance(block * BLOCK_SIZE)
-    uniforms = np.random.Generator(bits).random(out=scratch[: out.size])
-    return np.less(uniforms, fraction, out=out)
+    return np.random.Generator(bits).random(size) < fraction
 
 
 def realtime_shot_noise(

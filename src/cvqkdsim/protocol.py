@@ -23,8 +23,7 @@ Alice's block k draws one standard normal per pulse.  Bob's block k
 the intercept flags, one per pulse for the LO-attack flags, then one
 standard normal per pulse; the monitor's block k (stream 2) draws the
 same way for its closed-switch pulses.  A flag of probability 0 or 1
-still owns its block of uniforms, and the generator steps past them
-(``BitGenerator.advance``), so the normals that follow are the same.
+draws its uniforms too.  Each block returns fresh arrays.
 The whole-array references ``generate_alice`` and ``simulate_bob``
 draw their input's ``BLOCK_SIZE`` blocks one after the other; a scenario
 with a pulse dump hands block k only the open (or closed) pulses of its
@@ -118,9 +117,9 @@ def _rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
 
 
-def alice_block(va: float, seed: int, block: int, out: np.ndarray) -> np.ndarray:
-    """Alice's quadratures for pulse block ``block``, one per element of ``out``, into ``out``."""
-    x = _rng(seed, _STREAM_ALICE, block).standard_normal(out=out)
+def alice_block(va: float, seed: int, block: int, size: int) -> np.ndarray:
+    """Alice's ``size`` quadratures of pulse block ``block``."""
+    x = _rng(seed, _STREAM_ALICE, block).standard_normal(size)
     x *= np.sqrt(va)
     return x
 
@@ -132,7 +131,7 @@ def generate_alice(n: int, va: float, seed: int) -> np.ndarray:
     NON_NEGATIVE.check("va", va)
     out = np.empty(n)
     for block, start, size in pulse_blocks(n):
-        alice_block(va, seed, block, out[start : start + size])
+        out[start : start + size] = alice_block(va, seed, block, size)
     return out
 
 
@@ -171,65 +170,30 @@ def outcome_law(
 
 
 def _simulate_block(
-    rng: np.random.Generator,
-    x: np.ndarray,
-    atk: AttackParams,
-    law: tuple[float, np.ndarray],
-    out: tuple[np.ndarray, np.ndarray, np.ndarray],
-    scratch: np.ndarray,
+    rng: np.random.Generator, x: np.ndarray, atk: AttackParams, law: tuple[float, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One seeded block of outcomes under ``law``, from ``outcome_law``, into ``out``.
+    """One seeded block of outcomes under ``law``, from ``outcome_law``.
 
     Draw order, part of the reproducibility contract: ``x.size``
     uniforms for the intercept flags, ``x.size`` uniforms for the
     LO-attack flags, then ``x.size`` standard normals, one per pulse.
-    A flag of probability 0 or 1 still owns its ``x.size`` uniforms: its
-    outcome is certain, so the generator steps past them unread.
-    ``scratch``, a float array of at least ``x.size``, holds the uniforms
-    and the per-pulse factors, so that the block allocates no array of
-    its size.
     """
-    size = x.size
-    y, intercepted, lo_attacked = out
-    scratch = scratch[:size]
     slope, sd = law
-    certain = atk.mu in (0.0, 1.0) and atk.nu in (0.0, 1.0)
-    for flags, p in ((intercepted, atk.mu), (lo_attacked, atk.nu)):
-        if p in (0.0, 1.0):
-            # a uniform in [0, 1) is below p exactly when p is 1; a PCG64
-            # double takes one 64-bit output, so the normals get the same bits
-            rng.bit_generator.advance(size)
-            flags.fill(p == 1.0)
-        else:
-            np.less(rng.random(out=scratch), p, out=flags)
-    rng.standard_normal(out=y)
-    if certain:  # every pulse is of one class
-        y *= sd[int(atk.mu) + 2 * int(atk.nu)]
-    else:
-        index = lo_attacked.view(np.uint8) << 1
-        index |= intercepted.view(np.uint8)
-        # "clip" never buffers ``out``, as the default "raise" does; index is 0-3
-        y *= np.take(sd, index, out=scratch, mode="clip")
-    y += np.multiply(x, slope, out=scratch)
+    intercepted = rng.random(x.size) < atk.mu
+    lo_attacked = rng.random(x.size) < atk.nu
+    y = rng.standard_normal(x.size)
+    # a uint8 class index, 0-3: an int64 one would take eight times the memory
+    y *= sd[lo_attacked.view(np.uint8) << 1 | intercepted]
+    y += slope * x
     return y, intercepted, lo_attacked
 
 
 def bob_block(
-    x: np.ndarray,
-    ch: ChannelParams,
-    atk: AttackParams,
-    gain: float,
-    seed: int,
-    block: int,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray],
-    scratch: np.ndarray,
+    x: np.ndarray, ch: ChannelParams, atk: AttackParams, gain: float, seed: int, block: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bob's outcomes, intercept and LO-attack flags for the pulses ``x`` of block ``block``.
-
-    ``out`` and ``scratch`` as in ``_simulate_block``.
-    """
+    """Bob's outcomes, intercept and LO-attack flags for the pulses ``x`` of block ``block``."""
     rng = _rng(seed, _STREAM_BOB, block)
-    return _simulate_block(rng, x, atk, outcome_law(ch, gain), out, scratch)
+    return _simulate_block(rng, x, atk, outcome_law(ch, gain))
 
 
 def monitor_block(
@@ -240,17 +204,13 @@ def monitor_block(
     extinction: float,
     seed: int,
     block: int,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray],
-    scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-switch outcomes for the pulses ``x`` of block ``block``.
 
-    The law is ``outcome_law(ch, gain, extinction)``; ``out`` and
-    ``scratch`` as in ``_simulate_block``.
+    The law is ``outcome_law(ch, gain, extinction)``.
     """
     rng = _rng(seed, _STREAM_MONITOR, block)
-    law = outcome_law(ch, gain, extinction)
-    return _simulate_block(rng, x, atk, law, out, scratch)
+    return _simulate_block(rng, x, atk, outcome_law(ch, gain, extinction))
 
 
 def simulate_bob(
@@ -274,11 +234,9 @@ def simulate_bob(
     y = np.empty(x.size)
     intercepted = np.empty(x.size, dtype=bool)
     lo_attacked = np.empty(x.size, dtype=bool)
-    scratch = np.empty(min(BLOCK_SIZE, x.size))
     for block, start, size in pulse_blocks(x.size):
         sl = slice(start, start + size)
-        out = (y[sl], intercepted[sl], lo_attacked[sl])
-        bob_block(x[sl], ch, atk, gain, seed, block, out, scratch)
+        y[sl], intercepted[sl], lo_attacked[sl] = bob_block(x[sl], ch, atk, gain, seed, block)
     return PulseBatch(x=x, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
 
 

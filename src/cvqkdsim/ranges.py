@@ -5,8 +5,8 @@ with :func:`checked` refuses a value outside a field's range, both on
 construction and on ``dataclasses.replace``, with the message
 ``"{field} must be {range}, got {value}"``, or ``"{field} must be finite,
 got {value}"`` for an infinite float inside the range.  The config parser
-prints the range text for the key that sets the field, and refuses every
-infinite or NaN number as "must be finite".
+runs the same check and prints its text, with the key that sets the field
+and its line: NaN lies in no range, so it gets the range's text.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ from .keyrate import (
     secret_key_rate,
 )
 from .protocol import (
-    BLOCK_SIZE,
     AttackParams,
     PulseBatch,
     alice_block,
@@ -302,32 +301,6 @@ def draw_moments(cfg: ScenarioConfig, atk: AttackParams, gain: float) -> Moments
     return moments
 
 
-class _BlockArrays:
-    """The arrays of one pulse block, made once and reused by every block of a run.
-
-    ``x`` holds Alice's block and ``closed`` its monitor mask; ``y``,
-    ``intercepted`` and ``lo_attacked`` the outcomes of its open pulses
-    followed by those of its closed ones; ``scratch`` the uniforms and
-    per-pulse factors of the draws.
-    They are made once because fresh arrays per block, 1.7 MiB at
-    ``BLOCK_SIZE``, are page-faulted again every block: that draws the
-    same bits, but on a 2-vCPU Xeon host (2M-pulse quantitative example,
-    best of 5) it took 48-63 ns/pulse instead of 39-46, and 84-90
-    instead of 49-70 under ``taskset -c 0``.
-    """
-
-    def __init__(self, size: int):
-        self.x = np.empty(size)
-        self.y = np.empty(size)
-        self.intercepted = np.empty(size, dtype=bool)
-        self.lo_attacked = np.empty(size, dtype=bool)
-        self.closed = np.empty(size, dtype=bool)
-        self.scratch = np.empty(size)
-
-    def outcomes(self, part: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.y[part], self.intercepted[part], self.lo_attacked[part]
-
-
 def _draw_pulses(
     cfg: ScenarioConfig, atk: AttackParams, gain: float, on_open: Callable[[PulseBatch], None]
 ) -> Moments:
@@ -335,48 +308,37 @@ def _draw_pulses(
 
     Per block: Alice's modulation, the block's monitor mask, Bob's
     attacked outcomes on the open-switch pulses and the monitoring
-    outcomes on the closed-switch ones, drawn into one set of arrays and
-    added to the moments in pulse order.  ``on_open`` receives each
-    block's open-switch pulses; the arrays are reused for the next block
-    once it returns, so it must copy what it keeps.  Memory does not grow
-    with the pulse count.
+    outcomes on the closed-switch ones, added to the moments in pulse
+    order.  ``on_open`` receives each block's open-switch pulses.  Memory
+    does not grow with the pulse count.
     """
     ch = cfg.channel
-    extinction = cfg.switch.extinction
     moments = Moments(key_target=_key_target(cfg))
     mask_seed = _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
-    arrays = _BlockArrays(min(BLOCK_SIZE, cfg.pulses))
-    for block, _, size in pulse_blocks(cfg.pulses):
+
+    # a function, so that its arrays are freed when it returns; a loop body would
+    # keep them alive while the next block draws
+    def draw_block(block: int, size: int) -> None:
         with _stage("modulation"):
-            x = alice_block(ch.va, cfg.seed, block, arrays.x[:size])
+            x = alice_block(ch.va, cfg.seed, block, size)
         closed = None
-        n_open = size
         if cfg.countermeasure_enabled:
             with _stage("monitoring"):
-                closed = monitor_mask_block(
-                    cfg.monitor_fraction, mask_seed, block, arrays.closed[:size], arrays.scratch
-                )
-                n_open -= int(np.count_nonzero(closed))
+                closed = monitor_mask_block(cfg.monitor_fraction, mask_seed, block, size)
         with _stage("channel-simulation"):
-            # boolean indexing allocates only the result; np.compress would add an index array
             x_open = x if closed is None else x[~closed]
-            y, intercepted, lo_attacked = bob_block(
-                x_open, ch, atk, gain, cfg.seed, block, arrays.outcomes(slice(n_open)),
-                arrays.scratch,
-            )
+            y, intercepted, lo_attacked = bob_block(x_open, ch, atk, gain, cfg.seed, block)
         moments.add_open(x_open, y)
         if closed is not None:
             with _stage("monitoring"):
-                # at extinction 0 the switch scales the signal by 0, so zeros in place of
-                # x[closed] give the same outcomes without a gather (nor the scratch,
-                # which monitor_block overwrites)
-                x_closed = np.broadcast_to(0.0, size - n_open) if extinction == 0.0 else x[closed]
                 y_closed, _, _ = monitor_block(
-                    x_closed, ch, atk, gain, extinction, cfg.seed, block,
-                    arrays.outcomes(slice(n_open, size)), arrays.scratch,
+                    x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block
                 )
             moments.add_monitor(y_closed)
         on_open(PulseBatch(x=x_open, y=y, intercepted=intercepted, lo_attacked=lo_attacked))
+
+    for block, _, size in pulse_blocks(cfg.pulses):
+        draw_block(block, size)
     return moments
 
 

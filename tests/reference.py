@@ -13,7 +13,6 @@ import numpy as np
 
 from cvqkdsim.estimation import MlEstimates, dot, ml_from_moments
 from cvqkdsim.protocol import (
-    BLOCK_SIZE,
     AttackParams,
     ChannelParams,
     PulseBatch,
@@ -99,9 +98,9 @@ def simulate_monitor(
     y = np.empty(x.size)
     intercepted = np.empty(x.size, dtype=bool)
     lo_attacked = np.empty(x.size, dtype=bool)
-    scratch = np.empty(min(BLOCK_SIZE, x.size))
     for block, start, size in pulse_blocks(x.size):
         sl = slice(start, start + size)
-        out = (y[sl], intercepted[sl], lo_attacked[sl])
-        monitor_block(x[sl], ch, atk, gain, extinction, seed, block, out, scratch)
+        y[sl], intercepted[sl], lo_attacked[sl] = monitor_block(
+            x[sl], ch, atk, gain, extinction, seed, block
+        )
     return PulseBatch(x=x, y=y, intercepted=intercepted, lo_attacked=lo_attacked)

@@ -25,9 +25,8 @@ def _mask(n: int, fraction: float, seed: int, order=None) -> np.ndarray:
     """The mask over ``n`` pulses, its blocks drawn in ``order`` (block order by default)."""
     blocks = list(pulse_blocks(n))
     mask = np.empty(n, dtype=bool)
-    scratch = np.empty(BLOCK_SIZE)
     for block, start, size in blocks if order is None else (blocks[k] for k in order):
-        monitor_mask_block(fraction, seed, block, mask[start : start + size], scratch)
+        mask[start : start + size] = monitor_mask_block(fraction, seed, block, size)
     return mask
 
 
@@ -54,11 +53,10 @@ class TestPlanMonitor:
             np.testing.assert_array_equal(_mask(n, 0.1, seed=6, order=order), expected)
 
     def test_fraction_validation(self):
-        scratch = np.empty(10)
         with pytest.raises(ValueError):
-            monitor_mask_block(1.5, 1, 0, np.empty(10, dtype=bool), scratch)
+            monitor_mask_block(1.5, 1, 0, 10)
         with pytest.raises(ValueError):
-            monitor_mask_block(-0.1, 1, 0, np.empty(10, dtype=bool), scratch)
+            monitor_mask_block(-0.1, 1, 0, 10)
 
 
 class TestRealtimeShotNoise:

@@ -33,11 +33,6 @@ def var_se(true_var, n):
     return true_var * math.sqrt(2.0 / n)
 
 
-def _outcomes(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fresh (y, intercepted, lo_attacked) arrays for one block's outcomes."""
-    return np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-
-
 def _outcomes_as_first_written(rng, x, ch, atk, gain, signal_scale):
     """Bob's block outcomes computed with fresh arrays and an int64 class index.
 
@@ -67,7 +62,7 @@ def test_samplers_draw_the_bits_of_the_first_writing():
                             xi=CH.xi * extinction, v_el=CH.v_el)
     for block, start in enumerate(range(0, n, BLOCK_SIZE)):
         sl = slice(start, start + BLOCK_SIZE)
-        np.testing.assert_array_equal(x[sl], alice_block(CH.va, seed, block, np.empty(x[sl].size)))
+        np.testing.assert_array_equal(x[sl], alice_block(CH.va, seed, block, x[sl].size))
         for batch, stream, ch, scale in ((bob, 1, CH, 1.0),
                                          (monitor, 2, blocked, math.sqrt(extinction))):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
@@ -78,17 +73,16 @@ def test_samplers_draw_the_bits_of_the_first_writing():
 
 @pytest.mark.parametrize("mu, nu", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.4, 1.0)])
 @pytest.mark.parametrize("size", [BLOCK_SIZE, 777])
-def test_certain_flags_step_past_their_uniforms_bit_for_bit(mu, nu, size):
+def test_certain_flags_draw_the_bits_of_the_first_writing(mu, nu, size):
     seed, block, extinction = 23, 3, 0.05
     atk = AttackParams(mu=mu, nu=nu, delta_ns=10.0)
     gain = attack_gain(atk, DET)
-    x = alice_block(CH.va, seed, block, np.empty(size))
+    x = alice_block(CH.va, seed, block, size)
     blocked = ChannelParams(va=CH.va, transmittance=CH.transmittance, eta=CH.eta,
                             xi=CH.xi * extinction, v_el=CH.v_el)
-    scratch = np.empty(BLOCK_SIZE)
     got = {
-        1: bob_block(x, CH, atk, gain, seed, block, _outcomes(size), scratch),
-        2: monitor_block(x, CH, atk, gain, extinction, seed, block, _outcomes(size), scratch),
+        1: bob_block(x, CH, atk, gain, seed, block),
+        2: monitor_block(x, CH, atk, gain, extinction, seed, block),
     }
     for stream, ch, scale in ((1, CH, 1.0), (2, blocked, math.sqrt(extinction))):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
@@ -104,15 +98,12 @@ def test_references_draw_block_by_block_without_the_pool():
     x = generate_alice(n, CH.va, seed)
     bob = simulate_bob(x, CH, atk, DET, seed)
     monitor = simulate_monitor(x, CH, atk, DET, extinction, seed)
-    scratch = np.empty(BLOCK_SIZE)
     for block, start, size in pulse_blocks(n):
         sl = slice(start, start + size)
-        np.testing.assert_array_equal(x[sl], alice_block(CH.va, seed, block, np.empty(size)))
+        np.testing.assert_array_equal(x[sl], alice_block(CH.va, seed, block, size))
         expected = (
-            (bob, bob_block(x[sl], CH, atk, gain, seed, block, _outcomes(size), scratch)),
-            (monitor, monitor_block(
-                x[sl], CH, atk, gain, extinction, seed, block, _outcomes(size), scratch
-            )),
+            (bob, bob_block(x[sl], CH, atk, gain, seed, block)),
+            (monitor, monitor_block(x[sl], CH, atk, gain, extinction, seed, block)),
         )
         for batch, want in expected:
             for got, arrays in zip((batch.y, batch.intercepted, batch.lo_attacked), want):

@@ -229,13 +229,21 @@ class TestParseConfig:
             parse_config(text)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("value", ["inf", "1e999"])
+    @pytest.mark.parametrize("value", ["inf", "1e999", "nan"])
     @pytest.mark.parametrize("key", ["sweep_d_max_km", "va", "delta_ns", "xi"])
     def test_non_finite_number_names_key_and_line(self, key, value, tmp_path, capsys):
-        message = f"line 2: {key} must be finite, got inf"
+        # the parser and the record say one text: an infinity inside the range is
+        # not finite, and NaN lies in no range
+        number = float(value)
+        within = _key_range(key)
+        refusal = f"must be {'finite' if within.holds(number) else within.text}, got {number}"
+        message = f"line 2: {key} {refusal}"
         with pytest.raises(ConfigError) as info:
             parse_config(f"pulses = 1000\n{key} = {value}\n")
         assert str(info.value) == message
+        name = KEY_CASES[key][2][0].rpartition(".")[2]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {refusal}')}$"):
+            _set_on_its_record(key, number)
         cfg_path = tmp_path / "inf.cfg"
         cfg_path.write_text(f"pulses = 1000\n{key} = {value}\n")
         assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_ERROR
@@ -626,12 +634,6 @@ SPLIT_MID_BLOCK = (
 )
 
 
-def _fresh(block_fn, x, *args):
-    """``block_fn``'s outcomes for the pulses ``x``, drawn into fresh arrays."""
-    out = (np.empty(x.size), np.empty(x.size, dtype=bool), np.empty(x.size, dtype=bool))
-    return block_fn(x, *args, out, np.empty(x.size))
-
-
 def _serial_fold(cfg):
     """The scenario's moments, added one block after the other on this thread alone."""
     ch, atk = cfg.channel, cfg.attack
@@ -640,14 +642,14 @@ def _serial_fold(cfg):
     mask = _planned_mask(cfg) if cfg.countermeasure_enabled else np.zeros(cfg.pulses, dtype=bool)
     opened, splits = [], []
     for block, start in enumerate(range(0, cfg.pulses, BLOCK_SIZE)):
-        x = alice_block(ch.va, cfg.seed, block, np.empty(min(BLOCK_SIZE, cfg.pulses - start)))
+        x = alice_block(ch.va, cfg.seed, block, min(BLOCK_SIZE, cfg.pulses - start))
         closed = mask[start : start + x.size]
-        y, intercepted, lo_attacked = _fresh(bob_block, x[~closed], ch, atk, gain, cfg.seed, block)
+        y, intercepted, lo_attacked = bob_block(x[~closed], ch, atk, gain, cfg.seed, block)
         splits.append(min(max(moments.key_target - moments.n_open, 0), y.size))
         moments.add_open(x[~closed], y)
         opened.append((x[~closed], y, intercepted, lo_attacked))
-        y_closed, _, _ = _fresh(
-            monitor_block, x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block
+        y_closed, _, _ = monitor_block(
+            x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block
         )
         moments.add_monitor(y_closed)
     return moments, opened, splits
@@ -1001,9 +1003,16 @@ def test_run_csv_dumps_the_pulses_the_report_used(tmp_path, capsys):
         dumped.add_open(xb, yb)
     reanalysed = analyse_scenario(cfg, dataclasses.replace(sample, moments=dumped))
     assert reanalysed.to_text() == printed == _every_pulse(cfg).to_text()
-    # the draws and their formatting together, pinned byte for byte
-    digest = hashlib.sha256((out / "pulses.csv").read_bytes()).hexdigest()
-    assert digest == "379a320940e327f1d81e6d36b12153f1971a5ebed4815d420ac964623cdd243c"
+    # the draws and their formatting together, pinned byte for byte; the second
+    # dump has fractional flags, closed pulses at extinction 0.05 and the split in block 1
+    split = tmp_path / "split.cfg"
+    split.write_text(SPLIT_MID_BLOCK)
+    main(["run", "--config", str(split), "--out", str(tmp_path / "split"), "--csv"])
+    for dump, digest in (
+        (out, "379a320940e327f1d81e6d36b12153f1971a5ebed4815d420ac964623cdd243c"),
+        (tmp_path / "split", "d1ac3417a3399dbc4e613bab01f1fddede47a04085f0edaddfc43199b22b0368"),
+    ):
+        assert hashlib.sha256((dump / "pulses.csv").read_bytes()).hexdigest() == digest
 
 
 NO_ATTACK = "pulses = 400000\nseed = 3\nva = 5.0\nxi = 0.1\nvel = 0.01\n"
