@@ -1,8 +1,7 @@
 """Real-time shot-noise monitoring and attack detection.
 
 An optical switch blocks the signal path on a random subset of pulses,
-the monitoring mask.  A scenario that draws every pulse draws the mask
-block by block, with the block's pulses (``monitor_mask_block``).
+whose count a scenario draws with its moments (``scenario.draw_moments``).
 The noise measured with the switch open and closed is inverted as a
 linear system to separate the shot noise from the signal-plus-excess
 variance, and the real-time shot noise is compared against the
@@ -13,10 +12,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .protocol import BLOCK_SIZE
-from .ranges import NON_NEGATIVE, UNIT, UNIT_ABOVE_0, UNIT_BELOW_1, checked, param
+from .ranges import NON_NEGATIVE, UNIT_ABOVE_0, UNIT_BELOW_1, checked, param
 
 
 @checked
@@ -25,21 +21,6 @@ class SwitchModel:
 
     loss_db: float = param(2.7, within=NON_NEGATIVE)
     extinction: float = param(0.0, within=UNIT_BELOW_1)
-
-
-def monitor_mask_block(fraction: float, seed: int, block: int, size: int) -> np.ndarray:
-    """Block ``block``, of ``size`` pulses, of the i.i.d. Bernoulli(fraction) monitoring mask.
-
-    The whole mask is one draw of ``default_rng(seed).random(n) <
-    fraction``, cut into ``BLOCK_SIZE`` blocks: block k's generator
-    steps past the k*BLOCK_SIZE uniforms of the blocks before it (a
-    PCG64 double takes one 64-bit output), so the blocks join to the same
-    mask whatever the order they are drawn in.
-    """
-    UNIT.check("fraction", fraction)
-    bits = np.random.PCG64(seed)
-    bits.advance(block * BLOCK_SIZE)
-    return np.random.Generator(bits).random(size) < fraction
 
 
 def realtime_shot_noise(

@@ -14,24 +14,20 @@ assumed identical during calibration and the run).  This keeps the slope
 estimator unbiased and makes the simulated bias agree with the
 closed-form bias formulas for every (mu, nu, delay) configuration.
 
-Draw-order contract.  Pulses are processed in blocks of ``BLOCK_SIZE``,
+Draw-order contract of the whole-array references ``generate_alice``
+and ``simulate_bob``.  Pulses are processed in blocks of ``BLOCK_SIZE``,
 and block k of each stream draws from its own generator, seeded from
 (seed, stream, k), so a block's draws do not depend on how many blocks
-precede or follow it, nor on when they are drawn.
-Alice's block k draws one standard normal per pulse.  Bob's block k
-(stream 1), given the block's pulses, draws one uniform per pulse for
-the intercept flags, one per pulse for the LO-attack flags, then one
-standard normal per pulse; the monitor's block k (stream 2) draws the
-same way for its closed-switch pulses.  A flag of probability 0 or 1
-draws its uniforms too.  Each block returns fresh arrays.
-The whole-array references ``generate_alice`` and ``simulate_bob``
-draw their input's ``BLOCK_SIZE`` blocks one after the other; a scenario
-with a pulse dump hands block k only the open (or closed) pulses of its
-k-th block of Alice's pulses, as block k of the monitor mask picks them
-(``countermeasure.monitor_mask_block``).  Every block is drawn on the
-calling thread.  A scenario without a dump draws no pulse: it draws the
-sums of its pulses from their exact law (``scenario.draw_moments``),
-which ``outcome_law`` states once for both.
+precede or follow it.  Alice's block k draws one standard normal per
+pulse.  Bob's block k (stream 1), given the block's pulses, draws one
+uniform per pulse for the intercept flags, one per pulse for the
+LO-attack flags, then one standard normal per pulse; a flag of
+probability 0 or 1 draws its uniforms too.  Each block returns fresh
+arrays, drawn on the calling thread.  A scenario draws no pulse this
+way: it draws the sums of its pulses from their exact law
+(``scenario.draw_moments``), and a pulse dump draws the pulses given
+those sums (``scenario._dump``); ``outcome_law`` states the law once
+for all of them.
 """
 
 from __future__ import annotations
@@ -59,7 +55,6 @@ def pulse_blocks(n: int) -> Iterable[tuple[int, int, int]]:
 # Stream identifiers for seed splitting; fixed for reproducibility.
 _STREAM_ALICE = 0
 _STREAM_BOB = 1
-_STREAM_MONITOR = 2
 
 
 @checked
@@ -194,23 +189,6 @@ def bob_block(
     """Bob's outcomes, intercept and LO-attack flags for the pulses ``x`` of block ``block``."""
     rng = _rng(seed, _STREAM_BOB, block)
     return _simulate_block(rng, x, atk, outcome_law(ch, gain))
-
-
-def monitor_block(
-    x: np.ndarray,
-    ch: ChannelParams,
-    atk: AttackParams,
-    gain: float,
-    extinction: float,
-    seed: int,
-    block: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-switch outcomes for the pulses ``x`` of block ``block``.
-
-    The law is ``outcome_law(ch, gain, extinction)``.
-    """
-    rng = _rng(seed, _STREAM_MONITOR, block)
-    return _simulate_block(rng, x, atk, outcome_law(ch, gain, extinction))
 
 
 def simulate_bob(

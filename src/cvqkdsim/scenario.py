@@ -1,10 +1,10 @@
 """End-to-end scenario orchestration.
 
-Runs calibrate -> attack -> estimate -> countermeasure -> key rate on a
-validated configuration and produces a deterministic report: channel
-estimates, real-time shot-noise section and a security verdict comparing
-the key rate Alice and Bob believe in against the one the true channel
-supports.
+Runs a validated configuration through attack, estimation, monitoring
+and key rate, to a deterministic report and a verdict comparing the key
+rate Alice and Bob believe in with the one the true channel supports.
+The report reads only sums of the pulses, drawn from their exact law; a
+pulse dump is drawn given those sums, so ``run --csv`` prints the same.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .countermeasure import detect_attack, monitor_mask_block, realtime_shot_noise
+from .countermeasure import detect_attack, realtime_shot_noise
 from .errors import ConfigError, ScenarioStageError
 from .estimation import (
     EstimationReport,
@@ -40,12 +40,8 @@ from .keyrate import (
 from .protocol import (
     AttackParams,
     PulseBatch,
-    alice_block,
     attack_gain,
-    bob_block,
-    monitor_block,
     outcome_law,
-    pulse_blocks,
 )
 from .pulses import (
     PowerMeterConfig,
@@ -62,10 +58,13 @@ EXIT_BREACHED = 3
 
 VERDICT_EXIT_CODES = {"secure": EXIT_SECURE, "abort": EXIT_ABORT, "breached": EXIT_BREACHED}
 
-# Seed-stream tags of the scenario-level draws: the monitor mask of a pulse
-# draw, and the moments drawn without one.
-_TAG_MONITOR_MASK = 100
+# Seed-stream tags of the scenario-level draws: the moments, and the pulse
+# dump that expands them.
 _TAG_MOMENTS = 101
+_TAG_DUMP = 102
+
+# Pulses per block of a pulse dump, which holds a few arrays of this size.
+_DUMP_BLOCK = 1 << 14
 
 # Nominal LO pulse: linear rise, flat top, linear fall (ns grid).
 _RISE_NS = 30
@@ -92,10 +91,6 @@ def trigger_delay_from_attenuation(alpha: float) -> float:
     base, threshold, pm = default_lo_pulse()
     shaped = attenuate_leading_edge(base, alpha, float(_RISE_NS), pm)
     return trigger_time(shaped, threshold) - trigger_time(base, threshold)
-
-
-def _sub_seed(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(tag,)).generate_state(1)[0])
 
 
 @contextmanager
@@ -156,9 +151,11 @@ class Moments:
     """Counts and sums of one scenario's pulses: all that the analysis reads.
 
     ``est_*`` cover the estimation set, ``n_open`` and ``open_yy`` every
-    open-switch pulse, and ``monitor_yy`` the closed-switch pulses.  Open
-    pulses are added in pulse order; the first ``key_target`` of them
-    form the key set and the rest the estimation set.
+    open-switch pulse, and ``monitor_yy`` the closed-switch pulses.  The
+    first ``key_target`` open pulses form the key set and the rest the
+    estimation set.  ``key_classes`` and ``est_classes`` hold, per attack
+    class of each set, its pulse count and what ``draw_moments`` drew for
+    it: Σw² of w = y/sd(y), and ``_standard_sums``.  ``_dump`` expands them.
     """
 
     key_target: int
@@ -172,26 +169,8 @@ class Moments:
     est_y: float = 0.0
     m_monitor: int = 0
     monitor_yy: float = 0.0
-
-    def add_open(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Add the next open-switch pulses, in pulse order."""
-        split = min(max(self.key_target - self.n_open, 0), x.size)
-        key_y, est_x, est_y = y[:split], x[split:], y[split:]
-        self.n_open += x.size
-        est_yy = dot(est_y, est_y)
-        self.open_yy += dot(key_y, key_y) + est_yy
-        if est_x.size:
-            self.m_est += est_x.size
-            self.est_xx += dot(est_x, est_x)
-            self.est_xy += dot(est_x, est_y)
-            self.est_yy += est_yy
-            self.est_x += float(est_x.sum())
-            self.est_y += float(est_y.sum())
-
-    def add_monitor(self, y: np.ndarray) -> None:
-        """Add closed-switch outcomes."""
-        self.m_monitor += y.size
-        self.monitor_yy += dot(y, y)
+    key_classes: tuple = ()
+    est_classes: tuple = ()
 
 
 def _key_target(cfg: ScenarioConfig) -> int:
@@ -227,40 +206,42 @@ def _chi2(rng: np.random.Generator, df: int) -> float:
 
 
 def _standard_sums(rng: np.random.Generator, n: int) -> tuple[float, ...]:
-    """(Σu², Σuz, Σz², Σu, Σz) over ``n`` >= 1 i.i.d. pairs (u, z) of standard normals.
+    """The sums of ``n`` >= 1 i.i.d. pairs (u, z) of standard normals, as (Σu, Σz, a², c, b²).
 
     The sums (Σu, Σz) are N(0, n) each; the centred scatter, independent
-    of them, is Wishart(n - 1, I), drawn by the Bartlett decomposition
-    [[a, 0], [c, b]] times its transpose, with a² ~ χ²(n - 1), b² ~
-    χ²(n - 2) and c ~ N(0, 1).  A single pair has zero scatter.
+    of them, is Wishart(n - 1, I), drawn as L Lᵀ for the Bartlett factor
+    L = [[a, 0], [c, b]], with a² ~ χ²(n - 1), b² ~ χ²(n - 2) and c ~
+    N(0, 1).  A single pair has zero scatter.
     """
     su, sz = (float(v) for v in rng.standard_normal(2) * math.sqrt(n))
-    suu, suz, szz = su * su / n, su * sz / n, sz * sz / n
-    if n > 1:
-        a2, b2, c = _chi2(rng, n - 1), _chi2(rng, n - 2), float(rng.standard_normal())
-        suu += a2
-        suz += math.sqrt(a2) * c
-        szz += c * c + b2
-    return suu, suz, szz, su, sz
+    if n == 1:
+        return su, sz, 0.0, 0.0, 0.0
+    a2, b2, c = _chi2(rng, n - 1), _chi2(rng, n - 2), float(rng.standard_normal())
+    return su, sz, a2, c, b2
+
+
+def _sums(n: int, stats: tuple) -> tuple[float, ...]:
+    """(Σu², Σuz, Σz², Σu, Σz) of the ``n`` pairs whose ``_standard_sums`` are ``stats``."""
+    su, sz, a2, c, b2 = stats
+    return su * su / n + a2, su * sz / n + math.sqrt(a2) * c, sz * sz / n + (c * c + b2), su, sz
 
 
 def draw_moments(cfg: ScenarioConfig, atk: AttackParams, gain: float) -> Moments:
     """The scenario's ``Moments``, drawn from their exact law in O(1) time and memory.
 
-    They have the distribution of the moments of the per-pulse draw
-    (``_draw_pulses``), not its bits.  The open count is Binomial(N, 1 -
-    monitor_fraction) with the countermeasure on, N otherwise; the key
-    set is its first ``key_target`` pulses and the estimation set the
-    rest.  In each set the pulses of each attack class (``_class_counts``)
-    are i.i.d. with x = sqrt(va)*u and y = slope*x + sd*z, for standard
-    normals u and z and the class's ``protocol.outcome_law``; an
-    estimation class draws the sums of its pairs (``_standard_sums``), a
-    key-set or closed-switch class only its sum of y², (slope²*va +
-    sd²) times χ²(n).  Draw order, from one generator seeded from (seed,
-    ``_TAG_MOMENTS``): the closed count, then the estimation set's class
-    counts and each non-empty class's sums, the key set's class counts
-    and χ² variates, and the closed-switch pulses' likewise.  A class of
-    no pulses draws nothing, so neither does a certain flag.
+    The open count is Binomial(N, 1 - monitor_fraction) with the
+    countermeasure on, N otherwise; the key set is its first
+    ``key_target`` pulses and the estimation set the rest.  In each set
+    the pulses of each attack class (``_class_counts``) are i.i.d. with
+    x = sqrt(va)*u and y = slope*x + sd*z, for standard normals u and z
+    and the class's ``protocol.outcome_law``; an estimation class draws
+    the sums of its pairs (u, z) (``_standard_sums``), a key-set or
+    closed-switch class only Σw² ~ χ²(n) of w = y/sd(y).  Draw order,
+    from one generator seeded from (seed, ``_TAG_MOMENTS``): the closed
+    count, then the estimation set's class counts and each non-empty
+    class's sums, the key set's class counts and χ² variates, and the
+    closed-switch pulses' likewise.  A class of no pulses draws nothing,
+    so neither does a certain flag.
     """
     ch = cfg.channel
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_TAG_MOMENTS,)))
@@ -272,74 +253,132 @@ def draw_moments(cfg: ScenarioConfig, atk: AttackParams, gain: float) -> Moments
     moments = Moments(key_target=_key_target(cfg), n_open=n_open)
     n_key = min(moments.key_target, n_open)
 
-    def sum_y2(n: int, law) -> float:
+    def chi2_classes(n: int) -> tuple:
+        return tuple([(k, _chi2(rng, k)) for k in _class_counts(rng, n, atk)])
+
+    def sum_y2(classes: tuple, law) -> float:
         slope, sd = law
         return sum(
-            float(slope**2 * ch.va + s * s) * _chi2(rng, k)
-            for k, s in zip(_class_counts(rng, n, atk), sd.tolist())
-            if k
+            float(slope**2 * ch.va + s * s) * w2 for (k, w2), s in zip(classes, sd.tolist()) if k
         )
 
     with _stage("channel-simulation"):
         law = outcome_law(ch, gain)
         slope, sqrt_va = float(law[0]), math.sqrt(ch.va)
         moments.m_est = n_open - n_key
+        est_classes = []
         for k, sd in zip(_class_counts(rng, moments.m_est, atk), law[1].tolist()):
+            stats = _standard_sums(rng, k) if k else ()
+            est_classes.append((k, stats))
             if k:
-                suu, suz, szz, su, sz = _standard_sums(rng, k)
+                suu, suz, szz, su, sz = _sums(k, stats)
                 xx, xz, zz = ch.va * suu, sqrt_va * sd * suz, sd * sd * szz
                 moments.est_xx += xx
                 moments.est_xy += slope * xx + xz
                 moments.est_yy += slope * slope * xx + 2.0 * slope * xz + zz
                 moments.est_x += sqrt_va * su
                 moments.est_y += slope * sqrt_va * su + sd * sz
-        moments.open_yy = moments.est_yy + sum_y2(n_key, law)
+        moments.est_classes = tuple(est_classes)
+        moments.key_classes = chi2_classes(n_key)
+        moments.open_yy = moments.est_yy + sum_y2(moments.key_classes, law)
     if n_closed:
         with _stage("monitoring"):
             moments.m_monitor = n_closed
-            moments.monitor_yy = sum_y2(n_closed, outcome_law(ch, gain, cfg.switch.extinction))
+            law = outcome_law(ch, gain, cfg.switch.extinction)
+            moments.monitor_yy = sum_y2(chi2_classes(n_closed), law)
     return moments
 
 
-def _draw_pulses(
-    cfg: ScenarioConfig, atk: AttackParams, gain: float, on_open: Callable[[PulseBatch], None]
-) -> Moments:
-    """Draw every pulse, one block after the other, and hand ``on_open`` each block's open ones.
+def _pooled(n: int, sums) -> tuple[float, ...]:
+    """The ``_standard_sums`` of ``n`` pairs from (Σu², Σuz, Σz², Σu, Σz); rank n - 1 below 3."""
+    suu, suz, szz, su, sz = sums
+    a2 = max(suu - su * su / n, 0.0)
+    c = (suz - su * sz / n) / math.sqrt(a2) if a2 else 0.0
+    return su, sz, a2, c, max(szz - sz * sz / n - c * c, 0.0) if n > 2 else 0.0
 
-    Per block: Alice's modulation, the block's monitor mask, Bob's
-    attacked outcomes on the open-switch pulses and the monitoring
-    outcomes on the closed-switch ones, added to the moments in pulse
-    order.  ``on_open`` receives each block's open-switch pulses.  Memory
-    does not grow with the pulse count.
+
+def _onto(k: int, block: tuple, n: int, total: tuple, target: tuple) -> tuple[float, ...]:
+    """L_t L_r⁻¹ (L_b e + m_b - m_r) + m_t: a block's orthonormal e onto its class's target.
+
+    m and L are the mean and Bartlett factor of the ``_standard_sums`` of
+    the block's ``k`` raw pairs, its class's ``n`` raw and ``target`` ones.
+    As (m11, m21, m22, o1, o2): u = m11*e1 + o1, z = m21*e1 + m22*e2 + o2.
     """
-    ch = cfg.channel
-    moments = Moments(key_target=_key_target(cfg))
-    mask_seed = _sub_seed(cfg.seed, _TAG_MONITOR_MASK)
+    (bu, bz, ba, bc, bb), (ru, rz, ra, rc, rb), (tu, tz, ta, tc, tb) = (
+        (su / m, sz / m, math.sqrt(a2), c, math.sqrt(b2))
+        for m, (su, sz, a2, c, b2) in ((k, block), (n, total), (n, target))
+    )
+    n11 = ba / ra if ra else 0.0
+    n21, n22 = ((bc - rc * n11) / rb, bb / rb) if rb else (0.0, 0.0)
+    o1 = (bu - ru) / ra if ra else 0.0
+    o2 = (bz - rz - rc * o1) / rb if rb else 0.0
+    return ta * n11, tc * n11 + tb * n21, tb * n22, ta * o1 + tu, tc * o1 + tb * o2 + tz
 
-    # a function, so that its arrays are freed when it returns; a loop body would
-    # keep them alive while the next block draws
-    def draw_block(block: int, size: int) -> None:
-        with _stage("modulation"):
-            x = alice_block(ch.va, cfg.seed, block, size)
-        closed = None
-        if cfg.countermeasure_enabled:
-            with _stage("monitoring"):
-                closed = monitor_mask_block(cfg.monitor_fraction, mask_seed, block, size)
-        with _stage("channel-simulation"):
-            x_open = x if closed is None else x[~closed]
-            y, intercepted, lo_attacked = bob_block(x_open, ch, atk, gain, cfg.seed, block)
-        moments.add_open(x_open, y)
-        if closed is not None:
-            with _stage("monitoring"):
-                y_closed, _, _ = monitor_block(
-                    x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block
-                )
-            moments.add_monitor(y_closed)
-        on_open(PulseBatch(x=x_open, y=y, intercepted=intercepted, lo_attacked=lo_attacked))
 
-    for block, _, size in pulse_blocks(cfg.pulses):
-        draw_block(block, size)
-    return moments
+def _orthonormal(u: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u and z centred, z less its part along u, each of unit norm; zero past rank size - 1."""
+    e1, e2 = u - u.mean(), z - z.mean()
+    e1 *= 1.0 / math.sqrt(dot(e1, e1)) if u.size > 1 else 0.0
+    e2 -= dot(e1, e2) * e1
+    e2 *= 1.0 / math.sqrt(dot(e2, e2)) if u.size > 2 else 0.0
+    return e1, e2
+
+
+def _dump_heads(seed: int, part: int, classes: tuple):
+    """Each dump block's generator, class counts and raw sums, in block order (see ``_dump``)."""
+    left, n = [k for k, _ in classes], sum(k for k, _ in classes)
+    for block, start in enumerate(range(0, n, _DUMP_BLOCK)):
+        key = (_TAG_DUMP, part, block)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        counts = rng.multivariate_hypergeometric(left, min(_DUMP_BLOCK, n - start)).tolist()
+        left = [k - c for k, c in zip(left, counts)]
+        draw = _standard_sums if part else lambda rng, k: (_chi2(rng, k),)
+        yield rng, counts, [draw(rng, k) if k else (0.0,) * (5 if part else 1) for k in counts]
+
+
+def _dump(cfg: ScenarioConfig, moments: Moments, gain: float, on_open) -> None:
+    """Hand ``on_open`` the open-switch pulses, drawn from their exact law given ``moments``.
+
+    The key set comes first, then the estimation set, each in blocks of
+    ``_DUMP_BLOCK`` pulses.  Block k of set s (0 key, 1 estimation) draws
+    from a generator seeded from (seed, ``_TAG_DUMP``, s, k): its class
+    counts (``multivariate_hypergeometric`` from the counts still left),
+    each non-empty class's raw sums from their law (``_standard_sums``, or
+    ``_chi2`` in the key set), two standard normals per pulse, class by
+    class, then one permutation of its rows.  Pass 1 draws only the counts
+    and raw sums and adds the raw sums up per class.  Pass 2 redraws each
+    block and maps each class's normals onto the block's raw sums, and the
+    class's raw totals onto its sums in ``moments`` (``_onto``); the key
+    set scales y and draws x from its law given y.  A Gaussian sample's
+    standardized configuration is independent of its sums (Basu), so each
+    pulse keeps the law of ``outcome_law``, and the rows add up to the report.
+    """
+    va, (slope, sds) = cfg.channel.va, outcome_law(cfg.channel, gain)
+    for part, classes in enumerate((moments.key_classes, moments.est_classes)):
+        totals = np.zeros((4, 5 if part else 1))
+        for _, counts, raw in _dump_heads(cfg.seed, part, classes):
+            totals += [_sums(k, r) if part and k else r for k, r in zip(counts, raw)]
+        for rng, counts, raw in _dump_heads(cfg.seed, part, classes):
+            x, y, start = np.empty(sum(counts)), np.empty(sum(counts)), 0
+            for c, k in enumerate(counts):
+                if not k:
+                    continue
+                rows, start = slice(start, start + k), start + k
+                u, z = rng.standard_normal((2, k))
+                (n, target), sd = classes[c], sds[c]
+                if part:
+                    total = raw[c] if k == n else _pooled(n, totals[c].tolist())
+                    m11, m21, m22, o1, o2 = _onto(k, raw[c], n, total, target)
+                    e1, e2 = _orthonormal(u, z)
+                    x[rows] = math.sqrt(va) * (m11 * e1 + o1)
+                    y[rows] = slope * x[rows] + sd * (m21 * e1 + m22 * e2 + o2)
+                else:
+                    s2 = slope * slope * va + sd * sd
+                    y[rows] = u * math.sqrt(s2 * target / totals[c, 0] * raw[c][0] / dot(u, u))
+                    x[rows] = slope * va / s2 * y[rows] + math.sqrt(va / s2) * sd * z
+            order = rng.permutation(x.size)
+            flags = np.repeat(np.arange(4, dtype=np.uint8), counts)[order]
+            on_open(PulseBatch(x[order], y[order], flags & 1 == 1, flags > 1))
 
 
 @dataclass
@@ -354,20 +393,17 @@ class ScenarioSample:
 def sample_scenario(
     cfg: ScenarioConfig, on_open: Callable[[PulseBatch], None] | None = None
 ) -> ScenarioSample:
-    """Draw the scenario's moments: every pulse with ``on_open``, their exact law without.
+    """Draw the scenario's moments from their exact law, and with ``on_open`` expand them.
 
-    With ``on_open`` (a pulse dump) every pulse is drawn and handed to it
-    (``_draw_pulses``); without, the moments are drawn directly, in O(1)
-    time and memory (``draw_moments``).  The two give moments of the same
-    distribution, not the same bits.
+    ``draw_moments`` takes O(1) time and memory; a pulse dump ``on_open`` is then
+    handed pulses drawn given those moments (``_dump``): one report either way.
     """
     with _stage("pulse-model"):
         atk = _resolve_attack(cfg)
         gain = attack_gain(atk, cfg.detector)
-    if on_open is None:
-        moments = draw_moments(cfg, atk, gain)
-    else:
-        moments = _draw_pulses(cfg, atk, gain, on_open)
+    moments = draw_moments(cfg, atk, gain)
+    if on_open is not None:
+        _dump(cfg, moments, gain, on_open)
     return ScenarioSample(attack=atk, gain=gain, moments=moments)
 
 
@@ -487,9 +523,8 @@ def run_scenario(
     verdict: "secure" (both the estimated and the true rate are
     positive), "abort" (alarm raised or estimated rate non-positive) or
     "breached" (Alice and Bob believe in a positive rate that the true
-    channel does not support).  ``on_open``, a pulse dump, is passed on
-    to ``sample_scenario``: with it every pulse is drawn, without it the
-    moments are drawn from their exact law.
+    channel does not support).  ``on_open``, a pulse dump, is handed
+    pulses drawn given the report's moments (``sample_scenario``).
     """
     return analyse_scenario(cfg, sample_scenario(cfg, on_open))
 

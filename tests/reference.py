@@ -5,6 +5,12 @@ the package, so that a change to the code under test cannot change its
 oracle with it.  The bias law they state: a delayed trigger scales the
 shot noise by the timing gain, and the calibrated relationship then
 turns intercept-resend noise into a smaller excess-noise estimate.
+
+The per-pulse scenario (``run_pulses``) draws every pulse of a scenario,
+its monitoring mask included, and adds up the sums its report reads.  It
+is an oracle independent of the package's draw of those sums from their
+law (``scenario.draw_moments``): the two agree in distribution, not in
+bits.
 """
 
 import math
@@ -13,14 +19,31 @@ import numpy as np
 
 from cvqkdsim.estimation import MlEstimates, dot, ml_from_moments
 from cvqkdsim.protocol import (
+    BLOCK_SIZE,
     AttackParams,
     ChannelParams,
     PulseBatch,
+    _rng,
+    _simulate_block,
+    alice_block,
     attack_gain,
-    monitor_block,
+    bob_block,
+    outcome_law,
     pulse_blocks,
 )
 from cvqkdsim.pulses import DetectorModel
+from cvqkdsim.scenario import (
+    Moments,
+    ScenarioSample,
+    _key_target,
+    _resolve_attack,
+    analyse_scenario,
+)
+
+# The seed stream of the closed-switch outcomes, beside Alice's (0) and Bob's (1),
+# and the seed-stream tag of the monitoring mask.
+STREAM_MONITOR = 2
+TAG_MONITOR_MASK = 100
 
 
 def discharge_tau(delay_ns: float, gain_target: float) -> float:
@@ -88,8 +111,8 @@ def simulate_monitor(
 ) -> PulseBatch:
     """Outcomes of monitoring pulses measured with the signal path blocked.
 
-    See ``protocol.monitor_block``, drawn block by block on the calling
-    thread; electronic noise is unchanged.
+    See ``monitor_block``, drawn block by block on the calling thread;
+    electronic noise is unchanged.
     """
     if not 0.0 <= extinction < 1.0:
         raise ValueError(f"extinction must be in [0, 1), got {extinction}")
@@ -104,3 +127,95 @@ def simulate_monitor(
             x[sl], ch, atk, gain, extinction, seed, block
         )
     return PulseBatch(x=x, y=y, intercepted=intercepted, lo_attacked=lo_attacked)
+
+
+def monitor_block(
+    x: np.ndarray,
+    ch: ChannelParams,
+    atk: AttackParams,
+    gain: float,
+    extinction: float,
+    seed: int,
+    block: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-switch outcomes for the pulses ``x`` of block ``block``.
+
+    Drawn as Bob's block is, from stream ``STREAM_MONITOR``, under
+    ``outcome_law(ch, gain, extinction)``.
+    """
+    rng = _rng(seed, STREAM_MONITOR, block)
+    return _simulate_block(rng, x, atk, outcome_law(ch, gain, extinction))
+
+
+def monitor_mask_block(fraction: float, seed: int, block: int, size: int) -> np.ndarray:
+    """Block ``block``, of ``size`` pulses, of the i.i.d. Bernoulli(fraction) monitoring mask.
+
+    The whole mask is one draw of ``default_rng(seed).random(n) <
+    fraction``, cut into ``BLOCK_SIZE`` blocks: block k's generator
+    steps past the k*BLOCK_SIZE uniforms of the blocks before it (a
+    PCG64 double takes one 64-bit output), so the blocks join to the same
+    mask whatever the order they are drawn in.
+    """
+    bits = np.random.PCG64(seed)
+    bits.advance(block * BLOCK_SIZE)
+    return np.random.Generator(bits).random(size) < fraction
+
+
+def mask_seed(seed: int) -> int:
+    """The seed of a scenario's monitoring mask, drawn from its master seed."""
+    return int(np.random.SeedSequence(seed, spawn_key=(TAG_MONITOR_MASK,)).generate_state(1)[0])
+
+
+def add_open(moments: Moments, x: np.ndarray, y: np.ndarray) -> None:
+    """Add the next open-switch pulses, in pulse order: the first ``key_target`` are the key set."""
+    split = min(max(moments.key_target - moments.n_open, 0), x.size)
+    key_y, est_x, est_y = y[:split], x[split:], y[split:]
+    moments.n_open += x.size
+    est_yy = dot(est_y, est_y)
+    moments.open_yy += dot(key_y, key_y) + est_yy
+    if est_x.size:
+        moments.m_est += est_x.size
+        moments.est_xx += dot(est_x, est_x)
+        moments.est_xy += dot(est_x, est_y)
+        moments.est_yy += est_yy
+        moments.est_x += float(est_x.sum())
+        moments.est_y += float(est_y.sum())
+
+
+def add_monitor(moments: Moments, y: np.ndarray) -> None:
+    """Add closed-switch outcomes."""
+    moments.m_monitor += y.size
+    moments.monitor_yy += dot(y, y)
+
+
+def draw_pulses(cfg, on_open=None) -> ScenarioSample:
+    """A scenario's sample with every pulse drawn, one ``BLOCK_SIZE`` block after the other.
+
+    Per block: Alice's modulation, the block's monitor mask, Bob's
+    attacked outcomes on the open-switch pulses and the monitoring
+    outcomes on the closed-switch ones, added to the moments in pulse
+    order.  ``on_open`` receives each block's open-switch pulses.
+    """
+    ch, atk = cfg.channel, _resolve_attack(cfg)
+    gain = attack_gain(atk, cfg.detector)
+    moments = Moments(key_target=_key_target(cfg))
+    for block, _, size in pulse_blocks(cfg.pulses):
+        x = alice_block(ch.va, cfg.seed, block, size)
+        closed = np.zeros(size, dtype=bool)
+        if cfg.countermeasure_enabled:
+            closed = monitor_mask_block(cfg.monitor_fraction, mask_seed(cfg.seed), block, size)
+        y, intercepted, lo_attacked = bob_block(x[~closed], ch, atk, gain, cfg.seed, block)
+        add_open(moments, x[~closed], y)
+        if closed.any():
+            y_closed, _, _ = monitor_block(
+                x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block
+            )
+            add_monitor(moments, y_closed)
+        if on_open is not None:
+            on_open(PulseBatch(x[~closed], y, intercepted, lo_attacked))
+    return ScenarioSample(attack=atk, gain=gain, moments=moments)
+
+
+def run_pulses(cfg, on_open=None):
+    """The report of a scenario whose every pulse is drawn (``draw_pulses``)."""
+    return analyse_scenario(cfg, draw_pulses(cfg, on_open))

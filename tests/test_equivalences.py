@@ -1,17 +1,19 @@
 """Equivalence oracles: pairs of configs that the sampler's law makes one experiment.
 
 With the same seed, attack flags of probability 0 or 1 consume no
-randomness: per pulse they step past their uniforms, and the moments
-drawn from their law draw no binomial for them and nothing for an empty
-class.  So both configs of a pair draw the same normals, on either path,
-and their reports must agree line for line, up to rounding where a unit
-changes.  Each config spans three pulse blocks.
+randomness: the moments drawn from their law draw no binomial for them
+and nothing for an empty class, and the reference per-pulse draw
+(``reference.run_pulses``) steps past their uniforms.  So both configs
+of a pair draw the same normals, on either path, and their reports must
+agree line for line, up to rounding where a unit changes.  Each config
+spans three pulse blocks.
 """
 
 import pytest
 
 from cvqkdsim import parse_config, run_scenario, trigger_delay_from_attenuation
 from cvqkdsim.protocol import BLOCK_SIZE, attack_gain
+from reference import run_pulses
 
 SEEDS_AND_COUNTERMEASURE = [
     pytest.param(seed, cm, id=f"seed{seed}-countermeasure-{cm}")
@@ -22,15 +24,15 @@ SEEDS_AND_COUNTERMEASURE = [
 
 @pytest.fixture(params=["moments", "pulses"])
 def dump(request):
-    """The ``on_open`` of a run: none draws the moments, a no-op one every pulse."""
-    return None if request.param == "moments" else lambda batch: None
+    """The run: the package's, which draws the moments, or the reference's, drawing every pulse."""
+    return run_scenario if request.param == "moments" else run_pulses
 
 
 @pytest.fixture
 def _report(dump):
     def report(head: str, body: str) -> dict[str, str]:
         """The report lines of a run, as a map from name to printed value."""
-        text = run_scenario(parse_config(head + body), on_open=dump).to_text()
+        text = dump(parse_config(head + body)).to_text()
         return dict(line.split("=", 1) for line in text.splitlines())
 
     return report

@@ -18,11 +18,10 @@ from cvqkdsim.protocol import (
     alice_block,
     attack_gain,
     bob_block,
-    monitor_block,
     pulse_blocks,
     pulses_csv,
 )
-from reference import mean_attack_gain, simulate_monitor
+from reference import mean_attack_gain, monitor_block, simulate_monitor
 
 CH = ChannelParams(va=5.0, transmittance=0.5, eta=0.5, xi=0.1, v_el=0.01)
 DET = DetectorModel()

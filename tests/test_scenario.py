@@ -1,5 +1,4 @@
 import ast
-import copy
 import dataclasses
 import hashlib
 import itertools
@@ -22,40 +21,31 @@ from cvqkdsim import (
     KeyRateParams,
     ScenarioConfig,
     SweepSettings,
-    generate_alice,
     load_config,
     mutual_information,
     parse_config,
     run_scenario,
     secret_key_rate,
     serialize_config,
-    simulate_bob,
     sweep_keyrate,
 )
 from cvqkdsim import scenario
 from cvqkdsim.cli import main
 from cvqkdsim.errors import ConfigError, ScenarioStageError
-from cvqkdsim.protocol import (
-    BLOCK_SIZE,
-    alice_block,
-    attack_gain,
-    bob_block,
-    monitor_block,
-    pulses_csv,
-)
+from cvqkdsim.estimation import dot
+from cvqkdsim.protocol import BLOCK_SIZE, attack_gain, outcome_law, pulses_csv
 from cvqkdsim.scenario import (
+    _DUMP_BLOCK,
     EXIT_ABORT,
     EXIT_BREACHED,
     EXIT_ERROR,
     EXIT_SECURE,
-    _TAG_MONITOR_MASK,
-    Moments,
-    _sub_seed,
-    analyse_scenario,
+    draw_moments,
     last_positive_distance,
     sample_scenario,
     trigger_delay_from_attenuation,
 )
+from reference import run_pulses
 
 BREACH = """
 # full intercept-resend hidden by a 10 ns trigger delay
@@ -68,24 +58,14 @@ xi = 0.1
 """
 
 
-def _planned_mask(cfg) -> np.ndarray:
-    """The scenario's monitor mask, drawn at once from one generator."""
-    rng = np.random.default_rng(_sub_seed(cfg.seed, _TAG_MONITOR_MASK))
-    return rng.random(cfg.pulses) < cfg.monitor_fraction
-
-
-def _every_pulse(cfg, on_open=lambda batch: None):
-    """The report of the per-pulse path: a run with a pulse dump, by default one that keeps nothing."""
+def _dumped(cfg, on_open=lambda batch: None):
+    """The report of a run with a pulse dump, by default one that keeps nothing."""
     return run_scenario(cfg, on_open=on_open)
 
 
-# run_scenario's two paths: the moments drawn from their law, and every pulse drawn
-PATHS = [pytest.param(run_scenario, id="moments"), pytest.param(_every_pulse, id="pulses")]
-
-
-def _keep(blocks: list):
-    """An ``on_open`` that keeps a copy of each batch, whose arrays the sampler reuses."""
-    return lambda batch: blocks.append(copy.deepcopy(batch))
+# the package's run, whose moments are drawn from their law, and the reference run
+# that draws every pulse (tests/reference.py)
+PATHS = [pytest.param(run_scenario, id="moments"), pytest.param(run_pulses, id="pulses")]
 
 
 DEFAULT = parse_config("pulses = 1000\n")
@@ -491,7 +471,7 @@ class TestRunScenario:
             " with the countermeasure on\n"
         )
 
-    @pytest.mark.parametrize("dump", [[], ["--csv"]], ids=["moments", "pulses"])
+    @pytest.mark.parametrize("dump", [[], ["--csv"]], ids=["moments", "dump"])
     def test_an_estimation_set_of_one_pulse_fails_its_stage(self, dump, tmp_path, capsys):
         cfg_path = tmp_path / "one-left.cfg"
         cfg_path.write_text("pulses = 10\nkey_fraction = 0.9\n")
@@ -505,20 +485,21 @@ class TestRunScenario:
         )
 
     @pytest.mark.parametrize(
-        "text",
+        "text,run",
         [
-            "pulses = 10\nepsilon = 0.9\n",
-            "pulses = 2000\nepsilon = 0.999\n",
-            "pulses = 10\nepsilon = 0.5\ncountermeasure = on\n",
+            ("pulses = 10\nepsilon = 0.9\n", run_scenario),
+            ("pulses = 2000\nepsilon = 0.999\n", run_scenario),
+            # the seeds are those of the reference per-pulse draws, which leave 2 to 3
+            # pulses to estimate
+            ("pulses = 10\nepsilon = 0.5\ncountermeasure = on\n", run_pulses),
         ],
     )
-    def test_a_sigma2_interval_above_its_point_estimate_still_gives_a_verdict(self, text):
+    def test_a_sigma2_interval_above_its_point_estimate_still_gives_a_verdict(self, text, run):
         # the chi-square interval lies above the ML point when the (1 - eps/2)
         # quantile of chi2(m - 1) is below m: at large epsilon or small m
-        # the seeds are those of the per-pulse draws, which leave 2 to 3 pulses to estimate
         above = 0
         for seed in range(8):
-            report = _every_pulse(parse_config(f"{text}seed = {seed}\n"))
+            report = run(parse_config(f"{text}seed = {seed}\n"))
             assert report.exit_code in (EXIT_SECURE, EXIT_ABORT, EXIT_BREACHED)
             low, _ = report.estimation.intervals["sigma2"]
             above += low > report.estimation.estimates.sigma2_hat
@@ -554,33 +535,14 @@ class TestRunScenario:
             assert report.m_monitor == 0 or cfg.countermeasure_enabled
         assert reports >= 120
 
-    def test_open_pulses_are_the_protocol_samplers_draws(self):
-        cfg = parse_config(BREACH.replace("pulses = 400000", "pulses = 150000"))
-        blocks = []
-        sample_scenario(cfg, on_open=_keep(blocks))
-        x = generate_alice(cfg.pulses, cfg.channel.va, cfg.seed)
-        batch = simulate_bob(x, cfg.channel, cfg.attack, cfg.detector, cfg.seed)
-        np.testing.assert_array_equal(np.concatenate([b.x for b in blocks]), x)
-        np.testing.assert_array_equal(np.concatenate([b.y for b in blocks]), batch.y)
-
-    def test_monitor_mask_is_the_planned_one(self):
-        cfg = parse_config(BREACH.replace("pulses = 400000", "pulses = 150000")
-                           + "countermeasure = on\n")
-        blocks = []
-        sample = sample_scenario(cfg, on_open=_keep(blocks))
-        mask = _planned_mask(cfg)
-        x = generate_alice(cfg.pulses, cfg.channel.va, cfg.seed)
-        np.testing.assert_array_equal(np.concatenate([b.x for b in blocks]), x[~mask])
-        assert sample.moments.m_monitor == mask.sum()
-
     @pytest.mark.parametrize("seed", range(5))
     def test_too_few_monitor_pulses_abort(self, seed):
-        # about one monitor pulse expected: the per-pulse draws of seeds 0, 2 and 4
-        # give fewer than two
+        # about one monitor pulse expected: the reference per-pulse draws of seeds 0, 2
+        # and 4 give fewer than two
         cfg = parse_config(
             f"pulses = 100\ncountermeasure = on\nmonitor_fraction = 0.01\nseed = {seed}\n"
         )
-        report = _every_pulse(cfg)
+        report = run_pulses(cfg)
         if seed in (0, 2, 4):
             assert report.m_monitor < 2
             assert (report.verdict, report.exit_code, report.alarm) == ("abort", EXIT_ABORT, True)
@@ -606,73 +568,183 @@ class TestRunScenario:
         )
 
 
-class TestMoments:
-    X = np.arange(1.0, 11.0)
-    Y = 0.5 * X - 3.0
-
-    @pytest.mark.parametrize("key_target,first_est", [(0, 0), (4, 4), (8, 8), (9, 9), (20, 10)])
-    @pytest.mark.parametrize("chunks", [1, 3, 10])
-    def test_key_set_first_then_estimation_set(self, key_target, first_est, chunks):
-        moments = Moments(key_target=key_target)
-        for idx in np.array_split(np.arange(self.X.size), chunks):
-            moments.add_open(self.X[idx], self.Y[idx])
-        x, y = self.X[first_est:], self.Y[first_est:]
-        expected = (x.size, x @ x, x @ y, y @ y, x.sum(), y.sum())
-        got = (
-            moments.m_est, moments.est_xx, moments.est_xy, moments.est_yy, moments.est_x,
-            moments.est_y,
-        )
-        assert got == pytest.approx(expected, rel=1e-15)
-        assert moments.n_open == self.X.size
-        assert moments.open_yy == pytest.approx(self.Y @ self.Y, rel=1e-15)
-
-
-# The key/estimation split falls inside block 1 and the last block is partial.
+# Several dump blocks in each set, the last one partial, fractional flags and
+# closed-switch pulses at extinction 0.05.
 SPLIT_MID_BLOCK = (
     f"pulses = {3 * BLOCK_SIZE + 1234}\nseed = 11\nkey_fraction = 0.5\nmu = 0.5\nnu = 0.5\n"
     "delta_ns = 10.0\nextinction = 0.05\ncountermeasure = on\n"
 )
 
-
-def _serial_fold(cfg):
-    """The scenario's moments, added one block after the other on this thread alone."""
-    ch, atk = cfg.channel, cfg.attack
-    gain = attack_gain(atk, cfg.detector)
-    moments = Moments(key_target=int(round(cfg.key_fraction * cfg.pulses)))
-    mask = _planned_mask(cfg) if cfg.countermeasure_enabled else np.zeros(cfg.pulses, dtype=bool)
-    opened, splits = [], []
-    for block, start in enumerate(range(0, cfg.pulses, BLOCK_SIZE)):
-        x = alice_block(ch.va, cfg.seed, block, min(BLOCK_SIZE, cfg.pulses - start))
-        closed = mask[start : start + x.size]
-        y, intercepted, lo_attacked = bob_block(x[~closed], ch, atk, gain, cfg.seed, block)
-        splits.append(min(max(moments.key_target - moments.n_open, 0), y.size))
-        moments.add_open(x[~closed], y)
-        opened.append((x[~closed], y, intercepted, lo_attacked))
-        y_closed, _, _ = monitor_block(
-            x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block
-        )
-        moments.add_monitor(y_closed)
-    return moments, opened, splits
+# Small runs hold sets and attack classes of 0, 1, 2 and 3 pulses; with 40% of 10
+# pulses monitored, most seeds leave too few pulses to estimate.
+DUMP_GRID = [
+    f"pulses = {pulses}\nseed = {seed}\nmu = 0.5\nnu = 0.5\ndelta_ns = 10.0\n"
+    f"countermeasure = {cm}\n"
+    for pulses in (10, 11, 12, 37, 200)
+    for seed in range(20)
+    for cm in ("off", "on")
+] + [SPLIT_MID_BLOCK] + [
+    f"pulses = 10\nseed = {seed}\ncountermeasure = on\nmonitor_fraction = 0.4\n"
+    for seed in range(10)
+]
 
 
-@pytest.mark.parametrize(
-    "text", [SPLIT_MID_BLOCK, SPLIT_MID_BLOCK.replace("= on", "= off")],
-    ids=["countermeasure-on", "countermeasure-off"],
-)
-def test_a_dump_run_adds_every_pulse_as_the_serial_fold_does_bit_for_bit(text):
-    cfg = parse_config(text)
-    serial, opened, splits = _serial_fold(cfg)
-    assert cfg.pulses % BLOCK_SIZE and 0 < splits[1] < opened[1][0].size
+def _dump(cfg):
+    """The moments of a run with a pulse dump, its batches, and their rows' x, y and class."""
     blocks = []
-    drawn = sample_scenario(cfg, on_open=_keep(blocks)).moments
-    for f in dataclasses.fields(Moments):
-        np.testing.assert_array_equal(getattr(drawn, f.name), getattr(serial, f.name), f.name)
-        assert type(getattr(drawn, f.name)) is type(getattr(serial, f.name))
-    # on_open saw each block's open pulses, in pulse order
-    assert len(blocks) == len(opened)
-    for batch, expected in zip(blocks, opened):
-        for got, want in zip((batch.x, batch.y, batch.intercepted, batch.lo_attacked), expected):
-            np.testing.assert_array_equal(got, want)
+    moments = sample_scenario(cfg, on_open=blocks.append).moments
+    x, y, intercepted, lo_attacked = (
+        np.concatenate([getattr(b, name) for b in blocks] or [np.empty(0)])
+        for name in ("x", "y", "intercepted", "lo_attacked")
+    )
+    return moments, blocks, x, y, intercepted.astype(int) + 2 * lo_attacked.astype(int)
+
+
+def _assert_the_rows_add_up_to(cfg, moments, x, y):
+    """The rows' sums, key rows first, are the moments' within 1e-12 of the magnitudes they add.
+
+    The moments form each estimation sum from x and the noise r = y -
+    slope*x, so each sum is held to 1e-12 times a Cauchy-Schwarz bound on
+    the sum of its terms' magnitudes in x and r: relative for Σx², not for
+    a sum that cancels to near 0.
+    """
+    n_key = moments.n_open - moments.m_est
+    slope = math.sqrt(cfg.channel.eta * cfg.channel.transmittance)
+    ex, ey = x[n_key:], y[n_key:]
+    er = ey - slope * ex
+    xx, rr = dot(ex, ex), dot(er, er)
+    yy = (slope * math.sqrt(xx) + math.sqrt(rr)) ** 2
+    sums = {  # name -> (the rows' sum, a bound on the sum of its terms' magnitudes)
+        "open_yy": (dot(y, y), dot(y[:n_key], y[:n_key]) + yy),
+        "est_xx": (xx, xx),
+        "est_xy": (dot(ex, ey), math.sqrt(xx * yy)),
+        "est_yy": (dot(ey, ey), yy),
+        "est_x": (float(ex.sum()), math.sqrt(ex.size * xx)),
+        "est_y": (float(ey.sum()), math.sqrt(ex.size * yy)),
+    }
+    for name, (got, scale) in sums.items():
+        want = getattr(moments, name)
+        assert abs(got - want) <= 1e-12 * scale, (name, got, want)
+
+
+def test_a_dump_holds_one_row_per_open_pulse_whose_sums_are_the_reports():
+    sizes = {"key": set(), "estimation": set()}
+    most_blocks = 0
+    for text in DUMP_GRID:
+        cfg = parse_config(text)
+        moments, blocks, x, y, flags = _dump(cfg)
+        assert x.size == moments.n_open
+        _assert_the_rows_add_up_to(cfg, moments, x, y)
+        # each set, the key set first, is cut into dump blocks and holds its class counts
+        n_key = moments.n_open - moments.m_est
+        cuts = []
+        for name, rows, classes in (
+            ("key", flags[:n_key], moments.key_classes),
+            ("estimation", flags[n_key:], moments.est_classes),
+        ):
+            assert np.bincount(rows, minlength=4).tolist() == [k for k, _ in classes]
+            sizes[name] |= {k for k, _ in classes}
+            cuts += [min(_DUMP_BLOCK, rows.size - s) for s in range(0, rows.size, _DUMP_BLOCK)]
+        assert [len(b) for b in blocks] == cuts
+        most_blocks = max(most_blocks, len(blocks))
+    assert {0, 1, 2, 3} <= sizes["key"] and {0, 1, 2, 3} <= sizes["estimation"]
+    assert most_blocks >= 10
+
+
+def test_run_and_run_csv_print_one_report(tmp_path, capsys):
+    cfg_path, out = tmp_path / "grid.cfg", tmp_path / "out"
+    codes = []
+    for text in DUMP_GRID:
+        cfg_path.write_text(text)
+        runs = []
+        for dump in ([], ["--csv"]):
+            code = main(["run", "--config", str(cfg_path), "--out", str(out), *dump])
+            report = out / "report.txt"
+            runs.append((code, capsys.readouterr(), report.exists() and report.read_bytes()))
+            report.unlink(missing_ok=True)
+        assert runs[0] == runs[1], text
+        codes.append(runs[0][0])
+    # the same seeds leave too few pulses to estimate, and exit 1 with either command
+    assert EXIT_ERROR in codes and set(codes) - {EXIT_ERROR}
+
+
+def test_a_dumped_pulse_has_the_per_pulse_law():
+    # the first key row and the first estimation row of 2000 seeds, standardized under
+    # their class's law: x = sqrt(va)*u, y = slope*x + sd*z, and w = y/sd(y); an
+    # unshuffled block, or a map that fixes only the sums, fails this
+    base = parse_config(
+        "pulses = 40\nmu = 0.3\nnu = 0.6\ndelta_ns = 10.0\ncountermeasure = on\nextinction = 0.3\n"
+    )
+    ch, atk = base.channel, base.attack
+    slope, sd = outcome_law(ch, attack_gain(atk, base.detector))
+    sd_y = np.sqrt(slope**2 * ch.va + sd**2)
+    first = {"key": [], "estimation": []}
+    for seed in range(2000):
+        moments, _, x, y, flags = _dump(dataclasses.replace(base, seed=seed))
+        n_key = moments.n_open - moments.m_est
+        for name, row in (("key", 0), ("estimation", n_key)):
+            c = flags[row]
+            u, z = x[row] / math.sqrt(ch.va), (y[row] - slope * x[row]) / sd[c]
+            first[name].append((c, u, z, y[row] / sd_y[c]))
+    p_class = [(1 - atk.mu) * (1 - atk.nu), atk.mu * (1 - atk.nu),
+               (1 - atk.mu) * atk.nu, atk.mu * atk.nu]
+    p_inner = math.erf(0.5 / math.sqrt(2.0))  # P(|v| < 0.5) of a standard normal v
+    for name, rows in first.items():
+        c, u, z, w = (np.array(column) for column in zip(*rows))
+        checks = [(v, 0.0) for v in (u, z, w, u * z)] + [(v * v, 1.0) for v in (u, z, w)]
+        checks += [(abs(v) < 0.5, p_inner) for v in (u, z, w)]
+        checks += [(c == k, p) for k, p in enumerate(p_class)]
+        for sample, mean in checks:
+            se = sample.std() / math.sqrt(sample.size)
+            assert abs(sample.mean() - mean) <= 5.0 * se, (name, mean, sample.mean(), se)
+
+
+def _closed_form_agrees(samples: list[float], mean: float, var: float, z: float = 5.0) -> None:
+    """The samples' mean and variance are ``mean`` and ``var`` within ``z`` standard errors."""
+    a = np.asarray(samples)
+    assert abs(a.mean() - mean) <= z * math.sqrt(var / a.size), (a.mean(), mean)
+    # a variance is the mean of the squared deviations, so its SE is theirs
+    d = (a - mean) ** 2
+    assert abs(d.mean() - var) <= z * d.std() / math.sqrt(a.size), (d.mean(), var)
+
+
+@pytest.mark.parametrize("flag", [0.0, 1.0])
+def test_each_drawn_sum_has_its_closed_form_mean_and_variance(flag):
+    # a certain flag puts each set in one attack class; with the countermeasure off
+    # the estimation set has a fixed size, and with it on the closed count is binomial
+    head = f"pulses = 20\nmu = {flag}\nnu = {flag}\ndelta_ns = 10.0\nvel = 0.5\n"
+    off = parse_config(head)
+    on = parse_config(head + "countermeasure = on\nextinction = 0.3\nmonitor_fraction = 0.2\n")
+    ch, atk, n, f = off.channel, off.attack, off.pulses, on.monitor_fraction
+    gain = attack_gain(atk, off.detector)
+    eta_t, g = ch.eta * ch.transmittance, gain if flag else 1.0
+
+    def var_y(share):
+        noise = g * (share * eta_t * (2.0 * ch.n0 * flag + ch.xi) + ch.n0) + ch.v_el
+        return share * eta_t * ch.va + noise
+
+    vy, cov, vc = var_y(1.0), math.sqrt(eta_t) * ch.va, var_y(on.switch.extinction)
+    draws = {name: [] for name in ("est_xx", "est_xy", "est_yy", "est_x", "est_y", "open_yy")}
+    monitor_yy = []
+    for seed in range(10_000):
+        moments = draw_moments(dataclasses.replace(off, seed=seed), atk, gain)
+        for name, got in draws.items():
+            got.append(getattr(moments, name))
+        monitor_yy.append(draw_moments(dataclasses.replace(on, seed=seed), atk, gain).monitor_yy)
+    m = moments.m_est
+    assert m == n // 2
+    closed_forms = {  # name -> (mean, variance)
+        "est_xx": (m * ch.va, m * 2.0 * ch.va**2),
+        "est_xy": (m * cov, m * (ch.va * vy + cov**2)),
+        "est_yy": (m * vy, m * 2.0 * vy**2),
+        "est_x": (0.0, m * ch.va),
+        "est_y": (0.0, m * vy),
+        "open_yy": (n * vy, n * 2.0 * vy**2),
+    }
+    for name, (mean, var) in closed_forms.items():
+        _closed_form_agrees(draws[name], mean, var)
+    # the law of total variance over the binomial closed count K: E[2K]vc² + Var(K)vc²
+    _closed_form_agrees(monitor_yy, n * f * vc, 2.0 * n * f * vc**2 + n * f * (1 - f) * vc**2)
 
 
 def _mean_and_variance_agree(a: list[float], b: list[float], z: float = 5.0) -> None:
@@ -695,7 +767,7 @@ def test_the_moments_and_the_pulses_give_one_distribution(mu, nu, extinction):
         f"pulses = 25000\nkey_fraction = 0.4\nmu = {mu}\nnu = {nu}\ndelta_ns = 10.0\n"
         f"countermeasure = on\nextinction = {extinction}\n"
     )
-    reports = {run: [] for run in (run_scenario, _every_pulse)}
+    reports = {run: [] for run in (run_scenario, run_pulses)}
     for seed in range(120):
         cfg = parse_config(f"{text}seed = {seed}\n")
         for run, got in reports.items():
@@ -704,17 +776,16 @@ def test_the_moments_and_the_pulses_give_one_distribution(mu, nu, extinction):
         moments, pulses = ([getattr(r, name) for r in got] for got in reports.values())
         _mean_and_variance_agree(moments, pulses)
     # the moments differ from the pulses' sums, not only their report's last digits
-    assert reports[run_scenario][0].xi_hat_snu != reports[_every_pulse][0].xi_hat_snu
+    assert reports[run_scenario][0].xi_hat_snu != reports[run_pulses][0].xi_hat_snu
 
 
-@pytest.mark.parametrize("run", PATHS)
+@pytest.mark.parametrize("run", [run_scenario, _dumped], ids=["moments", "dump"])
 def test_a_failing_draw_fails_its_stage(run, monkeypatch):
-    # both paths take the class laws from outcome_law, the per-pulse one through bob_block
+    # a dump expands the moments, so it fails where they are drawn
     def fail(*args):
         raise MemoryError
 
     monkeypatch.setattr(scenario, "outcome_law", fail)
-    monkeypatch.setattr(scenario, "bob_block", fail)
     with pytest.raises(ScenarioStageError, match="^stage 'channel-simulation' failed: MemoryError$"):
         run(parse_config("pulses = 1000\n"))
 
@@ -771,12 +842,14 @@ def test_a_dump_run_starts_no_thread_and_holds_one_block(tmp_path):
                 threads.append(threading.active_count())
                 append(batch)
 
-            _every_pulse(cfg, on_open)
+            report = _dumped(cfg, on_open)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert threads == [before] * 4
-    # one block's arrays take 2.2 MiB, one CSV part's row strings about 128 bytes a row
+    # one call per dump block of the key set, then of the estimation set
+    blocks = sum(-(-n // _DUMP_BLOCK) for n in (report.n_key, report.m_estimation))
+    assert blocks == 3 and threads == [before] * blocks
+    # a dump block's arrays take about 1 MiB, one CSV part's row strings about 128 bytes a row
     assert peak < 4 * 2**20, peak
 
 
@@ -893,10 +966,13 @@ class TestCli:
         assert main(["calibrate", "--points", "200", "--delay-ns", "10"]) == 0
         out = capsys.readouterr().out
         assert "slope_ratio=" in out
-        for delay in ("-3", "nan", "inf"):
-            assert main(["calibrate", "--points", "200", "--delay-ns", delay]) == EXIT_ERROR
+        bad = [("--delay-ns", "-3"), ("--delay-ns", "nan"), ("--delay-ns", "inf"),
+               ("--points", "-5"), ("--points", "1"), ("--seed", "-1")]
+        for flag, value in bad:
+            args = {"--points": "200", flag: value}
+            assert main(["calibrate", *itertools.chain(*args.items())]) == EXIT_ERROR
             captured = capsys.readouterr()
-            assert "--delay-ns" in captured.err
+            assert flag in captured.err
             assert captured.out == ""
 
     def test_module_entry_point(self, tmp_path):
@@ -936,8 +1012,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-# name -> the config whose report the golden files tests/golden/<name>.moments.txt
-# (run) and <name>.pulses.txt (run --csv) pin
+# name -> the config whose report the golden file tests/golden/<name>.moments.txt pins,
+# for run and run --csv alike
 GOLDEN_CONFIGS = {
     "quantitative-example": lambda: load_config(CONFIGS / "quantitative-example.cfg"),
     "countermeasure-example": lambda: load_config(CONFIGS / "countermeasure-example.cfg"),
@@ -948,12 +1024,11 @@ GOLDEN_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("path", ["moments", "pulses"])
+@pytest.mark.parametrize("run", [run_scenario, _dumped], ids=["moments", "dump"])
 @pytest.mark.parametrize("name", GOLDEN_CONFIGS)
-def test_report_matches_its_golden_file(name, path):
-    cfg = GOLDEN_CONFIGS[name]()
-    report = run_scenario(cfg) if path == "moments" else _every_pulse(cfg)
-    assert (report.to_text() + "\n").encode() == (GOLDEN / f"{name}.{path}.txt").read_bytes()
+def test_report_matches_its_golden_file(name, run):
+    report = run(GOLDEN_CONFIGS[name]())
+    assert (report.to_text() + "\n").encode() == (GOLDEN / f"{name}.moments.txt").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -984,33 +1059,22 @@ def test_run_csv_dumps_the_pulses_the_report_used(tmp_path, capsys):
     assert int(report["m_monitor"]) > 0
     assert len(rows) == int(report["m_estimation"]) + int(report["n_key"])
 
+    # the printed report is the one run prints without the dump, byte for byte
     cfg = load_config(cfg_path)
-    blocks = []
-    sample = sample_scenario(cfg, on_open=_keep(blocks))
-    x, y = np.ascontiguousarray(rows[:, 1]), np.ascontiguousarray(rows[:, 2])
-    np.testing.assert_array_equal(x, np.concatenate([b.x for b in blocks]))
-    np.testing.assert_array_equal(y, np.concatenate([b.y for b in blocks]))
-    np.testing.assert_array_equal(rows[:, 3] == 1, np.concatenate([b.intercepted for b in blocks]))
-    np.testing.assert_array_equal(rows[:, 4] == 1, np.concatenate([b.lo_attacked for b in blocks]))
-    # the dumped columns alone, added block by block as the run added them,
-    # reproduce the printed report
-    drawn = sample.moments
-    dumped = Moments(
-        key_target=drawn.key_target, m_monitor=drawn.m_monitor, monitor_yy=drawn.monitor_yy
-    )
-    cuts = np.cumsum([len(b) for b in blocks])[:-1]
-    for xb, yb in zip(np.split(x, cuts), np.split(y, cuts)):
-        dumped.add_open(xb, yb)
-    reanalysed = analyse_scenario(cfg, dataclasses.replace(sample, moments=dumped))
-    assert reanalysed.to_text() == printed == _every_pulse(cfg).to_text()
+    assert printed == run_scenario(cfg).to_text()
+    # the dump is the one a run hands on_open, and its columns add up to the report's sums
+    moments, _, x, y, flags = _dump(cfg)
+    np.testing.assert_array_equal(rows[:, 1:3], np.column_stack([x, y]))
+    np.testing.assert_array_equal(rows[:, 3] + 2 * rows[:, 4], flags)
+    _assert_the_rows_add_up_to(cfg, moments, *(np.ascontiguousarray(rows[:, i]) for i in (1, 2)))
     # the draws and their formatting together, pinned byte for byte; the second
-    # dump has fractional flags, closed pulses at extinction 0.05 and the split in block 1
+    # dump has fractional flags, closed pulses at extinction 0.05 and several blocks a set
     split = tmp_path / "split.cfg"
     split.write_text(SPLIT_MID_BLOCK)
     main(["run", "--config", str(split), "--out", str(tmp_path / "split"), "--csv"])
     for dump, digest in (
-        (out, "379a320940e327f1d81e6d36b12153f1971a5ebed4815d420ac964623cdd243c"),
-        (tmp_path / "split", "d1ac3417a3399dbc4e613bab01f1fddede47a04085f0edaddfc43199b22b0368"),
+        (out, "f5e8e6ebe20c6b59d705030baf0f58a3a8b928c8ab627e1c790122c3a30e9ced"),
+        (tmp_path / "split", "92920a30ff494e2e29ca13438f5900ed4f8e9fcb7519cbc3dea3c554670f10f9"),
     ):
         assert hashlib.sha256((dump / "pulses.csv").read_bytes()).hexdigest() == digest
 
