@@ -32,6 +32,7 @@ from cvqkdsim.protocol import (
     pulse_blocks,
 )
 from cvqkdsim.pulses import DetectorModel
+from cvqkdsim.ranges import UNIT
 from cvqkdsim.scenario import (
     Moments,
     ScenarioSample,
@@ -156,6 +157,7 @@ def monitor_mask_block(fraction: float, seed: int, block: int, size: int) -> np.
     PCG64 double takes one 64-bit output), so the blocks join to the same
     mask whatever the order they are drawn in.
     """
+    UNIT.check("fraction", fraction)
     bits = np.random.PCG64(seed)
     bits.advance(block * BLOCK_SIZE)
     return np.random.Generator(bits).random(size) < fraction

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,46 @@ from cvqkdsim import (
     generate_alice,
     realtime_shot_noise,
 )
-from reference import mean_attack_gain, simulate_monitor
+from cvqkdsim.protocol import BLOCK_SIZE, pulse_blocks
+from reference import mean_attack_gain, monitor_mask_block, simulate_monitor
+
+
+def _mask(n: int, fraction: float, seed: int, order=None) -> np.ndarray:
+    """The mask over ``n`` pulses, its blocks drawn in ``order`` (block order by default)."""
+    blocks = list(pulse_blocks(n))
+    mask = np.empty(n, dtype=bool)
+    for block, start, size in blocks if order is None else (blocks[k] for k in order):
+        mask[start : start + size] = monitor_mask_block(fraction, seed, block, size)
+    return mask
+
+
+class TestPlanMonitor:
+    """The reference per-pulse run's monitoring mask, drawn block by block."""
+
+    def test_zero_fraction_selects_nothing(self):
+        assert not _mask(1000, 0.0, seed=1).any()
+
+    def test_count_within_binomial_bound(self):
+        n, fraction = 100_000, 0.1
+        n_monitor = int(_mask(n, fraction, seed=2).sum())
+        sigma = math.sqrt(n * fraction * (1.0 - fraction))
+        assert abs(n_monitor - n * fraction) < 5.0 * sigma
+
+    def test_deterministic_for_seed(self):
+        np.testing.assert_array_equal(_mask(5000, 0.1, seed=3), _mask(5000, 0.1, seed=3))
+
+    def test_blocks_join_to_one_draw_of_the_seeded_generator(self):
+        # blocks of BLOCK_SIZE, BLOCK_SIZE and 5 pulses, drawn in every order
+        n = 2 * BLOCK_SIZE + 5
+        expected = np.random.default_rng(6).random(n) < 0.1
+        for order in itertools.permutations(range(3)):
+            np.testing.assert_array_equal(_mask(n, 0.1, seed=6, order=order), expected)
+
+    def test_fraction_validation(self):
+        with pytest.raises(ValueError):
+            monitor_mask_block(1.5, 1, 0, 10)
+        with pytest.raises(ValueError):
+            monitor_mask_block(-0.1, 1, 0, 10)
 
 
 class TestRealtimeShotNoise:

@@ -33,19 +33,27 @@ from cvqkdsim import scenario
 from cvqkdsim.cli import main
 from cvqkdsim.errors import ConfigError, ScenarioStageError
 from cvqkdsim.estimation import dot
-from cvqkdsim.protocol import BLOCK_SIZE, attack_gain, outcome_law, pulses_csv
+from cvqkdsim.protocol import (
+    BLOCK_SIZE,
+    attack_gain,
+    generate_alice,
+    outcome_law,
+    pulses_csv,
+    simulate_bob,
+)
 from cvqkdsim.scenario import (
     _DUMP_BLOCK,
     EXIT_ABORT,
     EXIT_BREACHED,
     EXIT_ERROR,
     EXIT_SECURE,
+    Moments,
     draw_moments,
     last_positive_distance,
     sample_scenario,
     trigger_delay_from_attenuation,
 )
-from reference import run_pulses
+from reference import add_open, draw_pulses, mask_seed, run_pulses
 
 BREACH = """
 # full intercept-resend hidden by a 10 ns trigger delay
@@ -535,6 +543,27 @@ class TestRunScenario:
             assert report.m_monitor == 0 or cfg.countermeasure_enabled
         assert reports >= 120
 
+    def test_open_pulses_are_the_protocol_samplers_draws(self):
+        # the reference per-pulse run draws the pulses generate_alice and simulate_bob draw
+        cfg = parse_config(BREACH.replace("pulses = 400000", "pulses = 150000"))
+        blocks = []
+        draw_pulses(cfg, on_open=blocks.append)
+        x = generate_alice(cfg.pulses, cfg.channel.va, cfg.seed)
+        batch = simulate_bob(x, cfg.channel, cfg.attack, cfg.detector, cfg.seed)
+        np.testing.assert_array_equal(np.concatenate([b.x for b in blocks]), x)
+        np.testing.assert_array_equal(np.concatenate([b.y for b in blocks]), batch.y)
+
+    def test_monitor_mask_is_the_planned_one(self):
+        # the reference per-pulse run's mask, drawn block by block, is one draw of its generator
+        cfg = parse_config(BREACH.replace("pulses = 400000", "pulses = 150000")
+                           + "countermeasure = on\n")
+        blocks = []
+        sample = draw_pulses(cfg, on_open=blocks.append)
+        mask = np.random.default_rng(mask_seed(cfg.seed)).random(cfg.pulses) < cfg.monitor_fraction
+        x = generate_alice(cfg.pulses, cfg.channel.va, cfg.seed)
+        np.testing.assert_array_equal(np.concatenate([b.x for b in blocks]), x[~mask])
+        assert sample.moments.m_monitor == mask.sum()
+
     @pytest.mark.parametrize("seed", range(5))
     def test_too_few_monitor_pulses_abort(self, seed):
         # about one monitor pulse expected: the reference per-pulse draws of seeds 0, 2
@@ -566,6 +595,29 @@ class TestRunScenario:
             "config error: line 3: key_fraction + monitor_fraction must be < 1"
             " with the countermeasure on\n",
         )
+
+
+class TestMoments:
+    """The reference per-pulse run's fold of open-switch pulses into the moments."""
+
+    X = np.arange(1.0, 11.0)
+    Y = 0.5 * X - 3.0
+
+    @pytest.mark.parametrize("key_target,first_est", [(0, 0), (4, 4), (8, 8), (9, 9), (20, 10)])
+    @pytest.mark.parametrize("chunks", [1, 3, 10])
+    def test_key_set_first_then_estimation_set(self, key_target, first_est, chunks):
+        moments = Moments(key_target=key_target)
+        for idx in np.array_split(np.arange(self.X.size), chunks):
+            add_open(moments, self.X[idx], self.Y[idx])
+        x, y = self.X[first_est:], self.Y[first_est:]
+        expected = (x.size, x @ x, x @ y, y @ y, x.sum(), y.sum())
+        got = (
+            moments.m_est, moments.est_xx, moments.est_xy, moments.est_yy, moments.est_x,
+            moments.est_y,
+        )
+        assert got == pytest.approx(expected, rel=1e-15)
+        assert moments.n_open == self.X.size
+        assert moments.open_yy == pytest.approx(self.Y @ self.Y, rel=1e-15)
 
 
 # Several dump blocks in each set, the last one partial, fractional flags and
