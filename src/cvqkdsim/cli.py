@@ -138,10 +138,10 @@ def _cmd_pulse_demo(args) -> int:
 def _cmd_calibrate(args) -> int:
     if not 0 <= args.delay_ns < math.inf:
         raise ValueError(f"--delay-ns must be finite and >= 0, got {args.delay_ns}")
-    if args.points < 2:
-        raise ValueError(f"--points must be an integer >= 2, got {args.points}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
+    for name, low in (("points", 2), ("samples_per_point", 2), ("seed", 0)):
+        if (value := getattr(args, name)) < low:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be an integer >= {low}, got {value}")
     det = DetectorModel()
     powers = np.linspace(0.5, 1.5, args.points)
     points = simulate_calibration_points(

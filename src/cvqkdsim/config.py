@@ -146,6 +146,8 @@ def _path_field(path: str) -> Field:
 
 # config key -> the field it sets, which states the key's default and range
 _FIELDS = {key: _path_field(path) for key, (path, _) in _KEY_TABLE.items()}
+# a config's value of every key, in ``_KEY_TABLE`` order
+_KEY_VALUES = attrgetter(*[path for path, _ in _KEY_TABLE.values()])
 
 
 def _config_from_values(values: dict) -> ScenarioConfig:
@@ -210,13 +212,13 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical text form; ``parse_config`` returns an identical object."""
-    lines = []
-    for key, (path, _) in _KEY_TABLE.items():
-        value = attrgetter(path)(cfg)
-        lines.append(f"{key} = {_format_bool(value) if isinstance(value, bool) else repr(value)}")
-    return "\n".join(lines) + "\n"
+    return "".join([
+        f"{key} = {_format_bool(value) if isinstance(value, bool) else repr(value)}\n"
+        for key, value in zip(_KEY_TABLE, _KEY_VALUES(cfg))
+    ])
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    # read as bytes: ``splitlines`` ends a line at \r\n and \r as text mode does
+    with open(path, "rb") as fh:
+        return parse_config(fh.read().decode("utf-8"))

@@ -158,7 +158,7 @@ def confidence_bounds(
     OPEN_UNIT.check("epsilon", epsilon)
     m = est.m
     z = _NORMAL.inv_cdf(1.0 - epsilon / 2.0)
-    half_width = z * float(np.sqrt(est.sigma2_hat / est.sum_x2))
+    half_width = z * math.sqrt(est.sigma2_hat / est.sum_x2)
     chi_low = _chi2_ppf(epsilon / 2.0, m - 1)
     chi_high = _chi2_ppf(1.0 - epsilon / 2.0, m - 1)
     intervals = {"t": (est.t_hat - half_width, est.t_hat + half_width)}

@@ -32,6 +32,7 @@ for all of them.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -137,7 +138,7 @@ def attack_gain(atk: AttackParams, det: DetectorModel) -> float:
 
 def outcome_law(
     ch: ChannelParams, gain: float, extinction: float | None = None
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, tuple[float, ...]]:
     """The law of Bob's outcome given Alice's quadrature x and the pulse's attack class.
 
     Returns ``(slope, sd)``: the outcome is ``slope*x`` plus a standard
@@ -156,16 +157,16 @@ def outcome_law(
     """
     signal_scale, xi = 1.0, ch.xi
     if extinction is not None:
-        signal_scale, xi = float(np.sqrt(extinction)), ch.xi * extinction
+        signal_scale, xi = math.sqrt(extinction), ch.xi * extinction
     eta_t = ch.eta * ch.transmittance
     resend = signal_scale**2 * eta_t * 2.0 * ch.n0
     optical = ch.n0 + eta_t * xi
-    sd = np.sqrt([g * (r + optical) + ch.v_el for g in (1.0, gain) for r in (0.0, resend)])
-    return signal_scale * np.sqrt(eta_t), sd
+    var = [g * (r + optical) + ch.v_el for g in (1.0, gain) for r in (0.0, resend)]
+    return signal_scale * math.sqrt(eta_t), tuple(map(math.sqrt, var))
 
 
 def _simulate_block(
-    rng: np.random.Generator, x: np.ndarray, atk: AttackParams, law: tuple[float, np.ndarray]
+    rng: np.random.Generator, x: np.ndarray, atk: AttackParams, law: tuple[float, tuple]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One seeded block of outcomes under ``law``, from ``outcome_law``.
 
@@ -178,7 +179,7 @@ def _simulate_block(
     lo_attacked = rng.random(x.size) < atk.nu
     y = rng.standard_normal(x.size)
     # a uint8 class index, 0-3: an int64 one would take eight times the memory
-    y *= sd[lo_attacked.view(np.uint8) << 1 | intercepted]
+    y *= np.asarray(sd)[lo_attacked.view(np.uint8) << 1 | intercepted]
     y += slope * x
     return y, intercepted, lo_attacked
 

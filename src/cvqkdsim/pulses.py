@@ -173,7 +173,7 @@ def simulate_calibration_points(
     the chi-square sampling noise of the variance estimate is included.
     """
     if samples_per_point < 2:
-        raise ValueError("samples_per_point must be >= 2")
+        raise ValueError(f"samples_per_point must be >= 2, got {samples_per_point}")
     rng = np.random.default_rng(seed)
     k = samples_per_point
     powers = np.asarray(powers, dtype=float)

@@ -186,16 +186,15 @@ def _key_target(cfg: ScenarioConfig) -> int:
 def _class_counts(rng: np.random.Generator, n: int, atk: AttackParams) -> list[int]:
     """How many of ``n`` pulses fall in each attack class, indexed by intercepted + 2*lo_attacked.
 
-    One binomial splits the pulses by the intercept flag, one more (on
-    both parts at once) by the LO flag; a flag of probability 0 or 1
-    draws nothing.
+    One binomial splits the pulses by the intercept flag, one more per
+    part by the LO flag; a flag of probability 0 or 1 draws nothing.
     """
     counts = [n]
     for p in (atk.mu, atk.nu):
         if p in (0.0, 1.0):
             hits = counts if p == 1.0 else [0] * len(counts)
         else:
-            hits = rng.binomial(counts, p).tolist()
+            hits = [rng.binomial(k, p) for k in counts]
         counts = [k - h for k, h in zip(counts, hits)] + hits
     return counts
 
@@ -213,10 +212,10 @@ def _standard_sums(rng: np.random.Generator, n: int) -> tuple[float, ...]:
     L = [[a, 0], [c, b]], with a² ~ χ²(n - 1), b² ~ χ²(n - 2) and c ~
     N(0, 1).  A single pair has zero scatter.
     """
-    su, sz = (float(v) for v in rng.standard_normal(2) * math.sqrt(n))
+    su, sz = [v * math.sqrt(n) for v in rng.standard_normal(2).tolist()]
     if n == 1:
         return su, sz, 0.0, 0.0, 0.0
-    a2, b2, c = _chi2(rng, n - 1), _chi2(rng, n - 2), float(rng.standard_normal())
+    a2, b2, c = _chi2(rng, n - 1), _chi2(rng, n - 2), rng.standard_normal()
     return su, sz, a2, c, b2
 
 
@@ -258,16 +257,14 @@ def draw_moments(cfg: ScenarioConfig, atk: AttackParams, gain: float) -> Moments
 
     def sum_y2(classes: tuple, law) -> float:
         slope, sd = law
-        return sum(
-            float(slope**2 * ch.va + s * s) * w2 for (k, w2), s in zip(classes, sd.tolist()) if k
-        )
+        return sum((slope**2 * ch.va + s * s) * w2 for (k, w2), s in zip(classes, sd) if k)
 
     with _stage("channel-simulation"):
         law = outcome_law(ch, gain)
-        slope, sqrt_va = float(law[0]), math.sqrt(ch.va)
+        slope, sqrt_va = law[0], math.sqrt(ch.va)
         moments.m_est = n_open - n_key
         est_classes = []
-        for k, sd in zip(_class_counts(rng, moments.m_est, atk), law[1].tolist()):
+        for k, sd in zip(_class_counts(rng, moments.m_est, atk), law[1]):
             stats = _standard_sums(rng, k) if k else ()
             est_classes.append((k, stats))
             if k:

@@ -201,6 +201,10 @@ class TestCalibrationLine:
         assert points == reference
         assert all(type(v) is float for point in points for v in point)
 
+    def test_calibration_points_need_two_samples_a_point(self):
+        with pytest.raises(ValueError, match=r"^samples_per_point must be >= 2, got 1$"):
+            simulate_calibration_points(np.ones(3), DetectorModel(), samples_per_point=1)
+
     def test_identical_powers_degenerate(self):
         with pytest.raises(DegenerateFitError):
             fit_calibration_line([(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)])

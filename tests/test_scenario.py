@@ -284,6 +284,22 @@ class TestParseConfig:
         cfg = parse_config("# header\n\npulses = 1000  # trailing\n")
         assert cfg.pulses == 1000
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_a_file_ends_its_lines_at_crlf_and_cr_as_at_lf(self, end, tmp_path):
+        # the file is read as bytes and decoded: its lines and their numbers are text mode's
+        lines = ["# header", "pulses = 1000", "", "mu = 0.3  # trailing", "countermeasure = on"]
+        for name, sep in (("lf", "\n"), ("twin", end)):
+            for suffix, extra in (("", []), ("-bad", ["extinction = 1"])):
+                path = tmp_path / f"{name}{suffix}.cfg"
+                path.write_bytes(sep.join([*lines, *extra, ""]).encode())
+        cfg = load_config(tmp_path / "twin.cfg")
+        assert cfg == load_config(tmp_path / "lf.cfg") == parse_config("\n".join(lines))
+        assert (cfg.attack.mu, cfg.countermeasure_enabled) == (0.3, True)
+        for name in ("lf", "twin"):
+            with pytest.raises(ConfigError) as info:
+                load_config(tmp_path / f"{name}-bad.cfg")
+            assert str(info.value) == "line 6: extinction must be in [0, 1), got 1.0"
+
     def test_serialize_parse_round_trip(self):
         cfg = parse_config(BREACH + "countermeasure = on\nextinction = 0.02\n")
         assert parse_config(serialize_config(cfg)) == cfg
@@ -729,7 +745,7 @@ def test_a_dumped_pulse_has_the_per_pulse_law():
     )
     ch, atk = base.channel, base.attack
     slope, sd = outcome_law(ch, attack_gain(atk, base.detector))
-    sd_y = np.sqrt(slope**2 * ch.va + sd**2)
+    sd_y = np.sqrt(slope**2 * ch.va + np.asarray(sd) ** 2)
     first = {"key": [], "estimation": []}
     for seed in range(2000):
         moments, _, x, y, flags = _dump(dataclasses.replace(base, seed=seed))
@@ -975,6 +991,17 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == EXIT_ERROR
         assert capsys.readouterr().err == "config error: seed must be an integer >= 0, got -1\n"
 
+    def test_a_config_file_that_is_not_utf8_exits_1_without_a_traceback(self, tmp_path, capsys):
+        cfg_path = tmp_path / "latin-1.cfg"
+        cfg_path.write_bytes("pulses = 1000\n# café\n".encode("latin-1"))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error (run): 'utf-8' codec can't decode byte 0xe9 in position 19: "
+            "invalid continuation byte\n"
+        )
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("pulses = 1000\nmu = 1.5\n")
@@ -1019,7 +1046,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "slope_ratio=" in out
         bad = [("--delay-ns", "-3"), ("--delay-ns", "nan"), ("--delay-ns", "inf"),
-               ("--points", "-5"), ("--points", "1"), ("--seed", "-1")]
+               ("--points", "-5"), ("--points", "1"), ("--seed", "-1"),
+               ("--samples-per-point", "1")]
         for flag, value in bad:
             args = {"--points": "200", flag: value}
             assert main(["calibrate", *itertools.chain(*args.items())]) == EXIT_ERROR
@@ -1072,6 +1100,11 @@ GOLDEN_CONFIGS = {
     # the shipped configs attack every pulse; this pins the mu = nu = 0 draws
     "unattacked-twin": lambda: parse_config(
         "pulses = 2000000\nseed = 11\nn0 = 1\nn0_assumed = 1\n"
+    ),
+    # fractional flags and a leaky switch: the class binomials and the closed-switch law
+    "fractional-attack": lambda: parse_config(
+        "pulses = 200000\nseed = 5\nmu = 0.4\nnu = 0.5\ndelta_ns = 10.0\n"
+        "countermeasure = on\nextinction = 0.3\n"
     ),
 }
 
