@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import math
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +34,7 @@ from .pulses import (
 from .scenario import (
     EXIT_ERROR,
     default_lo_pulse,
+    dump_pulses,
     last_positive_distance,
     run_scenario,
     sweep_keyrate,
@@ -88,8 +88,9 @@ def _cmd_run(args) -> int:
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-    with pulses_csv(out / "pulses.csv") if args.csv else nullcontext() as append:
-        report = run_scenario(cfg, on_open=append)
+    report = run_scenario(cfg)
+    if args.csv:
+        pulses_csv(out / "pulses.csv", dump_pulses(cfg))
     print(report.to_text())
     if out:
         (out / "report.txt").write_text(report.to_text() + "\n")
@@ -112,6 +113,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pulse_demo(args) -> int:
+    if not 0 <= args.shift_ns < math.inf:
+        raise ValueError(f"--shift-ns must be finite and >= 0, got {args.shift_ns}")
     base, threshold, pm = default_lo_pulse()
     shaped = craft_equal_power_pulse(base, args.shift_ns, threshold, pm)
     p_base = measure_power(base, pm)

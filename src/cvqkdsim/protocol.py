@@ -26,15 +26,14 @@ probability 0 or 1 draws its uniforms too.  Each block returns fresh
 arrays, drawn on the calling thread.  A scenario draws no pulse this
 way: it draws the sums of its pulses from their exact law
 (``scenario.draw_moments``), and a pulse dump draws the pulses given
-those sums (``scenario._dump``); ``outcome_law`` states the law once
-for all of them.
+those sums (``scenario.dump_pulses``) in the blocks ``pulses_csv(path,
+blocks)`` writes; ``outcome_law`` states the law once for all of them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,10 +46,9 @@ from .ranges import NON_NEGATIVE, POSITIVE, UNIT, UNIT_ABOVE_0, checked, param
 BLOCK_SIZE = 1 << 16
 
 
-def pulse_blocks(n: int) -> Iterable[tuple[int, int, int]]:
-    """(block, start, size) of each ``BLOCK_SIZE`` block of ``n`` pulses, in order."""
-    starts = range(0, n, BLOCK_SIZE)
-    return ((k, start, min(BLOCK_SIZE, n - start)) for k, start in enumerate(starts))
+def pulse_blocks(n: int, size: int = BLOCK_SIZE) -> Iterable[tuple[int, int, int]]:
+    """(block, start, size) of each block of ``size`` of ``n`` pulses, in order."""
+    return ((k, start, min(size, n - start)) for k, start in enumerate(range(0, n, size)))
 
 
 # Stream identifiers for seed splitting; fixed for reproducibility.
@@ -105,12 +103,10 @@ class PulseBatch:
     intercepted: np.ndarray
     lo_attacked: np.ndarray
 
-    def __len__(self) -> int:
-        return self.x.size
 
-
-def _rng(seed: int, stream: int, block: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """The generator of the seed stream ``key`` of ``seed``, e.g. (stream, block)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def alice_block(va: float, seed: int, block: int, size: int) -> np.ndarray:
@@ -228,35 +224,26 @@ _ROW_ENDS = (",0,0\r\n", ",1,0\r\n", ",0,1\r\n", ",1,1\r\n")
 _CSV_PART = 1024
 
 
-@contextmanager
-def pulses_csv(path: str | Path):
-    """Open a pulse dump (index, x, y, intercepted, lo_attacked) for appending.
+def pulses_csv(path: str | Path, blocks: Iterable[tuple[np.ndarray, ...]]) -> None:
+    """Write a pulse dump (index, x, y, intercepted, lo_attacked) of ``(x, y, class)`` blocks.
 
-    Yields a function that appends one batch's rows, numbered on from
-    the rows already written, with shortest-repr floats and CRLF line
-    endings, the bytes ``csv.writer`` would write.  The scenario loop
-    hands it one pulse block at a time, and it formats the block's rows
-    1024 (``_CSV_PART``) at a time, one f-string per row and one write
-    per part, so that only one part's strings are in memory at once.
+    Rows are numbered on across the blocks, with shortest-repr floats and
+    CRLF line endings, the bytes ``csv.writer`` would write.  Each block,
+    taken from the stream one at a time, is formatted 1024 (``_CSV_PART``)
+    rows at a time, one f-string per row and one write per part, so that
+    only one part's strings are in memory at once.
     """
     with open(path, "w", newline="") as fh:
         fh.write("index,x,y,intercepted,lo_attacked\r\n")
         written = 0
-
-        def append(batch: PulseBatch) -> None:
-            nonlocal written
-            for start in range(0, len(batch), _CSV_PART):
+        for x, y, classes in blocks:
+            for start in range(0, x.size, _CSV_PART):
                 part = slice(start, start + _CSV_PART)
-                x = batch.x[part]
-                flags = batch.lo_attacked[part].view(np.uint8) << 1
-                flags |= batch.intercepted[part].view(np.uint8)
                 rows = zip(
-                    range(written, written + x.size),
-                    x.tolist(),
-                    batch.y[part].tolist(),
-                    flags.tolist(),
+                    range(written + start, written + x.size),
+                    x[part].tolist(),
+                    y[part].tolist(),
+                    classes[part].tolist(),
                 )
                 fh.write("".join([f"{i},{a!r},{b!r}{_ROW_ENDS[k]}" for i, a, b, k in rows]))
-                written += x.size
-
-        yield append
+            written += x.size

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
@@ -39,9 +39,10 @@ from .keyrate import (
 )
 from .protocol import (
     AttackParams,
-    PulseBatch,
+    _rng,
     attack_gain,
     outcome_law,
+    pulse_blocks,
 )
 from .pulses import (
     PowerMeterConfig,
@@ -155,7 +156,9 @@ class Moments:
     first ``key_target`` open pulses form the key set and the rest the
     estimation set.  ``key_classes`` and ``est_classes`` hold, per attack
     class of each set, its pulse count and what ``draw_moments`` drew for
-    it: Σw² of w = y/sd(y), and ``_standard_sums``.  ``_dump`` expands them.
+    it: Σw² of w = y/sd(y), and ``_standard_sums``.  ``dump_pulses`` expands
+    them into the blocks that ``run --csv`` writes with ``pulses_csv(path,
+    blocks)`` once the report is computed, so a run that fails writes none.
     """
 
     key_target: int
@@ -243,7 +246,7 @@ def draw_moments(cfg: ScenarioConfig, atk: AttackParams, gain: float) -> Moments
     so neither does a certain flag.
     """
     ch = cfg.channel
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_TAG_MOMENTS,)))
+    rng = _rng(cfg.seed, _TAG_MOMENTS)
     n_closed = 0
     with _stage("monitoring"):
         if cfg.countermeasure_enabled:
@@ -322,20 +325,21 @@ def _orthonormal(u: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dump_heads(seed: int, part: int, classes: tuple):
-    """Each dump block's generator, class counts and raw sums, in block order (see ``_dump``)."""
-    left, n = [k for k, _ in classes], sum(k for k, _ in classes)
-    for block, start in enumerate(range(0, n, _DUMP_BLOCK)):
-        key = (_TAG_DUMP, part, block)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-        counts = rng.multivariate_hypergeometric(left, min(_DUMP_BLOCK, n - start)).tolist()
+    """Each dump block's generator, class counts and raw sums, in order (see ``dump_pulses``)."""
+    left = [k for k, _ in classes]
+    for block, _, size in pulse_blocks(sum(left), _DUMP_BLOCK):
+        rng = _rng(seed, _TAG_DUMP, part, block)
+        counts = rng.multivariate_hypergeometric(left, size).tolist()
         left = [k - c for k, c in zip(left, counts)]
         draw = _standard_sums if part else lambda rng, k: (_chi2(rng, k),)
         yield rng, counts, [draw(rng, k) if k else (0.0,) * (5 if part else 1) for k in counts]
 
 
-def _dump(cfg: ScenarioConfig, moments: Moments, gain: float, on_open) -> None:
-    """Hand ``on_open`` the open-switch pulses, drawn from their exact law given ``moments``.
+def dump_pulses(cfg: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(x, y, attack_class)`` blocks of the open-switch pulses of ``cfg``'s run.
 
+    Drawn from their exact law given the moments the run's report reads
+    (``sample_scenario``), the class a uint8 intercepted + 2*lo_attacked.
     The key set comes first, then the estimation set, each in blocks of
     ``_DUMP_BLOCK`` pulses.  Block k of set s (0 key, 1 estimation) draws
     from a generator seeded from (seed, ``_TAG_DUMP``, s, k): its class
@@ -345,13 +349,14 @@ def _dump(cfg: ScenarioConfig, moments: Moments, gain: float, on_open) -> None:
     class, then one permutation of its rows.  Pass 1 draws only the counts
     and raw sums and adds the raw sums up per class.  Pass 2 redraws each
     block and maps each class's normals onto the block's raw sums, and the
-    class's raw totals onto its sums in ``moments`` (``_onto``); the key
+    class's raw totals onto its sums in the moments (``_onto``); the key
     set scales y and draws x from its law given y.  A Gaussian sample's
     standardized configuration is independent of its sums (Basu), so each
-    pulse keeps the law of ``outcome_law``, and the rows add up to the report.
+    pulse keeps the law of ``outcome_law``; the rows add up to the report.
     """
-    va, (slope, sds) = cfg.channel.va, outcome_law(cfg.channel, gain)
-    for part, classes in enumerate((moments.key_classes, moments.est_classes)):
+    sample = sample_scenario(cfg)
+    va, (slope, sds) = cfg.channel.va, outcome_law(cfg.channel, sample.gain)
+    for part, classes in enumerate((sample.moments.key_classes, sample.moments.est_classes)):
         totals = np.zeros((4, 5 if part else 1))
         for _, counts, raw in _dump_heads(cfg.seed, part, classes):
             totals += [_sums(k, r) if part and k else r for k, r in zip(counts, raw)]
@@ -374,8 +379,7 @@ def _dump(cfg: ScenarioConfig, moments: Moments, gain: float, on_open) -> None:
                     y[rows] = u * math.sqrt(s2 * target / totals[c, 0] * raw[c][0] / dot(u, u))
                     x[rows] = slope * va / s2 * y[rows] + math.sqrt(va / s2) * sd * z
             order = rng.permutation(x.size)
-            flags = np.repeat(np.arange(4, dtype=np.uint8), counts)[order]
-            on_open(PulseBatch(x[order], y[order], flags & 1 == 1, flags > 1))
+            yield x[order], y[order], np.repeat(np.arange(4, dtype=np.uint8), counts)[order]
 
 
 @dataclass
@@ -387,21 +391,12 @@ class ScenarioSample:
     moments: Moments
 
 
-def sample_scenario(
-    cfg: ScenarioConfig, on_open: Callable[[PulseBatch], None] | None = None
-) -> ScenarioSample:
-    """Draw the scenario's moments from their exact law, and with ``on_open`` expand them.
-
-    ``draw_moments`` takes O(1) time and memory; a pulse dump ``on_open`` is then
-    handed pulses drawn given those moments (``_dump``): one report either way.
-    """
+def sample_scenario(cfg: ScenarioConfig) -> ScenarioSample:
+    """The resolved attack, its gain and the moments drawn in O(1) time and memory."""
     with _stage("pulse-model"):
         atk = _resolve_attack(cfg)
         gain = attack_gain(atk, cfg.detector)
-    moments = draw_moments(cfg, atk, gain)
-    if on_open is not None:
-        _dump(cfg, moments, gain, on_open)
-    return ScenarioSample(attack=atk, gain=gain, moments=moments)
+    return ScenarioSample(attack=atk, gain=gain, moments=draw_moments(cfg, atk, gain))
 
 
 def _snu_params(
@@ -476,9 +471,7 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
         )
         k_true = discounted_rate(secret_key_rate(true_params).key_rate, monitor_fraction)
 
-    if alarm:
-        verdict = "abort"
-    elif k_estimated <= 0.0:
+    if alarm or k_estimated <= 0.0:
         verdict = "abort"
     elif k_true <= 0.0:
         verdict = "breached"
@@ -508,22 +501,19 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
     )
 
 
-def run_scenario(
-    cfg: ScenarioConfig, on_open: Callable[[PulseBatch], None] | None = None
-) -> ScenarioReport:
+def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     """Execute the full pipeline on one configuration.
 
-    Stage order: Alice's modulation, Bob's attacked outcomes, optional
-    monitoring pulses with the switch closed, maximum-likelihood channel
-    estimation on the non-key pulses against the calibration-line shot
-    noise, attack detection, and the key-rate comparison that yields the
-    verdict: "secure" (both the estimated and the true rate are
+    Stages: pulse-model (the trigger delay and its gain), channel-simulation
+    and monitoring (the open- and closed-switch moments, ``sample_scenario``),
+    estimation (maximum likelihood against the calibration-line shot noise),
+    monitoring (the real-time shot noise and alarm) and key-rate, which
+    yields the verdict: "secure" (both the estimated and the true rate are
     positive), "abort" (alarm raised or estimated rate non-positive) or
     "breached" (Alice and Bob believe in a positive rate that the true
-    channel does not support).  ``on_open``, a pulse dump, is handed
-    pulses drawn given the report's moments (``sample_scenario``).
+    channel does not support).
     """
-    return analyse_scenario(cfg, sample_scenario(cfg, on_open))
+    return analyse_scenario(cfg, sample_scenario(cfg))
 
 
 def sweep_receivers(cfg: ScenarioConfig) -> tuple[dict, dict]:

@@ -14,7 +14,6 @@ from cvqkdsim import (
 )
 from cvqkdsim.protocol import (
     BLOCK_SIZE,
-    PulseBatch,
     alice_block,
     attack_gain,
     bob_block,
@@ -294,8 +293,7 @@ def test_pulse_csv_dump(tmp_path):
     x = generate_alice(500, CH.va, seed=15)
     batch = simulate_bob(x, CH, AttackParams(mu=0.5), DET, seed=15)
     path = tmp_path / "pulses.csv"
-    with pulses_csv(path) as append:
-        append(batch)
+    pulses_csv(path, [(batch.x, batch.y, batch.intercepted + 2 * batch.lo_attacked)])
     lines = path.read_text().splitlines()
     assert lines[0] == "index,x,y,intercepted,lo_attacked"
     assert len(lines) == 501
@@ -309,7 +307,7 @@ def _reference_pulses_csv(batch, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "x", "y", "intercepted", "lo_attacked"])
-        for i in range(len(batch)):
+        for i in range(batch.x.size):
             writer.writerow(
                 [
                     i,
@@ -331,13 +329,10 @@ def test_pulse_csv_dump_matches_row_by_row_writer(tmp_path):
     batch.y[short + protocol._CSV_PART - 3 : short + protocol._CSV_PART + 3] = special
     assert len(set(zip(batch.intercepted.tolist(), batch.lo_attacked.tolist()))) == 4
     _reference_pulses_csv(batch, tmp_path / "reference.csv")
-    # small appends, so that the row numbering crosses several appends, then
+    # small blocks, so that the row numbering crosses several blocks, then
     # one that crosses two part boundaries and ends on an uneven tail
     cuts = [*range(0, short, 64), short, short + long]
-    with pulses_csv(tmp_path / "pulses.csv") as append:
-        for start, stop in zip(cuts, cuts[1:]):
-            sl = slice(start, stop)
-            append(
-                PulseBatch(batch.x[sl], batch.y[sl], batch.intercepted[sl], batch.lo_attacked[sl])
-            )
+    classes = batch.intercepted + 2 * batch.lo_attacked
+    blocks = ((batch.x[sl], batch.y[sl], classes[sl]) for sl in map(slice, cuts, cuts[1:]))
+    pulses_csv(tmp_path / "pulses.csv", blocks)
     assert (tmp_path / "pulses.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

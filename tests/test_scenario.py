@@ -49,6 +49,7 @@ from cvqkdsim.scenario import (
     EXIT_SECURE,
     Moments,
     draw_moments,
+    dump_pulses,
     last_positive_distance,
     sample_scenario,
     trigger_delay_from_attenuation,
@@ -66,9 +67,11 @@ xi = 0.1
 """
 
 
-def _dumped(cfg, on_open=lambda batch: None):
-    """The report of a run with a pulse dump, by default one that keeps nothing."""
-    return run_scenario(cfg, on_open=on_open)
+def _dumped(cfg, on_block=lambda block: None):
+    """The report of a run after its pulse dump, each block handed to ``on_block``."""
+    for block in dump_pulses(cfg):
+        on_block(block)
+    return run_scenario(cfg)
 
 
 # the package's run, whose moments are drawn from their law, and the reference run
@@ -658,14 +661,10 @@ DUMP_GRID = [
 
 
 def _dump(cfg):
-    """The moments of a run with a pulse dump, its batches, and their rows' x, y and class."""
-    blocks = []
-    moments = sample_scenario(cfg, on_open=blocks.append).moments
-    x, y, intercepted, lo_attacked = (
-        np.concatenate([getattr(b, name) for b in blocks] or [np.empty(0)])
-        for name in ("x", "y", "intercepted", "lo_attacked")
-    )
-    return moments, blocks, x, y, intercepted.astype(int) + 2 * lo_attacked.astype(int)
+    """The moments of a run, its pulse dump's blocks, and their rows' x, y and class."""
+    blocks = list(dump_pulses(cfg))
+    x, y, classes = (np.concatenate([b[i] for b in blocks] or [np.empty(0)]) for i in range(3))
+    return sample_scenario(cfg).moments, blocks, x, y, classes.astype(int)
 
 
 def _assert_the_rows_add_up_to(cfg, moments, x, y):
@@ -713,7 +712,7 @@ def test_a_dump_holds_one_row_per_open_pulse_whose_sums_are_the_reports():
             assert np.bincount(rows, minlength=4).tolist() == [k for k, _ in classes]
             sizes[name] |= {k for k, _ in classes}
             cuts += [min(_DUMP_BLOCK, rows.size - s) for s in range(0, rows.size, _DUMP_BLOCK)]
-        assert [len(b) for b in blocks] == cuts
+        assert [x.size for x, _, _ in blocks] == cuts
         most_blocks = max(most_blocks, len(blocks))
     assert {0, 1, 2, 3} <= sizes["key"] and {0, 1, 2, 3} <= sizes["estimation"]
     assert most_blocks >= 10
@@ -862,7 +861,7 @@ def test_a_failing_draw_fails_its_stage(run, monkeypatch):
     "exc,message", [(MemoryError(), "out of memory"), (KeyError("x"), "KeyError: 'x'")]
 )
 def test_unexpected_errors_exit_1_without_a_traceback(exc, message, tmp_path, capsys, monkeypatch):
-    def fail(cfg, on_open=None):
+    def fail(cfg):
         raise exc
 
     monkeypatch.setattr("cvqkdsim.cli.run_scenario", fail)
@@ -902,19 +901,20 @@ def test_a_dump_run_starts_no_thread_and_holds_one_block(tmp_path):
     np.random.default_rng()  # numpy imports its random module on first use, not per run
     threads = []
     before = threading.active_count()
+
+    def counted():
+        for block in dump_pulses(cfg):
+            threads.append(threading.active_count())
+            yield block
+
     tracemalloc.start()
     try:
-        with pulses_csv(tmp_path / "pulses.csv") as append:
-
-            def on_open(batch):
-                threads.append(threading.active_count())
-                append(batch)
-
-            report = _dumped(cfg, on_open)
+        report = run_scenario(cfg)
+        pulses_csv(tmp_path / "pulses.csv", counted())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one call per dump block of the key set, then of the estimation set
+    # one block at a time, the key set's dump blocks, then the estimation set's
     blocks = sum(-(-n // _DUMP_BLOCK) for n in (report.n_key, report.m_estimation))
     assert blocks == 3 and threads == [before] * blocks
     # a dump block's arrays take about 1 MiB, one CSV part's row strings about 128 bytes a row
@@ -1034,12 +1034,32 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--csv"]) == EXIT_ERROR
         assert "--out" in capsys.readouterr().err
 
+    def test_a_failed_run_writes_no_dump(self, tmp_path, capsys):
+        # the report is computed before the dump is drawn, so a run that fails writes none
+        cfg_path, out = tmp_path / "few.cfg", tmp_path / "out"
+        cfg_path.write_text("pulses = 10\nkey_fraction = 0.9\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--csv"]) == EXIT_ERROR
+        assert capsys.readouterr() == (
+            "",
+            "error (run): stage 'estimation' failed: too few pulses left for estimation: 1,"
+            " need at least 2\n",
+        )
+        assert not (out / "pulses.csv").exists()
+
     @pytest.mark.parametrize("shift", PULSE_DEMO_STDOUT)
     def test_pulse_demo(self, shift, tmp_path, capsys):
         assert main(["pulse-demo", "--shift-ns", shift, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out == PULSE_DEMO_STDOUT[shift]
         assert (tmp_path / "base_pulse.csv").exists()
         assert (tmp_path / "shaped_pulse.csv").exists()
+
+    @pytest.mark.parametrize("shift", ["-1", "inf", "nan"])
+    def test_pulse_demo_refuses_a_negative_or_non_finite_shift(self, shift, capsys):
+        # the refusal names the flag, not the parameter of craft_equal_power_pulse
+        assert main(["pulse-demo", "--shift-ns", shift]) == EXIT_ERROR
+        assert capsys.readouterr() == (
+            "", f"error (pulse-demo): --shift-ns must be finite and >= 0, got {float(shift)}\n"
+        )
 
     def test_calibrate(self, capsys):
         assert main(["calibrate", "--points", "200", "--delay-ns", "10"]) == 0
@@ -1147,7 +1167,7 @@ def test_run_csv_dumps_the_pulses_the_report_used(tmp_path, capsys):
     # the printed report is the one run prints without the dump, byte for byte
     cfg = load_config(cfg_path)
     assert printed == run_scenario(cfg).to_text()
-    # the dump is the one a run hands on_open, and its columns add up to the report's sums
+    # the dump is dump_pulses(cfg), and its columns add up to the report's sums
     moments, _, x, y, flags = _dump(cfg)
     np.testing.assert_array_equal(rows[:, 1:3], np.column_stack([x, y]))
     np.testing.assert_array_equal(rows[:, 3] + 2 * rows[:, 4], flags)
