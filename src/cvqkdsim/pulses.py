@@ -88,9 +88,9 @@ class DetectorModel:
 
 @checked
 class CalibrationLine:
-    """Fitted linear relation between measurement variance and LO power."""
+    """Least-squares line of measurement variance against LO power; noise can make slope <= 0."""
 
-    slope: float = param(within=POSITIVE)
+    slope: float
     intercept: float
 
 

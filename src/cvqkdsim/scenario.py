@@ -149,18 +149,21 @@ def _resolve_attack(cfg: ScenarioConfig):
 
 @dataclass
 class Moments:
-    """Counts and sums of one scenario's pulses: all that the analysis reads.
+    """One draw of a scenario (``draw_moments``): all that its analysis and its dump read.
 
-    ``est_*`` cover the estimation set, ``n_open`` and ``open_yy`` every
-    open-switch pulse, and ``monitor_yy`` the closed-switch pulses.  The
-    first ``key_target`` open pulses form the key set and the rest the
+    ``attack`` is the resolved attack (the delay derived from ``alpha``)
+    and ``gain`` its timing gain; the rest are counts and sums of the
+    pulses.  ``est_*`` cover the estimation set, ``n_open`` and ``open_yy``
+    every open-switch pulse, and ``monitor_yy`` the closed-switch pulses.
+    The first ``key_target`` open pulses form the key set and the rest the
     estimation set.  ``key_classes`` and ``est_classes`` hold, per attack
-    class of each set, its pulse count and what ``draw_moments`` drew for
-    it: Σw² of w = y/sd(y), and ``_standard_sums``.  ``dump_pulses`` expands
-    them into the blocks that ``run --csv`` writes with ``pulses_csv(path,
-    blocks)`` once the report is computed, so a run that fails writes none.
+    class of each set, its pulse count and what was drawn for it: Σw² of
+    w = y/sd(y), and ``_standard_sums``.  ``dump_pulses`` expands them into
+    the blocks that ``run --csv`` writes once the report is computed.
     """
 
+    attack: AttackParams
+    gain: float
     key_target: int
     n_open: int = 0
     open_yy: float = 0.0
@@ -228,23 +231,26 @@ def _sums(n: int, stats: tuple) -> tuple[float, ...]:
     return su * su / n + a2, su * sz / n + math.sqrt(a2) * c, sz * sz / n + (c * c + b2), su, sz
 
 
-def draw_moments(cfg: ScenarioConfig, atk: AttackParams, gain: float) -> Moments:
+def draw_moments(cfg: ScenarioConfig) -> Moments:
     """The scenario's ``Moments``, drawn from their exact law in O(1) time and memory.
 
-    The open count is Binomial(N, 1 - monitor_fraction) with the
-    countermeasure on, N otherwise; the key set is its first
-    ``key_target`` pulses and the estimation set the rest.  In each set
-    the pulses of each attack class (``_class_counts``) are i.i.d. with
-    x = sqrt(va)*u and y = slope*x + sd*z, for standard normals u and z
-    and the class's ``protocol.outcome_law``; an estimation class draws
-    the sums of its pairs (u, z) (``_standard_sums``), a key-set or
-    closed-switch class only Σw² ~ χ²(n) of w = y/sd(y).  Draw order,
-    from one generator seeded from (seed, ``_TAG_MOMENTS``): the closed
-    count, then the estimation set's class counts and each non-empty
-    class's sums, the key set's class counts and χ² variates, and the
-    closed-switch pulses' likewise.  A class of no pulses draws nothing,
-    so neither does a certain flag.
+    First the resolved attack and its gain (the pulse-model stage).  The
+    open count is Binomial(N, 1 - monitor_fraction) with the countermeasure
+    on, N otherwise; the key set is its first ``key_target`` pulses and the
+    estimation set the rest.  In each set the pulses of each attack class
+    (``_class_counts``) are i.i.d. with x = sqrt(va)*u and y = slope*x +
+    sd*z, for standard normals u and z and the class's
+    ``protocol.outcome_law``; an estimation class draws the sums of its
+    pairs (u, z) (``_standard_sums``), a key-set or closed-switch class
+    only Σw² ~ χ²(n) of w = y/sd(y).  Draw order, from one generator seeded
+    from (seed, ``_TAG_MOMENTS``): the closed count, then the estimation
+    set's class counts and each non-empty class's sums, the key set's class
+    counts and χ² variates, and the closed-switch pulses' likewise.  A class
+    of no pulses draws nothing, so neither does a certain flag.
     """
+    with _stage("pulse-model"):
+        atk = _resolve_attack(cfg)
+        gain = attack_gain(atk, cfg.detector)
     ch = cfg.channel
     rng = _rng(cfg.seed, _TAG_MOMENTS)
     n_closed = 0
@@ -252,7 +258,7 @@ def draw_moments(cfg: ScenarioConfig, atk: AttackParams, gain: float) -> Moments
         if cfg.countermeasure_enabled:
             n_closed = int(rng.binomial(cfg.pulses, cfg.monitor_fraction))
     n_open = cfg.pulses - n_closed
-    moments = Moments(key_target=_key_target(cfg), n_open=n_open)
+    moments = Moments(atk, gain, _key_target(cfg), n_open=n_open)
     n_key = min(moments.key_target, n_open)
 
     def chi2_classes(n: int) -> tuple:
@@ -339,7 +345,7 @@ def dump_pulses(cfg: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray, n
     """``(x, y, attack_class)`` blocks of the open-switch pulses of ``cfg``'s run.
 
     Drawn from their exact law given the moments the run's report reads
-    (``sample_scenario``), the class a uint8 intercepted + 2*lo_attacked.
+    (``draw_moments``), the class a uint8 intercepted + 2*lo_attacked.
     The key set comes first, then the estimation set, each in blocks of
     ``_DUMP_BLOCK`` pulses.  Block k of set s (0 key, 1 estimation) draws
     from a generator seeded from (seed, ``_TAG_DUMP``, s, k): its class
@@ -354,9 +360,9 @@ def dump_pulses(cfg: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray, n
     standardized configuration is independent of its sums (Basu), so each
     pulse keeps the law of ``outcome_law``; the rows add up to the report.
     """
-    sample = sample_scenario(cfg)
-    va, (slope, sds) = cfg.channel.va, outcome_law(cfg.channel, sample.gain)
-    for part, classes in enumerate((sample.moments.key_classes, sample.moments.est_classes)):
+    moments = draw_moments(cfg)
+    va, (slope, sds) = cfg.channel.va, outcome_law(cfg.channel, moments.gain)
+    for part, classes in enumerate((moments.key_classes, moments.est_classes)):
         totals = np.zeros((4, 5 if part else 1))
         for _, counts, raw in _dump_heads(cfg.seed, part, classes):
             totals += [_sums(k, r) if part and k else r for k, r in zip(counts, raw)]
@@ -382,23 +388,6 @@ def dump_pulses(cfg: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray, n
             yield x[order], y[order], np.repeat(np.arange(4, dtype=np.uint8), counts)[order]
 
 
-@dataclass
-class ScenarioSample:
-    """The resolved attack, its timing gain and the moments of the scenario's pulses."""
-
-    attack: AttackParams
-    gain: float
-    moments: Moments
-
-
-def sample_scenario(cfg: ScenarioConfig) -> ScenarioSample:
-    """The resolved attack, its gain and the moments drawn in O(1) time and memory."""
-    with _stage("pulse-model"):
-        atk = _resolve_attack(cfg)
-        gain = attack_gain(atk, cfg.detector)
-    return ScenarioSample(attack=atk, gain=gain, moments=draw_moments(cfg, atk, gain))
-
-
 def _snu_params(
     cfg: ScenarioConfig, va: float, transmittance: float, xi: float, n0: float
 ) -> KeyRateParams:
@@ -413,11 +402,10 @@ def _snu_params(
     )
 
 
-def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioReport:
-    """Estimation, monitoring, key rates and verdict on a drawn sample."""
+def analyse_scenario(cfg: ScenarioConfig, moments: Moments) -> ScenarioReport:
+    """Estimation, monitoring, key rates and verdict on one draw (``draw_moments``)."""
     ch = cfg.channel
-    atk = sample.attack
-    moments = sample.moments
+    atk = moments.attack
     n0_line = cfg.n0_assumed
 
     # m_est >= 2 also gives monitoring the open pulses it divides by
@@ -495,7 +483,7 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
         m_estimation=m_est,
         n_key=n_key,
         delta_ns=atk.delta_ns,
-        gain=sample.gain,
+        gain=moments.gain,
         seed=cfg.seed,
         config_hash=cfg.config_hash(),
     )
@@ -504,16 +492,17 @@ def analyse_scenario(cfg: ScenarioConfig, sample: ScenarioSample) -> ScenarioRep
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     """Execute the full pipeline on one configuration.
 
+    One draw (``draw_moments``), then its analysis (``analyse_scenario``).
     Stages: pulse-model (the trigger delay and its gain), channel-simulation
-    and monitoring (the open- and closed-switch moments, ``sample_scenario``),
-    estimation (maximum likelihood against the calibration-line shot noise),
+    and monitoring (the open- and closed-switch moments), then estimation
+    (maximum likelihood against the calibration-line shot noise),
     monitoring (the real-time shot noise and alarm) and key-rate, which
     yields the verdict: "secure" (both the estimated and the true rate are
     positive), "abort" (alarm raised or estimated rate non-positive) or
     "breached" (Alice and Bob believe in a positive rate that the true
     channel does not support).
     """
-    return analyse_scenario(cfg, sample_scenario(cfg))
+    return analyse_scenario(cfg, draw_moments(cfg))
 
 
 def sweep_receivers(cfg: ScenarioConfig) -> tuple[dict, dict]:

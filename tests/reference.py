@@ -35,7 +35,6 @@ from cvqkdsim.pulses import DetectorModel
 from cvqkdsim.ranges import UNIT
 from cvqkdsim.scenario import (
     Moments,
-    ScenarioSample,
     _key_target,
     _resolve_attack,
     analyse_scenario,
@@ -190,8 +189,8 @@ def add_monitor(moments: Moments, y: np.ndarray) -> None:
     moments.monitor_yy += dot(y, y)
 
 
-def draw_pulses(cfg, on_open=None) -> ScenarioSample:
-    """A scenario's sample with every pulse drawn, one ``BLOCK_SIZE`` block after the other.
+def draw_pulses(cfg, on_open=None) -> Moments:
+    """A scenario's ``Moments`` with every pulse drawn, one ``BLOCK_SIZE`` block after the other.
 
     Per block: Alice's modulation, the block's monitor mask, Bob's
     attacked outcomes on the open-switch pulses and the monitoring
@@ -200,7 +199,7 @@ def draw_pulses(cfg, on_open=None) -> ScenarioSample:
     """
     ch, atk = cfg.channel, _resolve_attack(cfg)
     gain = attack_gain(atk, cfg.detector)
-    moments = Moments(key_target=_key_target(cfg))
+    moments = Moments(atk, gain, _key_target(cfg))
     for block, _, size in pulse_blocks(cfg.pulses):
         x = alice_block(ch.va, cfg.seed, block, size)
         closed = np.zeros(size, dtype=bool)
@@ -215,7 +214,7 @@ def draw_pulses(cfg, on_open=None) -> ScenarioSample:
             add_monitor(moments, y_closed)
         if on_open is not None:
             on_open(PulseBatch(x[~closed], y, intercepted, lo_attacked))
-    return ScenarioSample(attack=atk, gain=gain, moments=moments)
+    return moments
 
 
 def run_pulses(cfg, on_open=None):

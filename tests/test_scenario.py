@@ -51,7 +51,6 @@ from cvqkdsim.scenario import (
     draw_moments,
     dump_pulses,
     last_positive_distance,
-    sample_scenario,
     trigger_delay_from_attenuation,
 )
 from reference import add_open, draw_pulses, mask_seed, run_pulses
@@ -581,7 +580,7 @@ class TestRunScenario:
         mask = np.random.default_rng(mask_seed(cfg.seed)).random(cfg.pulses) < cfg.monitor_fraction
         x = generate_alice(cfg.pulses, cfg.channel.va, cfg.seed)
         np.testing.assert_array_equal(np.concatenate([b.x for b in blocks]), x[~mask])
-        assert sample.moments.m_monitor == mask.sum()
+        assert sample.m_monitor == mask.sum()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_too_few_monitor_pulses_abort(self, seed):
@@ -625,7 +624,7 @@ class TestMoments:
     @pytest.mark.parametrize("key_target,first_est", [(0, 0), (4, 4), (8, 8), (9, 9), (20, 10)])
     @pytest.mark.parametrize("chunks", [1, 3, 10])
     def test_key_set_first_then_estimation_set(self, key_target, first_est, chunks):
-        moments = Moments(key_target=key_target)
+        moments = Moments(AttackParams(), 1.0, key_target)
         for idx in np.array_split(np.arange(self.X.size), chunks):
             add_open(moments, self.X[idx], self.Y[idx])
         x, y = self.X[first_est:], self.Y[first_est:]
@@ -647,7 +646,8 @@ SPLIT_MID_BLOCK = (
 )
 
 # Small runs hold sets and attack classes of 0, 1, 2 and 3 pulses; with 40% of 10
-# pulses monitored, most seeds leave too few pulses to estimate.
+# pulses monitored, most seeds leave too few pulses to estimate; the last run's delay
+# and gain come from alpha.
 DUMP_GRID = [
     f"pulses = {pulses}\nseed = {seed}\nmu = 0.5\nnu = 0.5\ndelta_ns = 10.0\n"
     f"countermeasure = {cm}\n"
@@ -657,14 +657,14 @@ DUMP_GRID = [
 ] + [SPLIT_MID_BLOCK] + [
     f"pulses = 10\nseed = {seed}\ncountermeasure = on\nmonitor_fraction = 0.4\n"
     for seed in range(10)
-]
+] + ["pulses = 200\nseed = 3\nmu = 0.5\nnu = 0.5\nalpha = 0.7\ncountermeasure = on\n"]
 
 
 def _dump(cfg):
     """The moments of a run, its pulse dump's blocks, and their rows' x, y and class."""
     blocks = list(dump_pulses(cfg))
     x, y, classes = (np.concatenate([b[i] for b in blocks] or [np.empty(0)]) for i in range(3))
-    return sample_scenario(cfg).moments, blocks, x, y, classes.astype(int)
+    return draw_moments(cfg), blocks, x, y, classes.astype(int)
 
 
 def _assert_the_rows_add_up_to(cfg, moments, x, y):
@@ -794,10 +794,10 @@ def test_each_drawn_sum_has_its_closed_form_mean_and_variance(flag):
     draws = {name: [] for name in ("est_xx", "est_xy", "est_yy", "est_x", "est_y", "open_yy")}
     monitor_yy = []
     for seed in range(10_000):
-        moments = draw_moments(dataclasses.replace(off, seed=seed), atk, gain)
+        moments = draw_moments(dataclasses.replace(off, seed=seed))
         for name, got in draws.items():
             got.append(getattr(moments, name))
-        monitor_yy.append(draw_moments(dataclasses.replace(on, seed=seed), atk, gain).monitor_yy)
+        monitor_yy.append(draw_moments(dataclasses.replace(on, seed=seed)).monitor_yy)
     m = moments.m_est
     assert m == n // 2
     closed_forms = {  # name -> (mean, variance)
@@ -846,14 +846,16 @@ def test_the_moments_and_the_pulses_give_one_distribution(mu, nu, extinction):
     assert reports[run_scenario][0].xi_hat_snu != reports[run_pulses][0].xi_hat_snu
 
 
+@pytest.mark.parametrize("name,stage", [("attack_gain", "pulse-model"),
+                                        ("outcome_law", "channel-simulation")])
 @pytest.mark.parametrize("run", [run_scenario, _dumped], ids=["moments", "dump"])
-def test_a_failing_draw_fails_its_stage(run, monkeypatch):
+def test_a_failing_draw_fails_its_stage(run, name, stage, monkeypatch):
     # a dump expands the moments, so it fails where they are drawn
     def fail(*args):
         raise MemoryError
 
-    monkeypatch.setattr(scenario, "outcome_law", fail)
-    with pytest.raises(ScenarioStageError, match="^stage 'channel-simulation' failed: MemoryError$"):
+    monkeypatch.setattr(scenario, name, fail)
+    with pytest.raises(ScenarioStageError, match=f"^stage '{stage}' failed: MemoryError$"):
         run(parse_config("pulses = 1000\n"))
 
 
@@ -1074,6 +1076,17 @@ class TestCli:
             captured = capsys.readouterr()
             assert flag in captured.err
             assert captured.out == ""
+
+    def test_calibrate_passes_whatever_the_seed(self, capsys):
+        # two points of two samples, or a 300 ns delay's gain of 5e-6, leave a fitted
+        # slope that noise can push below 0; it is printed as fitted, not refused
+        runs = [["--points", "2", "--samples-per-point", "2", "--seed", str(s)] for s in range(20)]
+        runs += [["--delay-ns", "300", "--seed", str(s)] for s in range(10)]
+        for args in runs:
+            assert main(["calibrate", *args]) == 0, args
+            printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+            assert all(math.isfinite(float(v)) for v in printed.values()), args
+            assert "slope" in printed and ("delayed_slope" in printed) == ("--delay-ns" in args)
 
     def test_module_entry_point(self, tmp_path):
         cfg_path = tmp_path / "tiny.cfg"
