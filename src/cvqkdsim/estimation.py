@@ -6,7 +6,7 @@ Implements the normal-linear-model estimators
     sigma2_hat = mean((y - t_hat*x)^2) = (sum(y^2) - t_hat*sum(x*y)) / m
     va_hat     = mean(x^2)
 
-from the sample sums alone (so that a caller can stream its samples),
+from the three sums alone (the means of x and y are known to be 0),
 their confidence intervals (Gaussian for t_hat, chi-square with m-1
 degrees of freedom for the variance estimators), the channel-parameter
 mapping T = t_hat^2/eta, xi = (sigma2_hat - n0_assumed - v_el)/t_hat^2.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, fields, is_dataclass
 from statistics import NormalDist
 
@@ -103,34 +102,25 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of ``a*b`` over two 1-d arrays, in an order that does not depend on the host.
 
     ``a @ b`` goes to BLAS, whose summation order (and so the last bits)
-    changes with its thread count; einsum's own loop does not.  Every
-    sum of products the estimates are built from goes through here.
+    changes with its thread count; einsum's own loop does not.  The
+    pulse dump and the tests' per-pulse reference take their sums here.
     """
     return float(np.einsum("i,i->", a, b))
 
 
-def ml_from_moments(
-    m: int, sum_xx: float, sum_xy: float, sum_yy: float, sum_x: float, sum_y: float
-) -> MlEstimates:
-    """Maximum-likelihood estimates for y = t*x + z from the sums of m centred samples.
+def ml_from_moments(m: int, sum_xx: float, sum_xy: float, sum_yy: float) -> MlEstimates:
+    """Maximum-likelihood estimates for y = t*x + z from the sums of m samples.
 
-    sigma2_hat = (sum_yy - sum_xy**2/sum_xx)/m is non-negative by
-    Cauchy-Schwarz; rounding can push it below zero on an exact line,
-    so it is clamped there.  No mean removal is performed, but a
-    diagnostic warning fires if a sample mean exceeds 5 standard errors.
+    The means of x and y are known to be 0 (Alice's modulation is
+    centred), so no mean is estimated or removed and the sums Σx and Σy
+    are not read.  sigma2_hat = (sum_yy - sum_xy**2/sum_xx)/m is
+    non-negative by Cauchy-Schwarz; rounding can push it below zero on an
+    exact line, so it is clamped there.
     """
     if m < 2:
         raise ValueError(f"need at least 2 samples, got {m}")
     if sum_xx <= 0.0:
         raise DegenerateDataError("sum of x^2 is zero; t_hat undefined")
-    for name, total, squares in (("x", sum_x, sum_xx), ("y", sum_y, sum_yy)):
-        rms = math.sqrt(squares / m)
-        if rms > 0 and abs(total / m) > 5.0 * rms / math.sqrt(m):
-            warnings.warn(
-                f"{name} does not look centred: |mean| exceeds 5 standard errors",
-                RuntimeWarning,
-                stacklevel=3,
-            )
     t_hat = sum_xy / sum_xx
     sigma2_hat = max(sum_yy - sum_xy * t_hat, 0.0) / m
     return MlEstimates(t_hat=t_hat, sigma2_hat=sigma2_hat, va_hat=sum_xx / m, m=m)

@@ -149,30 +149,28 @@ def _resolve_attack(cfg: ScenarioConfig):
 
 @dataclass
 class Moments:
-    """One draw of a scenario (``draw_moments``): all that its analysis and its dump read.
+    """One draw of a scenario (``draw_moments``): exactly what its analysis and its dump read.
 
     ``attack`` is the resolved attack (the delay derived from ``alpha``)
     and ``gain`` its timing gain; the rest are counts and sums of the
-    pulses.  ``est_*`` cover the estimation set, ``n_open`` and ``open_yy``
-    every open-switch pulse, and ``monitor_yy`` the closed-switch pulses.
-    The first ``key_target`` open pulses form the key set and the rest the
-    estimation set.  ``key_classes`` and ``est_classes`` hold, per attack
-    class of each set, its pulse count and what was drawn for it: Σw² of
-    w = y/sd(y), and ``_standard_sums``.  ``dump_pulses`` expands them into
-    the blocks that ``run --csv`` writes once the report is computed.
+    pulses.  ``n_open`` and ``open_yy`` cover every open-switch pulse: the
+    first ``n_open - m_est`` form the key set, the rest the estimation set,
+    which ``est_xx``, ``est_xy`` and ``est_yy`` (the estimator's three sums)
+    cover; ``monitor_yy`` covers the closed-switch pulses.  ``key_classes``
+    and ``est_classes`` hold, per attack class of each set, its pulse count
+    and what was drawn for it: Σw² of w = y/sd(y), and ``_standard_sums``.
+    ``dump_pulses`` expands them into the blocks that ``run --csv`` writes
+    once the report is computed.
     """
 
     attack: AttackParams
     gain: float
-    key_target: int
     n_open: int = 0
     open_yy: float = 0.0
     m_est: int = 0
     est_xx: float = 0.0
     est_xy: float = 0.0
     est_yy: float = 0.0
-    est_x: float = 0.0
-    est_y: float = 0.0
     m_monitor: int = 0
     monitor_yy: float = 0.0
     key_classes: tuple = ()
@@ -236,17 +234,18 @@ def draw_moments(cfg: ScenarioConfig) -> Moments:
 
     First the resolved attack and its gain (the pulse-model stage).  The
     open count is Binomial(N, 1 - monitor_fraction) with the countermeasure
-    on, N otherwise; the key set is its first ``key_target`` pulses and the
-    estimation set the rest.  In each set the pulses of each attack class
-    (``_class_counts``) are i.i.d. with x = sqrt(va)*u and y = slope*x +
-    sd*z, for standard normals u and z and the class's
+    on, N otherwise; the key set is its first ``_key_target`` pulses (all of
+    them if fewer) and the estimation set the rest.  In each set the pulses
+    of each attack class (``_class_counts``) are i.i.d. with x = sqrt(va)*u
+    and y = slope*x + sd*z, for standard normals u and z and the class's
     ``protocol.outcome_law``; an estimation class draws the sums of its
-    pairs (u, z) (``_standard_sums``), a key-set or closed-switch class
-    only Σw² ~ χ²(n) of w = y/sd(y).  Draw order, from one generator seeded
-    from (seed, ``_TAG_MOMENTS``): the closed count, then the estimation
-    set's class counts and each non-empty class's sums, the key set's class
-    counts and χ² variates, and the closed-switch pulses' likewise.  A class
-    of no pulses draws nothing, so neither does a certain flag.
+    pairs (u, z) (``_standard_sums``), kept for the dump and folded into
+    Σx², Σxy and Σy², a key-set or closed-switch class only Σw² ~ χ²(n) of
+    w = y/sd(y).  Draw order, from one generator seeded from (seed,
+    ``_TAG_MOMENTS``): the closed count, then the estimation set's class
+    counts and each non-empty class's sums, the key set's class counts and
+    χ² variates, and the closed-switch pulses' likewise.  A class of no
+    pulses draws nothing, so neither does a certain flag.
     """
     with _stage("pulse-model"):
         atk = _resolve_attack(cfg)
@@ -258,8 +257,8 @@ def draw_moments(cfg: ScenarioConfig) -> Moments:
         if cfg.countermeasure_enabled:
             n_closed = int(rng.binomial(cfg.pulses, cfg.monitor_fraction))
     n_open = cfg.pulses - n_closed
-    moments = Moments(atk, gain, _key_target(cfg), n_open=n_open)
-    n_key = min(moments.key_target, n_open)
+    moments = Moments(atk, gain, n_open=n_open)
+    n_key = min(_key_target(cfg), n_open)
 
     def chi2_classes(n: int) -> tuple:
         return tuple([(k, _chi2(rng, k)) for k in _class_counts(rng, n, atk)])
@@ -277,13 +276,11 @@ def draw_moments(cfg: ScenarioConfig) -> Moments:
             stats = _standard_sums(rng, k) if k else ()
             est_classes.append((k, stats))
             if k:
-                suu, suz, szz, su, sz = _sums(k, stats)
+                suu, suz, szz, _, _ = _sums(k, stats)
                 xx, xz, zz = ch.va * suu, sqrt_va * sd * suz, sd * sd * szz
                 moments.est_xx += xx
                 moments.est_xy += slope * xx + xz
                 moments.est_yy += slope * slope * xx + 2.0 * slope * xz + zz
-                moments.est_x += sqrt_va * su
-                moments.est_y += slope * sqrt_va * su + sd * sz
         moments.est_classes = tuple(est_classes)
         moments.key_classes = chi2_classes(n_key)
         moments.open_yy = moments.est_yy + sum_y2(moments.key_classes, law)
@@ -414,9 +411,7 @@ def analyse_scenario(cfg: ScenarioConfig, moments: Moments) -> ScenarioReport:
         if m_est < 2:
             raise ConfigError(f"too few pulses left for estimation: {m_est}, need at least 2")
         n_key = moments.n_open - m_est
-        estimates = ml_from_moments(
-            m_est, moments.est_xx, moments.est_xy, moments.est_yy, moments.est_x, moments.est_y
-        )
+        estimates = ml_from_moments(m_est, moments.est_xx, moments.est_xy, moments.est_yy)
         intervals = confidence_bounds(estimates, cfg.epsilon)
         t_hat, xi_hat = infer_channel(estimates, n0_line, ch.eta, ch.v_el)
         report = EstimationReport(

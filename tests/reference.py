@@ -64,9 +64,7 @@ def ml_estimate(x: np.ndarray, y: np.ndarray) -> MlEstimates:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
-    return ml_from_moments(
-        x.size, dot(x, x), dot(x, y), dot(y, y), float(x.sum()), float(y.sum())
-    )
+    return ml_from_moments(x.size, dot(x, x), dot(x, y), dot(y, y))
 
 
 def xi_pir(xi_snu: float, mu: float) -> float:
@@ -167,9 +165,9 @@ def mask_seed(seed: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(TAG_MONITOR_MASK,)).generate_state(1)[0])
 
 
-def add_open(moments: Moments, x: np.ndarray, y: np.ndarray) -> None:
+def add_open(moments: Moments, key_target: int, x: np.ndarray, y: np.ndarray) -> None:
     """Add the next open-switch pulses, in pulse order: the first ``key_target`` are the key set."""
-    split = min(max(moments.key_target - moments.n_open, 0), x.size)
+    split = min(max(key_target - moments.n_open, 0), x.size)
     key_y, est_x, est_y = y[:split], x[split:], y[split:]
     moments.n_open += x.size
     est_yy = dot(est_y, est_y)
@@ -179,8 +177,6 @@ def add_open(moments: Moments, x: np.ndarray, y: np.ndarray) -> None:
         moments.est_xx += dot(est_x, est_x)
         moments.est_xy += dot(est_x, est_y)
         moments.est_yy += est_yy
-        moments.est_x += float(est_x.sum())
-        moments.est_y += float(est_y.sum())
 
 
 def add_monitor(moments: Moments, y: np.ndarray) -> None:
@@ -199,14 +195,14 @@ def draw_pulses(cfg, on_open=None) -> Moments:
     """
     ch, atk = cfg.channel, _resolve_attack(cfg)
     gain = attack_gain(atk, cfg.detector)
-    moments = Moments(atk, gain, _key_target(cfg))
+    moments, key_target = Moments(atk, gain), _key_target(cfg)
     for block, _, size in pulse_blocks(cfg.pulses):
         x = alice_block(ch.va, cfg.seed, block, size)
         closed = np.zeros(size, dtype=bool)
         if cfg.countermeasure_enabled:
             closed = monitor_mask_block(cfg.monitor_fraction, mask_seed(cfg.seed), block, size)
         y, intercepted, lo_attacked = bob_block(x[~closed], ch, atk, gain, cfg.seed, block)
-        add_open(moments, x[~closed], y)
+        add_open(moments, key_target, x[~closed], y)
         if closed.any():
             y_closed, _, _ = monitor_block(
                 x[closed], ch, atk, gain, cfg.switch.extinction, cfg.seed, block

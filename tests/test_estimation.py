@@ -61,12 +61,6 @@ class TestMlEstimate:
         tolerance = 4.0 * math.sqrt(2.0 * (m - 1) / trials)
         assert abs(np.mean(values) - (m - 1)) < tolerance
 
-    def test_warns_when_not_centred(self):
-        rng = np.random.default_rng(22)
-        x = rng.standard_normal(10_000) + 3.0
-        with pytest.warns(RuntimeWarning):
-            ml_estimate(x, 0.5 * x)
-
     def test_estimator_independence(self):
         rng = np.random.default_rng(23)
         trials, m = 1000, 200

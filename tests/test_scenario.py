@@ -477,6 +477,16 @@ class TestRunScenario:
         other = BREACH.replace("seed = 7", "seed = 8")
         assert run_scenario(parse_config(BREACH)).to_text() != run_scenario(parse_config(other)).to_text()
 
+    # the seeds whose Σx (910896), then Σy (1048392), of a modulation of mean 0 lies past
+    # 5 standard errors of 0: the run reads no Σx or Σy, so no seed can trip a warning
+    @pytest.mark.parametrize("seed", [910896, 1048392])
+    def test_the_shipped_example_breaches_at_a_seed_of_far_sample_means(self, seed, capsys):
+        cfg_path = Path(__file__).resolve().parents[1] / "configs" / "quantitative-example.cfg"
+        cfg = dataclasses.replace(load_config(cfg_path), seed=seed)
+        assert run_scenario(cfg).verdict == "breached"
+        assert main(["run", "--config", str(cfg_path), "--seed", str(seed)]) == EXIT_BREACHED
+        assert capsys.readouterr().err == ""
+
     def test_estimation_key_split_counts(self):
         cfg = parse_config("pulses = 100000\nkey_fraction = 0.25\nseed = 4\n")
         report = run_scenario(cfg)
@@ -624,15 +634,12 @@ class TestMoments:
     @pytest.mark.parametrize("key_target,first_est", [(0, 0), (4, 4), (8, 8), (9, 9), (20, 10)])
     @pytest.mark.parametrize("chunks", [1, 3, 10])
     def test_key_set_first_then_estimation_set(self, key_target, first_est, chunks):
-        moments = Moments(AttackParams(), 1.0, key_target)
+        moments = Moments(AttackParams(), 1.0)
         for idx in np.array_split(np.arange(self.X.size), chunks):
-            add_open(moments, self.X[idx], self.Y[idx])
+            add_open(moments, key_target, self.X[idx], self.Y[idx])
         x, y = self.X[first_est:], self.Y[first_est:]
-        expected = (x.size, x @ x, x @ y, y @ y, x.sum(), y.sum())
-        got = (
-            moments.m_est, moments.est_xx, moments.est_xy, moments.est_yy, moments.est_x,
-            moments.est_y,
-        )
+        expected = (x.size, x @ x, x @ y, y @ y)
+        got = (moments.m_est, moments.est_xx, moments.est_xy, moments.est_yy)
         assert got == pytest.approx(expected, rel=1e-15)
         assert moments.n_open == self.X.size
         assert moments.open_yy == pytest.approx(self.Y @ self.Y, rel=1e-15)
@@ -667,13 +674,30 @@ def _dump(cfg):
     return draw_moments(cfg), blocks, x, y, classes.astype(int)
 
 
+def _named_sums(cfg, moments) -> dict:
+    """The moments' fields by name, and the estimation set's Σx and Σy as ``est_x`` and ``est_y``.
+
+    Σx and Σy add up the non-empty classes' drawn (Σu, Σz), with x =
+    sqrt(va)*u and y = slope*x + sd*z in each class (``outcome_law``).
+    """
+    slope, sds = outcome_law(cfg.channel, moments.gain)
+    sqrt_va = math.sqrt(cfg.channel.va)
+    sums = {**vars(moments), "est_x": 0.0, "est_y": 0.0}
+    for (k, stats), sd in zip(moments.est_classes, sds):
+        if k:
+            su, sz = stats[:2]
+            sums["est_x"] += sqrt_va * su
+            sums["est_y"] += slope * sqrt_va * su + sd * sz
+    return sums
+
+
 def _assert_the_rows_add_up_to(cfg, moments, x, y):
     """The rows' sums, key rows first, are the moments' within 1e-12 of the magnitudes they add.
 
     The moments form each estimation sum from x and the noise r = y -
     slope*x, so each sum is held to 1e-12 times a Cauchy-Schwarz bound on
     the sum of its terms' magnitudes in x and r: relative for Σx², not for
-    a sum that cancels to near 0.
+    a sum that cancels to near 0.  Σx and Σy are the drawn ones (``_named_sums``).
     """
     n_key = moments.n_open - moments.m_est
     slope = math.sqrt(cfg.channel.eta * cfg.channel.transmittance)
@@ -689,8 +713,9 @@ def _assert_the_rows_add_up_to(cfg, moments, x, y):
         "est_x": (float(ex.sum()), math.sqrt(ex.size * xx)),
         "est_y": (float(ey.sum()), math.sqrt(ex.size * yy)),
     }
+    wants = _named_sums(cfg, moments)
     for name, (got, scale) in sums.items():
-        want = getattr(moments, name)
+        want = wants[name]
         assert abs(got - want) <= 1e-12 * scale, (name, got, want)
 
 
@@ -795,8 +820,9 @@ def test_each_drawn_sum_has_its_closed_form_mean_and_variance(flag):
     monitor_yy = []
     for seed in range(10_000):
         moments = draw_moments(dataclasses.replace(off, seed=seed))
+        drawn = _named_sums(off, moments)
         for name, got in draws.items():
-            got.append(getattr(moments, name))
+            got.append(drawn[name])
         monitor_yy.append(draw_moments(dataclasses.replace(on, seed=seed)).monitor_yy)
     m = moments.m_est
     assert m == n // 2
