@@ -16,7 +16,6 @@ from .estimation import (
 from .keyrate import (
     KeyRateBreakdown,
     KeyRateParams,
-    LinkModel,
     holevo_bound,
     max_secure_distance,
     mutual_information,
@@ -34,7 +33,6 @@ from .protocol import (
 from .pulses import (
     CalibrationLine,
     DetectorModel,
-    PowerMeterConfig,
     Waveform,
     attenuate_leading_edge,
     craft_equal_power_pulse,

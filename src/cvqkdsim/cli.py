@@ -115,10 +115,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_pulse_demo(args) -> int:
     if not 0 <= args.shift_ns < math.inf:
         raise ValueError(f"--shift-ns must be finite and >= 0, got {args.shift_ns}")
-    base, threshold, pm = default_lo_pulse()
-    shaped = craft_equal_power_pulse(base, args.shift_ns, threshold, pm)
-    p_base = measure_power(base, pm)
-    p_shaped = measure_power(shaped, pm)
+    base, threshold, window_ns = default_lo_pulse()
+    shaped = craft_equal_power_pulse(base, args.shift_ns, threshold, window_ns)
+    p_base = measure_power(base, window_ns)
+    p_shaped = measure_power(shaped, window_ns)
     t_base = trigger_time(base, threshold)
     t_shaped = trigger_time(shaped, threshold)
     det = DetectorModel()

@@ -18,7 +18,6 @@ from operator import attrgetter
 
 from .countermeasure import SwitchModel
 from .errors import ConfigError
-from .keyrate import LinkModel
 from .protocol import AttackParams, ChannelParams
 from .pulses import DetectorModel
 from .ranges import NON_NEGATIVE, OPEN_UNIT, POSITIVE, UNIT, Range, checked, param
@@ -78,7 +77,7 @@ class SweepSettings:
 
     snr_target: float = param(0.075, within=POSITIVE)
     xi_bob: float = param(0.001, within=NON_NEGATIVE)
-    loss_db_per_km: float = param(LinkModel.loss_db_per_km, within=POSITIVE)
+    loss_db_per_km: float = param(0.2, within=POSITIVE)
     d_max_km: float = param(120.0, within=POSITIVE)
     step_km: float = param(1.0, within=POSITIVE)
 

@@ -1,20 +1,8 @@
-"""Exception types shared across the package."""
-
-
-class DegenerateFitError(ValueError):
-    """Raised when a line fit has no spread in the abscissa."""
-
-
-class DegenerateDataError(ValueError):
-    """Raised when estimation inputs carry no usable signal (e.g. all-zero x)."""
+"""Exception types that a caller tells apart from the built-ins they extend."""
 
 
 class InfeasiblePulseError(ValueError):
     """Raised when a pulse-shaping request cannot be satisfied."""
-
-
-class NumericalDomainError(ArithmeticError):
-    """Raised when a key-rate intermediate leaves its numerical domain."""
 
 
 class ConfigError(ValueError):

@@ -21,7 +21,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DegenerateDataError
 from .ranges import NON_NEGATIVE, OPEN_UNIT, POSITIVE, Range, checked, param
 
 # Above this sample count the chi-square quantiles switch to the
@@ -120,7 +119,7 @@ def ml_from_moments(m: int, sum_xx: float, sum_xy: float, sum_yy: float) -> MlEs
     if m < 2:
         raise ValueError(f"need at least 2 samples, got {m}")
     if sum_xx <= 0.0:
-        raise DegenerateDataError("sum of x^2 is zero; t_hat undefined")
+        raise ValueError("sum of x^2 is zero; t_hat undefined")
     t_hat = sum_xy / sum_xx
     sigma2_hat = max(sum_yy - sum_xy * t_hat, 0.0) / m
     return MlEstimates(t_hat=t_hat, sigma2_hat=sigma2_hat, va_hat=sum_xx / m, m=m)
@@ -171,6 +170,6 @@ def infer_channel(
     """
     POSITIVE.check("eta", eta)
     if est.t_hat == 0.0:
-        raise DegenerateDataError("t_hat is zero; excess noise undefined")
+        raise ValueError("t_hat is zero; excess noise undefined")
     t2 = est.t_hat**2
     return t2 / eta, (est.sigma2_hat - n0_assumed - v_el) / t2

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import partial
 
 from .countermeasure import SwitchModel, effective_eta
-from .errors import NumericalDomainError
 from .ranges import NON_NEGATIVE, POSITIVE, UNIT, UNIT_ABOVE_0, UNIT_BELOW_1, checked, param
 
 DISCRIMINANT_TOL = 1e-9
@@ -51,17 +50,6 @@ class KeyRateParams:
     xi: float = param(within=NON_NEGATIVE)
     v_el: float = param(within=NON_NEGATIVE)
     beta: float = param(within=UNIT)
-
-
-@checked
-class LinkModel:
-    """Fibre link; transmittance decays exponentially with distance."""
-
-    loss_db_per_km: float = param(0.2, within=POSITIVE)
-
-    def transmittance(self, distance_km: float) -> float:
-        NON_NEGATIVE.check("distance", distance_km)
-        return 10.0 ** (-self.loss_db_per_km * distance_km / 10.0)
 
 
 @dataclass
@@ -88,9 +76,13 @@ def _chi_tot(p: KeyRateParams) -> float:
 def _entropy_g(x: float) -> float:
     """G(x) = (x+1) log2(x+1) - x log2 x, continued by G(0) = 0."""
     if x < -EIGENVALUE_TOL:
-        raise NumericalDomainError(f"entropy argument {x} below 0")
+        raise ArithmeticError(f"entropy argument {x} below 0")
     if x <= 0.0:
         return 0.0
+    # at large x the two terms below cancel to their last digits; the stable form
+    # is kept to large x, so the pinned outputs keep the direct form's last bits
+    if x > 1e3:
+        return math.log2(x + 1.0) + x * math.log1p(1.0 / x) / math.log(2.0)
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
@@ -103,18 +95,18 @@ def _eigenpair(trace_like: float, det_like: float) -> tuple[float, float]:
     disc = trace_like**2 - 4.0 * det_like
     tol = DISCRIMINANT_TOL * max(1.0, trace_like**2)
     if disc < -tol:
-        raise NumericalDomainError(f"negative discriminant {disc} in symplectic spectrum")
+        raise ArithmeticError(f"negative discriminant {disc} in symplectic spectrum")
     if disc <= tol:  # a double root: sqrt would magnify the rounding error of disc
         disc = 0.0
     big_sq = 0.5 * (trace_like + math.sqrt(disc))
     if big_sq <= 0.0:
-        raise NumericalDomainError("non-positive squared symplectic eigenvalue")
+        raise ArithmeticError("non-positive squared symplectic eigenvalue")
     small_sq = det_like / big_sq
     big = math.sqrt(big_sq)
     small = math.sqrt(max(small_sq, 0.0))
     for lam in (big, small):
         if lam < 1.0 - EIGENVALUE_TOL:
-            raise NumericalDomainError(f"symplectic eigenvalue {lam} below 1")
+            raise ArithmeticError(f"symplectic eigenvalue {lam} below 1")
     return big, max(small, 1.0)
 
 
@@ -203,20 +195,22 @@ def rate_at_distance(
     beta: float,
     snr_target: float,
     xi_bob: float,
-    link: LinkModel | None = None,
+    loss_db_per_km: float = 0.2,
     monitor_fraction: float = 0.0,
     switch: SwitchModel | None = None,
 ) -> SweepPoint:
     """Key rate at one distance with SNR-targeted modulation variance.
 
-    ``xi_bob`` is the excess noise referred to Bob's side (eta*T*xi);
-    the channel-input value is recovered per distance.  With a switch
+    The fibre passes T = 10**(-loss_db_per_km*distance_km/10).  ``xi_bob``
+    is the excess noise referred to Bob's side (eta*T*xi); the
+    channel-input value is recovered per distance.  With a switch
     present the efficiency is derated by its insertion loss, and the
     monitoring fraction multiplies the rate by (1 - fraction).
     """
-    link = link or LinkModel()
+    POSITIVE.check("loss_db_per_km", loss_db_per_km)
     UNIT_BELOW_1.check("monitor_fraction", monitor_fraction)
-    transmittance = link.transmittance(distance_km)
+    NON_NEGATIVE.check("distance", distance_km)
+    transmittance = 10.0 ** (-loss_db_per_km * distance_km / 10.0)
     eta_eff = effective_eta(eta, switch.loss_db) if switch is not None else eta
     xi_channel = xi_bob / (eta_eff * transmittance)
     va = va_for_snr(snr_target, transmittance, eta_eff, xi_channel, v_el)
@@ -242,9 +236,10 @@ def rate_at_distance(
 def max_secure_distance(**receiver) -> float | None:
     """Largest distance with a positive key rate, by bisection.
 
-    ``receiver`` holds the keywords of ``rate_at_distance``.  Returns
-    None when the rate is already non-positive at zero distance, and
-    ``SEARCH_MAX_KM`` when the rate never crosses zero inside the bracket.
+    ``receiver`` holds the keywords of ``rate_at_distance``, the fibre's
+    ``loss_db_per_km`` among them.  Returns None when the rate is already
+    non-positive at zero distance, and ``SEARCH_MAX_KM`` when the rate
+    never crosses zero inside the bracket.
     """
     if "snr_target" in receiver:
         POSITIVE.check("snr_target", receiver["snr_target"])

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateFitError, InfeasiblePulseError
+from .errors import InfeasiblePulseError
 from .ranges import NON_NEGATIVE, POSITIVE, UNIT, checked, param
 
 @checked
@@ -61,13 +61,6 @@ class Waveform:
 
 
 @checked
-class PowerMeterConfig:
-    """Windowed LO power integrator: the sum of the trailing ``window_ns`` of the waveform."""
-
-    window_ns: float = param(within=POSITIVE)
-
-
-@checked
 class DetectorModel:
     """Homodyne detector timing and calibration constants.
 
@@ -94,21 +87,20 @@ class CalibrationLine:
     intercept: float
 
 
-def measure_power(waveform: Waveform, cfg: PowerMeterConfig) -> float:
-    """Power of the trailing measurement window.
+def measure_power(waveform: Waveform, window_ns: float) -> float:
+    """LO power meter reading: the sum over the trailing ``window_ns`` of the trace, times dt.
 
-    Discrete sum over the last ``window_ns`` of the trace, times dt.
-    Linear in the waveform.
+    Linear in the waveform.  A window that does not fit the trace, 0 or less included, is refused.
     """
-    return _window_power(waveform.samples, waveform.dt, cfg)
+    return _window_power(waveform.samples, waveform.dt, window_ns)
 
 
-def _window_power(samples: np.ndarray, dt: float, cfg: PowerMeterConfig) -> float:
+def _window_power(samples: np.ndarray, dt: float, window_ns: float) -> float:
     """``measure_power`` of the trace ``samples`` with spacing ``dt``, unchecked and uncopied."""
-    n_window = int(round(cfg.window_ns / dt))
+    n_window = int(round(window_ns / dt))
     if n_window < 1 or n_window > samples.size:
         raise ValueError(
-            f"power window {cfg.window_ns} ns does not fit waveform of "
+            f"power window {window_ns} ns does not fit waveform of "
             f"duration {samples.size * dt} ns"
         )
     tail = samples[::-1][:n_window]
@@ -150,11 +142,11 @@ def detector_gain(t_measure_ns: float, det: DetectorModel) -> float:
 def fit_calibration_line(points: list[tuple[float, float]]) -> CalibrationLine:
     """Least-squares line through (power, variance) calibration points."""
     if len(points) < 2:
-        raise DegenerateFitError("need at least 2 calibration points")
+        raise ValueError("need at least 2 calibration points")
     powers = np.array([p for p, _ in points], dtype=float)
     variances = np.array([v for _, v in points], dtype=float)
     if np.ptp(powers) == 0:
-        raise DegenerateFitError("all calibration powers identical")
+        raise ValueError("all calibration powers identical")
     slope, intercept = np.polyfit(powers, variances, deg=1)
     return CalibrationLine(slope=float(slope), intercept=float(intercept))
 
@@ -186,7 +178,7 @@ def attenuate_leading_edge(
     waveform: Waveform,
     alpha: float,
     span_ns: float,
-    pm: PowerMeterConfig,
+    window_ns: float,
 ) -> Waveform:
     """Scale the first ``span_ns`` of the pulse by ``alpha``.
 
@@ -203,21 +195,21 @@ def attenuate_leading_edge(
     n_head = min(math.ceil(span_ns / waveform.dt - 1e-12), len(waveform))
     shaped = waveform.samples.copy()
     shaped[:n_head] *= alpha
-    target = measure_power(waveform, pm)
+    target = measure_power(waveform, window_ns)
     head_only = shaped.copy()
     head_only[n_head:] = 0.0
     tail_only = waveform.samples.copy()
     tail_only[:n_head] = 0.0
     # bare arrays: a Waveform per part would copy and check them for every candidate
-    p_head = _window_power(head_only, waveform.dt, pm) if n_head else 0.0
-    p_tail = _window_power(tail_only, waveform.dt, pm)
+    p_head = _window_power(head_only, waveform.dt, window_ns) if n_head else 0.0
+    p_tail = _window_power(tail_only, waveform.dt, window_ns)
     if p_tail <= 0.0:
         raise InfeasiblePulseError(
             "cannot preserve power: tail carries no weight in the window"
         )
     shaped[n_head:] *= (target - p_head) / p_tail
     result = Waveform(shaped, waveform.dt, waveform.t0)
-    achieved = measure_power(result, pm)
+    achieved = measure_power(result, window_ns)
     assert math.isclose(achieved, target, rel_tol=1e-9, abs_tol=1e-12)
     return result
 
@@ -226,7 +218,7 @@ def craft_equal_power_pulse(
     base: Waveform,
     target_shift_ns: float,
     threshold: float,
-    pm: PowerMeterConfig,
+    window_ns: float,
 ) -> Waveform:
     """Pulse with the same measured power whose trigger fires ``target_shift_ns`` later.
 
@@ -250,7 +242,7 @@ def craft_equal_power_pulse(
     for k_steps in range(1, len(base)):
         span = k_steps * base.dt
         try:
-            blanked = attenuate_leading_edge(base, 0.0, span, pm)
+            blanked = attenuate_leading_edge(base, 0.0, span, window_ns)
         except InfeasiblePulseError:
             continue
         if late_enough(blanked):
@@ -262,7 +254,7 @@ def craft_equal_power_pulse(
     # alpha = 1 leaves the trigger where it was, short of any positive request
     lo, hi, shaped = 0.0, 1.0, blanked
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        candidate = attenuate_leading_edge(base, mid, span, pm)
+        candidate = attenuate_leading_edge(base, mid, span, window_ns)
         if late_enough(candidate):
             lo, shaped = mid, candidate
         else:

@@ -31,7 +31,6 @@ from .estimation import (
 )
 from .keyrate import (
     KeyRateParams,
-    LinkModel,
     SweepPoint,
     discounted_rate,
     rate_at_distance,
@@ -45,7 +44,6 @@ from .protocol import (
     pulse_blocks,
 )
 from .pulses import (
-    PowerMeterConfig,
     Waveform,
     attenuate_leading_edge,
     trigger_time,
@@ -73,15 +71,14 @@ _PLATEAU_NS = 75
 _FALL_NS = 15
 
 
-def default_lo_pulse() -> tuple[Waveform, float, PowerMeterConfig]:
-    """Nominal LO pulse with its trigger threshold and power-meter settings."""
+def default_lo_pulse() -> tuple[Waveform, float, float]:
+    """Nominal LO pulse, its trigger threshold and the power meter's window in ns."""
     rise = np.arange(_RISE_NS) / _RISE_NS
     plateau = np.ones(_PLATEAU_NS)
     fall = 1.0 - (np.arange(_FALL_NS) + 1.0) / _FALL_NS
     samples = np.concatenate([rise, plateau, fall])
     waveform = Waveform(samples, dt=1.0, t0=0.0)
-    pm = PowerMeterConfig(window_ns=100.0)
-    return waveform, 0.5, pm
+    return waveform, 0.5, 100.0
 
 
 def trigger_delay_from_attenuation(alpha: float) -> float:
@@ -89,8 +86,8 @@ def trigger_delay_from_attenuation(alpha: float) -> float:
 
     Continuous in alpha: 15/alpha - 15 ns while the attenuated rise still crosses the threshold.
     """
-    base, threshold, pm = default_lo_pulse()
-    shaped = attenuate_leading_edge(base, alpha, float(_RISE_NS), pm)
+    base, threshold, window_ns = default_lo_pulse()
+    shaped = attenuate_leading_edge(base, alpha, float(_RISE_NS), window_ns)
     return trigger_time(shaped, threshold) - trigger_time(base, threshold)
 
 
@@ -512,7 +509,7 @@ def sweep_receivers(cfg: ScenarioConfig) -> tuple[dict, dict]:
         beta=cfg.beta,
         snr_target=cfg.sweep.snr_target,
         xi_bob=cfg.sweep.xi_bob,
-        link=LinkModel(loss_db_per_km=cfg.sweep.loss_db_per_km),
+        loss_db_per_km=cfg.sweep.loss_db_per_km,
     )
     return plain, {**plain, "monitor_fraction": cfg.monitor_fraction, "switch": cfg.switch}
 

@@ -5,7 +5,6 @@ import pytest
 
 from cvqkdsim import (
     KeyRateParams,
-    LinkModel,
     SwitchModel,
     holevo_bound,
     max_secure_distance,
@@ -14,7 +13,8 @@ from cvqkdsim import (
     secret_key_rate,
     va_for_snr,
 )
-from cvqkdsim.keyrate import SEARCH_RESOLUTION_KM, discounted_rate
+from cvqkdsim.cli import main
+from cvqkdsim.keyrate import SEARCH_RESOLUTION_KM, _entropy_g, discounted_rate
 
 FIG5 = dict(eta=0.6, v_el=0.01, beta=0.948, snr_target=0.075, xi_bob=0.001)
 
@@ -101,9 +101,8 @@ class TestSecretKeyRate:
         assert b.key_rate <= 0.0
 
     def test_entanglement_breaking_noise_kills_rate_everywhere(self):
-        link = LinkModel()
         for d in np.arange(0.0, 201.0, 2.0):
-            t = link.transmittance(float(d))
+            t = 10.0 ** (-0.2 * float(d) / 10.0)
             for va in (1.0, 5.0, 20.0):
                 p = KeyRateParams(va=va, transmittance=t, eta=0.6, xi=2.1, v_el=0.01, beta=0.948)
                 assert secret_key_rate(p).key_rate < 0.0
@@ -114,6 +113,25 @@ class TestSecretKeyRate:
     def test_rate_non_increasing_with_distance(self):
         rates = [rate_at_distance(float(d), **FIG5).key_rate for d in range(0, 121, 5)]
         assert all(r1 >= r2 for r1, r2 in zip(rates, rates[1:]))
+
+    def test_no_positive_rate_at_high_loss(self, tmp_path, capsys):
+        # below T ~ 1e-12 the SNR-targeted va passes 1e11; G((l-1)/2) must keep its digits
+        # there, or chi_BE collapses and the rate reads +0.0443
+        for d in range(100, 2001):
+            assert rate_at_distance(float(d), **FIG5).key_rate < 0.0, d
+        cfg_path = tmp_path / "far.cfg"
+        cfg_path.write_text("pulses = 1000\nsweep_d_max_km = 800\n")
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert printed["grid_last_positive_no_countermeasure_km"] == "78.0"
+        assert printed["grid_last_positive_countermeasure_km"] == "66.0"
+        # an 80-digit evaluation of the rate at 800 km gives -0.0078660
+        last = (tmp_path / "keyrate_no_countermeasure.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[-1]) == pytest.approx(-0.0078660, abs=1e-7)
+
+    def test_entropy_forms_agree_at_their_cut(self):
+        above = _entropy_g(math.nextafter(1e3, math.inf))
+        assert above == pytest.approx(_entropy_g(1e3), rel=1e-12)
 
     def test_rate_non_increasing_with_excess_noise(self):
         rates = []
@@ -172,7 +190,7 @@ class TestMaxSecureDistance:
     def test_link_loss_is_forwarded(self):
         # transmittance depends on loss*distance only, so doubling the loss halves the distance
         base = max_secure_distance(**FIG5)
-        lossy = max_secure_distance(**FIG5, link=LinkModel(loss_db_per_km=0.4))
+        lossy = max_secure_distance(**FIG5, loss_db_per_km=0.4)
         assert abs(lossy - base / 2.0) <= SEARCH_RESOLUTION_KM
 
     @pytest.mark.parametrize("snr_target", [0.0, -1.0])
@@ -194,13 +212,15 @@ def test_monitoring_discount_leaves_a_non_positive_rate(rate):
 
 
 def test_link_model():
-    link = LinkModel(loss_db_per_km=0.2)
-    assert link.transmittance(0.0) == 1.0
-    assert link.transmittance(80.0) == pytest.approx(10.0 ** (-1.6), rel=1e-12)
-    with pytest.raises(ValueError):
-        link.transmittance(-1.0)
-    with pytest.raises(ValueError):
-        LinkModel(loss_db_per_km=0.0)
+    def transmittance(distance_km, loss_db_per_km=0.2):
+        return rate_at_distance(distance_km, **FIG5, loss_db_per_km=loss_db_per_km).transmittance
+
+    assert transmittance(0.0) == 1.0
+    assert transmittance(80.0) == pytest.approx(10.0 ** (-1.6), rel=1e-12)
+    with pytest.raises(ValueError, match="distance must be >= 0"):
+        transmittance(-1.0)
+    with pytest.raises(ValueError, match="loss_db_per_km must be > 0"):
+        transmittance(80.0, loss_db_per_km=0.0)
 
 
 def test_keyrate_params_validation():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cvqkdsim import (
     DetectorModel,
-    PowerMeterConfig,
     Waveform,
     attenuate_leading_edge,
     craft_equal_power_pulse,
@@ -20,7 +19,7 @@ from cvqkdsim import (
     write_waveform_csv,
 )
 from cvqkdsim import pulses
-from cvqkdsim.errors import DegenerateFitError, InfeasiblePulseError
+from cvqkdsim.errors import InfeasiblePulseError
 from reference import discharge_tau
 
 
@@ -54,16 +53,21 @@ class TestWaveform:
 class TestMeasurePower:
     def test_zero_waveform(self):
         w = Waveform(np.zeros(120), dt=1.0)
-        assert measure_power(w, PowerMeterConfig(window_ns=100.0)) == 0.0
+        assert measure_power(w, 100.0) == 0.0
 
     def test_uniform_window_integrates_to_window_length(self):
         w = square_pulse(n=120, dt=1.0, level=1.0)
-        assert measure_power(w, PowerMeterConfig(window_ns=100.0)) == pytest.approx(100.0)
+        assert measure_power(w, 100.0) == pytest.approx(100.0)
 
     def test_window_longer_than_waveform(self):
         w = square_pulse(n=50)
         with pytest.raises(ValueError):
-            measure_power(w, PowerMeterConfig(window_ns=100.0))
+            measure_power(w, 100.0)
+
+    @pytest.mark.parametrize("window_ns", [0.0, -1.0, 0.4])
+    def test_window_of_no_sample(self, window_ns):
+        with pytest.raises(ValueError, match="does not fit"):
+            measure_power(square_pulse(), window_ns)
 
     @given(a=st.floats(0.0, 5.0), b=st.floats(0.0, 5.0))
     @settings(max_examples=50)
@@ -71,10 +75,11 @@ class TestMeasurePower:
         rng = np.random.default_rng(42)
         s1 = rng.random(60)
         s2 = rng.random(60)
-        pm = PowerMeterConfig(window_ns=40.0)
+        window_ns = 40.0
         combined = Waveform(a * s1 + b * s2, dt=1.0)
-        p_combined = measure_power(combined, pm)
-        p_parts = a * measure_power(Waveform(s1, 1.0), pm) + b * measure_power(Waveform(s2, 1.0), pm)
+        p_combined = measure_power(combined, window_ns)
+        p_parts = (a * measure_power(Waveform(s1, 1.0), window_ns)
+                   + b * measure_power(Waveform(s2, 1.0), window_ns))
         assert p_combined == pytest.approx(p_parts, rel=1e-12, abs=1e-12)
 
 
@@ -96,10 +101,10 @@ class TestTriggerTime:
         assert trigger_time(Waveform(np.full(4, 1.0), dt=0.5, t0=3.0), 0.5) == 3.0
 
     def test_u1_never_earlier_under_leading_edge_attenuation(self):
-        base, trig, pm = _ramp_pulse()
+        base, trig, window_ns = _ramp_pulse()
         t_base = trigger_time(base, trig)
         for alpha in np.arange(0.0, 1.01, 0.25):
-            shaped = attenuate_leading_edge(base, float(alpha), 10.0, pm)
+            shaped = attenuate_leading_edge(base, float(alpha), 10.0, window_ns)
             t_shaped = trigger_time(shaped, trig)
             assert t_shaped is not None
             assert t_shaped >= t_base
@@ -116,7 +121,7 @@ def _ramp_pulse():
     return (
         Waveform(samples, dt=1.0),
         0.5,
-        PowerMeterConfig(window_ns=100.0),
+        100.0,
     )
 
 
@@ -205,7 +210,7 @@ class TestCalibrationLine:
             simulate_calibration_points(np.ones(3), DetectorModel(), samples_per_point=1)
 
     def test_identical_powers_degenerate(self):
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(ValueError, match="all calibration powers identical"):
             fit_calibration_line([(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)])
 
     def test_a_negative_slope_is_reported_as_fitted(self):
@@ -215,64 +220,64 @@ class TestCalibrationLine:
 
 class TestAttenuateLeadingEdge:
     def test_alpha_one_is_identity(self):
-        base, _, pm = _ramp_pulse()
-        shaped = attenuate_leading_edge(base, 1.0, 20.0, pm)
+        base, _, window_ns = _ramp_pulse()
+        shaped = attenuate_leading_edge(base, 1.0, 20.0, window_ns)
         np.testing.assert_allclose(shaped.samples, base.samples)
 
     def test_full_attenuation_delays_trigger(self):
-        base, trig, pm = _ramp_pulse()
+        base, trig, window_ns = _ramp_pulse()
         t_base = trigger_time(base, trig)
-        shaped = attenuate_leading_edge(base, 0.0, 25.0, pm)
+        shaped = attenuate_leading_edge(base, 0.0, 25.0, window_ns)
         t_shaped = trigger_time(shaped, trig)
         assert t_shaped > t_base
 
     def test_power_preserved_to_tolerance(self):
-        base, _, pm = _ramp_pulse()
+        base, _, window_ns = _ramp_pulse()
         for alpha in (0.0, 0.3, 0.7):
-            shaped = attenuate_leading_edge(base, alpha, 25.0, pm)
-            assert measure_power(shaped, pm) == pytest.approx(
-                measure_power(base, pm), rel=1e-9
+            shaped = attenuate_leading_edge(base, alpha, 25.0, window_ns)
+            assert measure_power(shaped, window_ns) == pytest.approx(
+                measure_power(base, window_ns), rel=1e-9
             )
 
     def test_infeasible_when_tail_has_no_weight(self):
-        base, _, pm = _ramp_pulse()
+        base, _, window_ns = _ramp_pulse()
         with pytest.raises(InfeasiblePulseError):
-            attenuate_leading_edge(base, 0.5, base.duration, pm)
+            attenuate_leading_edge(base, 0.5, base.duration, window_ns)
 
     def test_span_out_of_range(self):
-        base, _, pm = _ramp_pulse()
+        base, _, window_ns = _ramp_pulse()
         with pytest.raises(ValueError):
-            attenuate_leading_edge(base, 0.5, base.duration + 1.0, pm)
+            attenuate_leading_edge(base, 0.5, base.duration + 1.0, window_ns)
 
 
 class TestCraftEqualPowerPulse:
     def test_zero_shift_returns_base(self):
-        base, trig, pm = _ramp_pulse()
-        assert craft_equal_power_pulse(base, 0.0, trig, pm) is base
+        base, trig, window_ns = _ramp_pulse()
+        assert craft_equal_power_pulse(base, 0.0, trig, window_ns) is base
 
     def test_ten_ns_shift_preserves_power(self):
-        base, trig, pm = _ramp_pulse()
-        shaped = craft_equal_power_pulse(base, 10.0, trig, pm)
-        assert measure_power(shaped, pm) == pytest.approx(
-            measure_power(base, pm), rel=1e-6
+        base, trig, window_ns = _ramp_pulse()
+        shaped = craft_equal_power_pulse(base, 10.0, trig, window_ns)
+        assert measure_power(shaped, window_ns) == pytest.approx(
+            measure_power(base, window_ns), rel=1e-6
         )
         assert trigger_time(shaped, trig) - trigger_time(base, trig) >= 10.0
 
     def test_non_finite_shift_rejected_before_the_search(self):
-        base, trig, pm = _ramp_pulse()
+        base, trig, window_ns = _ramp_pulse()
         for shift in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
-                craft_equal_power_pulse(base, shift, trig, pm)
+                craft_equal_power_pulse(base, shift, trig, window_ns)
 
     def test_shift_beyond_duration_infeasible(self):
-        base, trig, pm = _ramp_pulse()
+        base, trig, window_ns = _ramp_pulse()
         with pytest.raises(InfeasiblePulseError):
-            craft_equal_power_pulse(base, base.duration + 10.0, trig, pm)
+            craft_equal_power_pulse(base, base.duration + 10.0, trig, window_ns)
 
     @pytest.mark.parametrize("shift", [0.12, 0.36, 0.59, 1.18, 2.0, 10.0, 14.0, 20.0])
     def test_every_requested_shift_is_realized(self, shift, monkeypatch):
         # 0.12-1.18 ns are the delays that hide an intercept of mu = 0.01-0.1
-        base, trig, pm = default_lo_pulse()
+        base, trig, window_ns = default_lo_pulse()
         calls = []
 
         def counted(*args):
@@ -280,18 +285,20 @@ class TestCraftEqualPowerPulse:
             return attenuate_leading_edge(*args)
 
         monkeypatch.setattr(pulses, "attenuate_leading_edge", counted)
-        shaped = craft_equal_power_pulse(base, shift, trig, pm)
+        shaped = craft_equal_power_pulse(base, shift, trig, window_ns)
         realized = trigger_time(shaped, trig) - trigger_time(base, trig)
         assert shift <= realized < shift + 1e-9
-        assert measure_power(shaped, pm) == pytest.approx(measure_power(base, pm), rel=1e-12)
+        assert measure_power(shaped, window_ns) == pytest.approx(
+            measure_power(base, window_ns), rel=1e-12
+        )
         # a span scan plus one bisection of alpha, not a grid of candidates
         assert len(calls) <= len(base) + 64
 
     @pytest.mark.parametrize("shift", [*range(1, 15), 20])
     def test_whole_ns_shifts_move_the_first_sample_above_threshold_as_far(self, shift):
         # a grid-sampled trigger, as a scope would read it, sees the whole request
-        base, trig, pm = default_lo_pulse()
-        shaped = craft_equal_power_pulse(base, float(shift), trig, pm)
+        base, trig, window_ns = default_lo_pulse()
+        shaped = craft_equal_power_pulse(base, float(shift), trig, window_ns)
         first_above = [int(np.flatnonzero(w.samples > trig)[0]) for w in (base, shaped)]
         assert first_above[1] - first_above[0] == shift
 

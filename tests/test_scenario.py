@@ -1056,6 +1056,26 @@ class TestCli:
             assert grid_last < 50.0
             assert grid_last <= float(printed[f"max_secure_distance_{curve}_km"]) < grid_last + 1.0
 
+    def test_sweep_and_pulse_demo_bytes_are_pinned(self, tmp_path, capsys):
+        # the fibre loss and the power-meter window reach these outputs as plain floats
+        assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "3800978f2c6baa231e32c2b4a58224014514b13269a40707230c0bd208b5d71a"
+        )
+        assert main(["pulse-demo", "--shift-ns", "10", "--out", str(tmp_path / "demo")]) == 0
+        digests = {
+            "sweep/keyrate_no_countermeasure.csv":
+                "a62288f3c0707c8393cfe19f6721eb8581b0970076e06d65825319059a5f100c",
+            "sweep/keyrate_countermeasure.csv":
+                "76e32d5033e3d9d38a7586cdb95a4874bbcdd3f699482a5a8ce430e36ede8724",
+            "demo/base_pulse.csv":
+                "bfdc54978ca9e11d4d5fdedf3763df53150c1943ef8b191a9e403475cf04fe61",
+            "demo/shaped_pulse.csv":
+                "8afca73bf2ebacaa67e12f2055aa2caf9daa5ff65dfe6a4c9244406d3a8ee2cf",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
     def test_run_csv_needs_out(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.cfg"
         cfg_path.write_text("pulses = 1000\n")
