@@ -41,7 +41,6 @@ from .pulses import (
     measure_power,
     simulate_calibration_points,
     trigger_time,
-    write_waveform_csv,
 )
 from .scenario import (
     ScenarioReport,

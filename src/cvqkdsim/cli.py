@@ -29,7 +29,6 @@ from .pulses import (
     measure_power,
     simulate_calibration_points,
     trigger_time,
-    write_waveform_csv,
 )
 from .scenario import (
     EXIT_ERROR,
@@ -39,7 +38,6 @@ from .scenario import (
     run_scenario,
     sweep_keyrate,
     sweep_receivers,
-    write_sweep_csv,
 )
 
 
@@ -76,6 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``header``, then each row as comma-joined shortest-repr floats; lines end in CRLF."""
+    lines = [header, *(",".join(repr(float(v)) for v in row) for row in rows)]
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(line + "\r\n" for line in lines))
+
+
 def _cmd_run(args) -> int:
     if args.csv and not args.out:
         raise ConfigError("--csv needs --out: the pulse dump goes to <out>/pulses.csv")
@@ -102,8 +107,9 @@ def _cmd_sweep(args) -> int:
     plain, protected = sweep_keyrate(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(plain, out / "keyrate_no_countermeasure.csv")
-    write_sweep_csv(protected, out / "keyrate_countermeasure.csv")
+    header = "d_km,T,V_A,i_ab,chi_be,K"
+    _write_csv(out / "keyrate_no_countermeasure.csv", header, map(dataclasses.astuple, plain))
+    _write_csv(out / "keyrate_countermeasure.csv", header, map(dataclasses.astuple, protected))
     d_plain, d_protected = (max_secure_distance(**r) for r in sweep_receivers(cfg))
     print(f"grid_last_positive_no_countermeasure_km={last_positive_distance(plain)!r}")
     print(f"grid_last_positive_countermeasure_km={last_positive_distance(protected)!r}")
@@ -133,8 +139,8 @@ def _cmd_pulse_demo(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_waveform_csv(base, out / "base_pulse.csv")
-        write_waveform_csv(shaped, out / "shaped_pulse.csv")
+        for name, wave in (("base_pulse.csv", base), ("shaped_pulse.csv", shaped)):
+            _write_csv(out / name, "time_ns,intensity", zip(wave.times(), wave.samples))
     return 0
 
 
@@ -165,10 +171,7 @@ def _cmd_calibrate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "calibration_points.csv", "w") as fh:
-            fh.write("power,variance\n")
-            for p, v in points:
-                fh.write(f"{p!r},{v!r}\n")
+        _write_csv(out / "calibration_points.csv", "power,variance", points)
     return 0
 
 
@@ -195,7 +198,3 @@ def main(argv: list[str] | None = None) -> int:
         # a fault of the program, still reported without a traceback
         print(f"error ({args.command}): {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

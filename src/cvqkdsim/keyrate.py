@@ -90,15 +90,19 @@ def _eigenpair(trace_like: float, det_like: float) -> tuple[float, float]:
     """Roots of l^4 - trace_like*l^2 + det_like as (larger, smaller) eigenvalues.
 
     The smaller root is recovered from the product to avoid the
-    cancellation in (trace - sqrt(disc))/2 at high loss.
+    cancellation in (trace - sqrt(disc))/2 at high loss.  The discriminant
+    is taken of the pair scaled by 2**-e, 2**-2e with trace_like < 2**e, so
+    it cannot overflow; a power-of-two scaling is exact.
     """
-    disc = trace_like**2 - 4.0 * det_like
-    tol = DISCRIMINANT_TOL * max(1.0, trace_like**2)
+    e = max(math.frexp(trace_like)[1], 0)
+    trace_s = math.ldexp(trace_like, -e)
+    disc = trace_s**2 - 4.0 * math.ldexp(det_like, -2 * e)
+    tol = DISCRIMINANT_TOL * (trace_s**2 if e else 1.0)  # max(1, trace_like**2), scaled
     if disc < -tol:
-        raise ArithmeticError(f"negative discriminant {disc} in symplectic spectrum")
+        raise ArithmeticError(f"negative discriminant {disc * 4.0**e} in symplectic spectrum")
     if disc <= tol:  # a double root: sqrt would magnify the rounding error of disc
         disc = 0.0
-    big_sq = 0.5 * (trace_like + math.sqrt(disc))
+    big_sq = 0.5 * (trace_like + math.ldexp(math.sqrt(disc), e))
     if big_sq <= 0.0:
         raise ArithmeticError("non-positive squared symplectic eigenvalue")
     small_sq = det_like / big_sq

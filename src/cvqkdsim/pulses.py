@@ -13,9 +13,7 @@ linearly between the two samples around its threshold.
 
 from __future__ import annotations
 
-import csv
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -260,12 +258,3 @@ def craft_equal_power_pulse(
         else:
             hi = mid
     return shaped
-
-
-def write_waveform_csv(waveform: Waveform, path: str | Path) -> None:
-    """Write a waveform as two-column CSV (time_ns, intensity)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_ns", "intensity"])
-        for t, v in zip(waveform.times(), waveform.samples):
-            writer.writerow([repr(float(t)), repr(float(v))])

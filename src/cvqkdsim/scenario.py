@@ -9,12 +9,10 @@ pulse dump is drawn given those sums, so ``run --csv`` prints the same.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -528,13 +526,6 @@ def sweep_keyrate(cfg: ScenarioConfig) -> tuple[list[SweepPoint], list[SweepPoin
         [rate_at_distance(d, **plain) for d in distances],
         [rate_at_distance(d, **protected) for d in distances],
     )
-
-
-def write_sweep_csv(points: list[SweepPoint], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d_km", "T", "V_A", "i_ab", "chi_be", "K"])
-        writer.writerows(map(repr, astuple(p)) for p in points)
 
 
 def last_positive_distance(points: list[SweepPoint]) -> float | None:

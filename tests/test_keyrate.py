@@ -129,6 +129,22 @@ class TestSecretKeyRate:
         last = (tmp_path / "keyrate_no_countermeasure.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[-1]) == pytest.approx(-0.0078660, abs=1e-7)
 
+    @pytest.mark.parametrize("config, last_positive", [
+        ("loss_db_per_km = 10\n", "1.0"),
+        ("sweep_d_max_km = 3900\nsweep_step_km = 10\n", "70.0"),
+    ], ids=["loss-10-db-per-km", "3900-km"])
+    def test_sweep_past_t_1e_77_does_not_overflow(self, config, last_positive, tmp_path, capsys):
+        # T falls to 1e-120 and 1e-78, where trace_like**2 of the symplectic spectrum overflows
+        cfg_path = tmp_path / "far.cfg"
+        cfg_path.write_text("pulses = 1000\n" + config)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert printed["grid_last_positive_no_countermeasure_km"] == last_positive
+        for name in ("keyrate_no_countermeasure.csv", "keyrate_countermeasure.csv"):
+            d, k = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, usecols=(0, 5)).T
+            assert np.all(np.isfinite(k)), name
+            assert np.all(k[d > 80.0] <= 0.0), name
+
     def test_entropy_forms_agree_at_their_cut(self):
         above = _entropy_g(math.nextafter(1e3, math.inf))
         assert above == pytest.approx(_entropy_g(1e3), rel=1e-12)

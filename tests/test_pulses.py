@@ -16,9 +16,9 @@ from cvqkdsim import (
     measure_power,
     simulate_calibration_points,
     trigger_time,
-    write_waveform_csv,
 )
 from cvqkdsim import pulses
+from cvqkdsim.cli import main
 from cvqkdsim.errors import InfeasiblePulseError
 from reference import discharge_tau
 
@@ -304,11 +304,13 @@ class TestCraftEqualPowerPulse:
 
 
 class TestWaveformCsv:
-    def test_writes_header_times_and_samples(self, tmp_path):
-        base, _, _ = _ramp_pulse()
-        path = tmp_path / "pulse.csv"
-        write_waveform_csv(base, path)
-        assert path.read_text().splitlines()[0] == "time_ns,intensity"
-        written = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(written[:, 0], base.times())
-        np.testing.assert_array_equal(written[:, 1], base.samples)
+    def test_writes_header_times_and_samples(self, tmp_path, capsys):
+        assert main(["pulse-demo", "--shift-ns", "10", "--out", str(tmp_path)]) == 0
+        base, trig, window_ns = default_lo_pulse()
+        shaped = craft_equal_power_pulse(base, 10.0, trig, window_ns)
+        for name, wave in (("base_pulse.csv", base), ("shaped_pulse.csv", shaped)):
+            path = tmp_path / name
+            assert path.read_text().splitlines()[0] == "time_ns,intensity"
+            written = np.loadtxt(path, delimiter=",", skiprows=1)
+            np.testing.assert_array_equal(written[:, 0], base.times())
+            np.testing.assert_array_equal(written[:, 1], wave.samples)

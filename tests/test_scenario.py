@@ -18,6 +18,7 @@ import pytest
 import cvqkdsim
 from cvqkdsim import (
     AttackParams,
+    DetectorModel,
     KeyRateParams,
     ScenarioConfig,
     SweepSettings,
@@ -27,6 +28,7 @@ from cvqkdsim import (
     run_scenario,
     secret_key_rate,
     serialize_config,
+    simulate_calibration_points,
     sweep_keyrate,
 )
 from cvqkdsim import scenario
@@ -1122,6 +1124,14 @@ class TestCli:
             captured = capsys.readouterr()
             assert flag in captured.err
             assert captured.out == ""
+
+    def test_calibrate_out_writes_a_crlf_line_per_point(self, tmp_path, capsys):
+        # the same line ends as every other CSV the commands write
+        assert main(["calibrate", "--points", "5", "--out", str(tmp_path)]) == 0
+        points = simulate_calibration_points(np.linspace(0.5, 1.5, 5), DetectorModel(), seed=0)
+        assert (tmp_path / "calibration_points.csv").read_bytes() == (
+            "power,variance\r\n" + "".join(f"{p!r},{v!r}\r\n" for p, v in points)
+        ).encode()
 
     def test_calibrate_passes_whatever_the_seed(self, capsys):
         # two points of two samples, or a 300 ns delay's gain of 5e-6, leave a fitted
