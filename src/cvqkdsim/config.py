@@ -11,7 +11,6 @@ canonical text that re-parses to an identical object.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable
 from dataclasses import MISSING, Field, field, fields
 from numbers import Integral
 from operator import attrgetter
@@ -36,38 +35,41 @@ def _format_bool(value: bool) -> str:
     return "on" if value else "off"
 
 
-# config key -> (its field path in ScenarioConfig, converter), in serialization
-# order; the field states the key's default and range
-_KEY_TABLE: dict[str, tuple[str, Callable]] = {
-    "pulses": ("pulses", int),
-    "seed": ("seed", int),
-    "key_fraction": ("key_fraction", float),
-    "epsilon": ("epsilon", float),
-    "va": ("channel.va", float),
-    "transmittance": ("channel.transmittance", float),
-    "eta": ("channel.eta", float),
-    "xi": ("channel.xi", float),
-    "vel": ("channel.v_el", float),
-    "n0": ("channel.n0", float),
-    "mu": ("attack.mu", float),
-    "nu": ("attack.nu", float),
-    "alpha": ("attack.alpha", float),
-    "delta_ns": ("attack.delta_ns", float),
-    "window_ns": ("detector.window_ns", float),
-    "tau_ns": ("detector.tau_ns", float),
-    "slope_cal": ("detector.slope_cal", float),
-    "n0_assumed": ("n0_assumed", float),
-    "countermeasure": ("countermeasure_enabled", _parse_bool),
-    "monitor_fraction": ("monitor_fraction", float),
-    "switch_loss_db": ("switch.loss_db", float),
-    "extinction": ("switch.extinction", float),
-    "z_threshold": ("z_threshold", float),
-    "beta": ("beta", float),
-    "snr_target": ("sweep.snr_target", float),
-    "xi_bob": ("sweep.xi_bob", float),
-    "loss_db_per_km": ("sweep.loss_db_per_km", float),
-    "sweep_d_max_km": ("sweep.d_max_km", float),
-    "sweep_step_km": ("sweep.step_km", float),
+# the converter of each type that a config key's field may declare
+_CONVERTERS = {"int": int, "float": float, "bool": _parse_bool}
+
+# config key -> its field path in ScenarioConfig, in serialization order; the
+# field states the key's type, default and range
+_KEY_TABLE: dict[str, str] = {
+    "pulses": "pulses",
+    "seed": "seed",
+    "key_fraction": "key_fraction",
+    "epsilon": "epsilon",
+    "va": "channel.va",
+    "transmittance": "channel.transmittance",
+    "eta": "channel.eta",
+    "xi": "channel.xi",
+    "vel": "channel.v_el",
+    "n0": "channel.n0",
+    "mu": "attack.mu",
+    "nu": "attack.nu",
+    "alpha": "attack.alpha",
+    "delta_ns": "attack.delta_ns",
+    "window_ns": "detector.window_ns",
+    "tau_ns": "detector.tau_ns",
+    "slope_cal": "detector.slope_cal",
+    "n0_assumed": "n0_assumed",
+    "countermeasure": "countermeasure_enabled",
+    "monitor_fraction": "monitor_fraction",
+    "switch_loss_db": "switch.loss_db",
+    "extinction": "switch.extinction",
+    "z_threshold": "z_threshold",
+    "beta": "beta",
+    "snr_target": "sweep.snr_target",
+    "xi_bob": "sweep.xi_bob",
+    "loss_db_per_km": "sweep.loss_db_per_km",
+    "sweep_d_max_km": "sweep.d_max_km",
+    "sweep_step_km": "sweep.step_km",
 }
 
 
@@ -143,22 +145,10 @@ def _path_field(path: str) -> Field:
     return _RECORDS[group].__dataclass_fields__[name]
 
 
-# config key -> the field it sets, which states the key's default and range
-_FIELDS = {key: _path_field(path) for key, (path, _) in _KEY_TABLE.items()}
+# config key -> the field it sets, which states the key's type, default and range
+_FIELDS = {key: _path_field(path) for key, path in _KEY_TABLE.items()}
 # a config's value of every key, in ``_KEY_TABLE`` order
-_KEY_VALUES = attrgetter(*[path for path, _ in _KEY_TABLE.values()])
-
-
-def _config_from_values(values: dict) -> ScenarioConfig:
-    """Place each given key's value at its field path; the other fields keep their defaults."""
-    top: dict = {}
-    nested: dict[str, dict] = {}
-    for key, value in values.items():
-        group, _, name = _KEY_TABLE[key][0].rpartition(".")
-        (nested.setdefault(group, {}) if group else top)[name] = value
-    for group, kwargs in nested.items():
-        top[group] = _RECORDS[group](**kwargs)
-    return ScenarioConfig(**top)
+_KEY_VALUES = attrgetter(*_KEY_TABLE.values())
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -169,7 +159,7 @@ def parse_config(text: str) -> ScenarioConfig:
     the rules of :class:`ScenarioConfig` that span keys (naming the later
     of their lines).
     """
-    values: dict = {}
+    values: dict[str, dict] = {group: {} for group in _RECORDS}  # each record's given fields
     lines_seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -187,7 +177,8 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"line {lineno}: duplicate key {key!r} (first on line {lines_seen[key]})"
             )
         lines_seen[key] = lineno
-        converter, within = _KEY_TABLE[key][1], _FIELDS[key].metadata["range"]
+        key_field = _FIELDS[key]
+        converter, within = _CONVERTERS[key_field.type], key_field.metadata["range"]
         try:
             value = converter(value_text)
         except ValueError:
@@ -198,12 +189,13 @@ def parse_config(text: str) -> ScenarioConfig:
             within.check(key, value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-        values[key] = value
+        values[_KEY_TABLE[key].rpartition(".")[0]][key_field.name] = value
     for key, key_field in _FIELDS.items():
-        if key not in values and key_field.default is MISSING:
+        if key not in lines_seen and key_field.default is MISSING:
             raise ConfigError(f"missing required key {key!r}")
     try:
-        return _config_from_values(values)
+        nested = {group: _RECORDS[group](**kw) for group, kw in values.items() if group}
+        return ScenarioConfig(**values[""], **nested)
     except _RuleError as exc:
         lineno = max(lines_seen.get(key, 0) for key in exc.keys)
         raise ConfigError(f"line {lineno}: {exc}") from None

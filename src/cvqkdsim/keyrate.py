@@ -26,6 +26,7 @@ K = beta*I - chi_BE and is reported as-is when negative.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -209,13 +210,21 @@ def rate_at_distance(
     is the excess noise referred to Bob's side (eta*T*xi); the
     channel-input value is recovered per distance.  With a switch
     present the efficiency is derated by its insertion loss, and the
-    monitoring fraction multiplies the rate by (1 - fraction).
+    monitoring fraction multiplies the rate by (1 - fraction).  A point
+    whose Holevo terms could pass the float range (T below about 1e-152
+    at the defaults) is not evaluated: it reads V_A = inf and
+    i_ab = chi_be = K = 0, as ``secret_key_rate`` reports T = 0.
     """
     POSITIVE.check("loss_db_per_km", loss_db_per_km)
     UNIT_BELOW_1.check("monitor_fraction", monitor_fraction)
     NON_NEGATIVE.check("distance", distance_km)
     transmittance = 10.0 ** (-loss_db_per_km * distance_km / 10.0)
     eta_eff = effective_eta(eta, switch.loss_db) if switch is not None else eta
+    m = (1.0 + v_el + xi_bob) / eta_eff  # T*(1 + chi_tot)
+    r = (1.0 + snr_target) * m  # T*(V_A + 1 + chi_tot)
+    # no Holevo term, nor the square of an eigenvalue, exceeds 12*(r/T)**2*(1 + m)**3
+    if not transmittance * transmittance * sys.float_info.max > 16.0 * r * r * (1.0 + m) ** 3:
+        return SweepPoint(distance_km, transmittance, math.inf, 0.0, 0.0, 0.0)
     xi_channel = xi_bob / (eta_eff * transmittance)
     va = va_for_snr(snr_target, transmittance, eta_eff, xi_channel, v_el)
     params = KeyRateParams(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .countermeasure import detect_attack, realtime_shot_noise
-from .errors import ConfigError, ScenarioStageError
+from .errors import ScenarioStageError
 from .estimation import (
     EstimationReport,
     confidence_bounds,
@@ -94,8 +94,6 @@ def _stage(name: str):
     """Re-raise component failures with the failing stage named."""
     try:
         yield
-    except ScenarioStageError:
-        raise
     except Exception as exc:
         reason = str(exc) or type(exc).__name__
         raise ScenarioStageError(f"stage '{name}' failed: {reason}") from exc
@@ -404,7 +402,7 @@ def analyse_scenario(cfg: ScenarioConfig, moments: Moments) -> ScenarioReport:
     with _stage("estimation"):
         m_est = moments.m_est
         if m_est < 2:
-            raise ConfigError(f"too few pulses left for estimation: {m_est}, need at least 2")
+            raise ValueError(f"too few pulses left for estimation: {m_est}, need at least 2")
         n_key = moments.n_open - m_est
         estimates = ml_from_moments(m_est, moments.est_xx, moments.est_xy, moments.est_yy)
         intervals = confidence_bounds(estimates, cfg.epsilon)

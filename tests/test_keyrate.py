@@ -132,18 +132,38 @@ class TestSecretKeyRate:
     @pytest.mark.parametrize("config, last_positive", [
         ("loss_db_per_km = 10\n", "1.0"),
         ("sweep_d_max_km = 3900\nsweep_step_km = 10\n", "70.0"),
-    ], ids=["loss-10-db-per-km", "3900-km"])
+        ("loss_db_per_km = 13\n", "1.0"),
+        ("loss_db_per_km = 20\n", "0.0"),
+        ("sweep_d_max_km = 10000\nsweep_step_km = 100\n", "0.0"),
+        ("loss_db_per_km = 1e300\n", "0.0"),
+    ], ids=["loss-10-db-per-km", "3900-km", "loss-13-db-per-km", "loss-20-db-per-km",
+            "10000-km", "loss-1e300-db-per-km"])
     def test_sweep_past_t_1e_77_does_not_overflow(self, config, last_positive, tmp_path, capsys):
-        # T falls to 1e-120 and 1e-78, where trace_like**2 of the symplectic spectrum overflows
+        # T falls to 1e-120 and 1e-78, where trace_like**2 of the symplectic spectrum overflows,
+        # and below 1e-152, where the Holevo terms themselves could pass the float range
         cfg_path = tmp_path / "far.cfg"
         cfg_path.write_text("pulses = 1000\n" + config)
         assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
         assert printed["grid_last_positive_no_countermeasure_km"] == last_positive
-        for name in ("keyrate_no_countermeasure.csv", "keyrate_countermeasure.csv"):
-            d, k = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, usecols=(0, 5)).T
-            assert np.all(np.isfinite(k)), name
-            assert np.all(k[d > 80.0] <= 0.0), name
+        for curve in ("no_countermeasure", "countermeasure"):
+            path = tmp_path / f"keyrate_{curve}.csv"
+            assert "nan" not in path.read_text(), curve
+            d, k = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 5)).T
+            assert np.all(np.isfinite(k)), curve
+            assert np.all(k[d > float(printed[f"max_secure_distance_{curve}_km"])] <= 0.0), curve
+
+    @pytest.mark.parametrize("switch", [None, SwitchModel()], ids=["plain", "switch"])
+    def test_every_distance_reads_a_finite_non_positive_rate_past_the_limit(self, switch):
+        # up to T ~ 1e-152 a far point reads its negative rate, past it V_A = inf and K = 0
+        rates = []
+        for d in range(100, 17000, 5):
+            p = rate_at_distance(float(d), **FIG5, switch=switch)
+            assert all(math.isfinite(v) for v in (p.i_ab, p.chi_be, p.key_rate)), p
+            far = (p.i_ab, p.chi_be, p.key_rate) == (0.0, 0.0, 0.0)
+            assert p.key_rate < 0.0 if p.va < math.inf else far, p
+            rates.append(p.key_rate)
+        assert rates[-1] == 0.0 and min(rates) < 0.0
 
     def test_entropy_forms_agree_at_their_cut(self):
         above = _entropy_g(math.nextafter(1e3, math.inf))

@@ -1,4 +1,5 @@
 import ast
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -31,7 +32,7 @@ from cvqkdsim import (
     simulate_calibration_points,
     sweep_keyrate,
 )
-from cvqkdsim import scenario
+from cvqkdsim import config, scenario
 from cvqkdsim.cli import main
 from cvqkdsim.errors import ConfigError, ScenarioStageError
 from cvqkdsim.estimation import dot
@@ -180,6 +181,20 @@ class TestParseConfig:
         assert cfg.detector.window_ns == 100.0
         assert not cfg.countermeasure_enabled
         assert cfg.beta == 0.948
+
+    def test_every_key_field_declares_a_type_the_parser_converts(self, monkeypatch):
+        # the field's annotation is the one statement of a key's type
+        for key, (text, value, _) in KEY_CASES.items():
+            declared = config._FIELDS[key].type
+            assert declared in config._CONVERTERS, (key, declared)
+            converted = config._CONVERTERS[declared](text)
+            assert type(converted).__name__ == declared == type(value).__name__, key
+        # a field of a type without a converter fails the parse loudly, not by accident
+        odd = copy.copy(config._FIELDS["seed"])
+        odd.type = "str"
+        monkeypatch.setitem(config._FIELDS, "seed", odd)
+        with pytest.raises(KeyError, match="'str'"):
+            parse_config("pulses = 1000\nseed = 9\n")
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2: unknown key 'bogus'"):
