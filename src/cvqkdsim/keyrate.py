@@ -137,6 +137,9 @@ def holevo_bound(p: KeyRateParams) -> tuple[float, tuple[float, float, float, fl
     chi_hom = _chi_hom(p)
     chi_tot = _chi_tot(p)
     a = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + chi_line)) ** 2
+    if a < 1e-8 * v * v:  # near T = 1 the V² terms cancel; this form has none to cancel
+        r = t * chi_line
+        a = (v * (1.0 - t)) ** 2 + 2.0 * t * v * r + 2.0 * t + r * r
     b = (t * (v * chi_line + 1.0)) ** 2
     lam1, lam2 = _eigenpair(a, b)
     sqrt_b = math.sqrt(b)

@@ -216,12 +216,6 @@ def _standard_sums(rng: np.random.Generator, n: int) -> tuple[float, ...]:
     return su, sz, a2, c, b2
 
 
-def _sums(n: int, stats: tuple) -> tuple[float, ...]:
-    """(Σu², Σuz, Σz², Σu, Σz) of the ``n`` pairs whose ``_standard_sums`` are ``stats``."""
-    su, sz, a2, c, b2 = stats
-    return su * su / n + a2, su * sz / n + math.sqrt(a2) * c, sz * sz / n + (c * c + b2), su, sz
-
-
 def draw_moments(cfg: ScenarioConfig) -> Moments:
     """The scenario's ``Moments``, drawn from their exact law in O(1) time and memory.
 
@@ -269,7 +263,9 @@ def draw_moments(cfg: ScenarioConfig) -> Moments:
             stats = _standard_sums(rng, k) if k else ()
             est_classes.append((k, stats))
             if k:
-                suu, suz, szz, _, _ = _sums(k, stats)
+                su, sz, a2, c, b2 = stats
+                suu, suz = su * su / k + a2, su * sz / k + math.sqrt(a2) * c
+                szz = sz * sz / k + (c * c + b2)
                 xx, xz, zz = ch.va * suu, sqrt_va * sd * suz, sd * sd * szz
                 moments.est_xx += xx
                 moments.est_xy += slope * xx + xz
@@ -285,50 +281,58 @@ def draw_moments(cfg: ScenarioConfig) -> Moments:
     return moments
 
 
-def _pooled(n: int, sums) -> tuple[float, ...]:
-    """The ``_standard_sums`` of ``n`` pairs from (Σu², Σuz, Σz², Σu, Σz); rank n - 1 below 3."""
-    suu, suz, szz, su, sz = sums
-    a2 = max(suu - su * su / n, 0.0)
-    c = (suz - su * sz / n) / math.sqrt(a2) if a2 else 0.0
-    return su, sz, a2, c, max(szz - sz * sz / n - c * c, 0.0) if n > 2 else 0.0
+def _pool(pooled: tuple, u: np.ndarray, z: np.ndarray) -> tuple:
+    """``pooled``, a class's (n, m_u, m_z, a, c, b), with the pairs (u, z) added.
 
-
-def _onto(k: int, block: tuple, n: int, total: tuple, target: tuple) -> tuple[float, ...]:
-    """L_t L_r⁻¹ (L_b e + m_b - m_r) + m_t: a block's orthonormal e onto its class's target.
-
-    m and L are the mean and Bartlett factor of the ``_standard_sums`` of
-    the block's ``k`` raw pairs, its class's ``n`` raw and ``target`` ones.
-    As (m11, m21, m22, o1, o2): u = m11*e1 + o1, z = m21*e1 + m22*e2 + o2.
+    n counts the pairs, m is their mean and L = [[a, 0], [c, b]] the
+    Bartlett (Cholesky) factor of their centred scatter.  The new pairs'
+    own factor (Gram-Schmidt on their centred values) and the shift of
+    their mean join L as rows through Givens rotations, a QR update: no
+    scatter is formed from sums, so a nearly singular one keeps its digits.
     """
-    (bu, bz, ba, bc, bb), (ru, rz, ra, rc, rb), (tu, tz, ta, tc, tb) = (
-        (su / m, sz / m, math.sqrt(a2), c, math.sqrt(b2))
-        for m, (su, sz, a2, c, b2) in ((k, block), (n, total), (n, target))
-    )
-    n11 = ba / ra if ra else 0.0
-    n21, n22 = ((bc - rc * n11) / rb, bb / rb) if rb else (0.0, 0.0)
-    o1 = (bu - ru) / ra if ra else 0.0
-    o2 = (bz - rz - rc * o1) / rb if rb else 0.0
-    return ta * n11, tc * n11 + tb * n21, tb * n22, ta * o1 + tu, tc * o1 + tb * o2 + tz
+    n, mu, mz, a, c, b = pooled
+    k = u.size
+    if not k:
+        return pooled
+    bu, bz = float(u.mean()), float(z.mean())
+    du, dz = u - bu, z - bz
+    ka = math.sqrt(dot(du, du))
+    e = du * (1.0 / ka if ka else 0.0)
+    kc = dot(e, dz)
+    dz -= kc * e
+    g = math.sqrt(n * k / (n + k))
+    for p, q in ((ka, kc), (0.0, math.sqrt(dot(dz, dz))), (g * (bu - mu), g * (bz - mz))):
+        h = math.hypot(a, p)
+        cos, sin = (a / h, p / h) if h else (1.0, 0.0)
+        a, c, q = h, cos * c + sin * q, cos * q - sin * c
+        b = math.hypot(b, q)
+    w = k / (n + k)
+    return n + k, mu + (bu - mu) * w, mz + (bz - mz) * w, a, c, b
 
 
-def _orthonormal(u: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u and z centred, z less its part along u, each of unit norm; zero past rank size - 1."""
-    e1, e2 = u - u.mean(), z - z.mean()
-    e1 *= 1.0 / math.sqrt(dot(e1, e1)) if u.size > 1 else 0.0
-    e2 -= dot(e1, e2) * e1
-    e2 *= 1.0 / math.sqrt(dot(e2, e2)) if u.size > 2 else 0.0
-    return e1, e2
+def _onto(pooled: tuple, target: tuple, u: np.ndarray, z: np.ndarray):
+    """L_t L_r⁻¹ (v - m_r) + m_t: a class's raw pairs v = (u, z) onto its ``target`` sums.
+
+    m_r and L_r are the mean and Bartlett factor of all of the class's raw
+    pairs (``_pool``), m_t and L_t those of ``target``, the class's
+    ``_standard_sums``.  L_r has rank n - 1 below 3; its inverse is 0
+    past that rank.
+    """
+    n, mu, mz, ra, rc, rb = pooled
+    tu, tz, ta2, tc, tb2 = target
+    e1 = (u - mu) * (1.0 / ra if ra else 0.0)
+    e2 = (z - mz - rc * e1) * (1.0 / rb if rb and n > 2 else 0.0)
+    return math.sqrt(ta2) * e1 + tu / n, tc * e1 + math.sqrt(tb2) * e2 + tz / n
 
 
 def _dump_heads(seed: int, part: int, classes: tuple):
-    """Each dump block's generator, class counts and raw sums, in order (see ``dump_pulses``)."""
+    """Each dump block's generator, class counts and normals, in order (see ``dump_pulses``)."""
     left = [k for k, _ in classes]
     for block, _, size in pulse_blocks(sum(left), _DUMP_BLOCK):
         rng = _rng(seed, _TAG_DUMP, part, block)
         counts = rng.multivariate_hypergeometric(left, size).tolist()
         left = [k - c for k, c in zip(left, counts)]
-        draw = _standard_sums if part else lambda rng, k: (_chi2(rng, k),)
-        yield rng, counts, [draw(rng, k) if k else (0.0,) * (5 if part else 1) for k in counts]
+        yield rng, counts, [rng.standard_normal((2, k)) for k in counts]
 
 
 def dump_pulses(cfg: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -340,39 +344,36 @@ def dump_pulses(cfg: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray, n
     ``_DUMP_BLOCK`` pulses.  Block k of set s (0 key, 1 estimation) draws
     from a generator seeded from (seed, ``_TAG_DUMP``, s, k): its class
     counts (``multivariate_hypergeometric`` from the counts still left),
-    each non-empty class's raw sums from their law (``_standard_sums``, or
-    ``_chi2`` in the key set), two standard normals per pulse, class by
-    class, then one permutation of its rows.  Pass 1 draws only the counts
-    and raw sums and adds the raw sums up per class.  Pass 2 redraws each
-    block and maps each class's normals onto the block's raw sums, and the
-    class's raw totals onto its sums in the moments (``_onto``); the key
-    set scales y and draws x from its law given y.  A Gaussian sample's
-    standardized configuration is independent of its sums (Basu), so each
-    pulse keeps the law of ``outcome_law``; the rows add up to the report.
+    two standard normals (u, z) per pulse, class by class, then one
+    permutation of its rows.  Pass 1 draws the counts and normals and
+    pools each class's pairs (``_pool``).  Pass 2 redraws each block and
+    maps each estimation class's pairs with one affine map onto its sums
+    in the moments (``_onto``); in the key set it scales y = u onto the
+    class's Σy² by its pooled Σu² and draws x from its law given y.  A
+    Gaussian sample's standardized configuration is independent of its
+    sums (Basu), so each pulse keeps the law of ``outcome_law``; the rows
+    add up to the report.
     """
     moments = draw_moments(cfg)
     va, (slope, sds) = cfg.channel.va, outcome_law(cfg.channel, moments.gain)
     for part, classes in enumerate((moments.key_classes, moments.est_classes)):
-        totals = np.zeros((4, 5 if part else 1))
-        for _, counts, raw in _dump_heads(cfg.seed, part, classes):
-            totals += [_sums(k, r) if part and k else r for k, r in zip(counts, raw)]
-        for rng, counts, raw in _dump_heads(cfg.seed, part, classes):
+        pooled = [(0,) * 6] * 4
+        for _, _, normals in _dump_heads(cfg.seed, part, classes):
+            pooled = [_pool(p, u, z) for p, (u, z) in zip(pooled, normals)]
+        for rng, counts, normals in _dump_heads(cfg.seed, part, classes):
             x, y, start = np.empty(sum(counts)), np.empty(sum(counts)), 0
-            for c, k in enumerate(counts):
-                if not k:
+            for c, (u, z) in enumerate(normals):
+                if not u.size:
                     continue
-                rows, start = slice(start, start + k), start + k
-                u, z = rng.standard_normal((2, k))
-                (n, target), sd = classes[c], sds[c]
+                rows, start, sd = slice(start, start + u.size), start + u.size, sds[c]
                 if part:
-                    total = raw[c] if k == n else _pooled(n, totals[c].tolist())
-                    m11, m21, m22, o1, o2 = _onto(k, raw[c], n, total, target)
-                    e1, e2 = _orthonormal(u, z)
-                    x[rows] = math.sqrt(va) * (m11 * e1 + o1)
-                    y[rows] = slope * x[rows] + sd * (m21 * e1 + m22 * e2 + o2)
+                    u, z = _onto(pooled[c], classes[c][1], u, z)
+                    x[rows] = math.sqrt(va) * u
+                    y[rows] = slope * x[rows] + sd * z
                 else:
+                    n, mu, _, ra, _, _ = pooled[c]
                     s2 = slope * slope * va + sd * sd
-                    y[rows] = u * math.sqrt(s2 * target / totals[c, 0] * raw[c][0] / dot(u, u))
+                    y[rows] = u * math.sqrt(s2 * classes[c][1] / (ra * ra + n * mu * mu))
                     x[rows] = slope * va / s2 * y[rows] + math.sqrt(va / s2) * sd * z
             order = rng.permutation(x.size)
             yield x[order], y[order], np.repeat(np.arange(4, dtype=np.uint8), counts)[order]

@@ -72,6 +72,15 @@ class TestHolevoBound:
         assert chi_be == pytest.approx(0.0, abs=1e-9)
         assert eigenvalues == pytest.approx((1.0, 1.0, 1.0, 1.0), abs=1e-9)
 
+    @pytest.mark.parametrize("va", [2e8, 1e12, 1e150])
+    def test_pure_channel_with_a_large_modulation_leaks_nothing(self, va):
+        # past V² = 2^53 the V² terms of A = V²(1 - 2T) + 2T + T²(V + chi_line)² cancel
+        # to 0 at T = 1, which read as a negative discriminant
+        p = KeyRateParams(va=va, transmittance=1.0, eta=0.6, xi=0.0, v_el=0.01, beta=1.0)
+        chi_be, eigenvalues = holevo_bound(p)
+        assert chi_be == pytest.approx(0.0, abs=1e-9)
+        assert eigenvalues == pytest.approx((1.0, 1.0, 1.0, 1.0), abs=1e-9)
+
     def test_eigenvalues_physical_over_random_parameters(self):
         rng = np.random.default_rng(41)
         for _ in range(10_000):

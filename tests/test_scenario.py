@@ -51,6 +51,8 @@ from cvqkdsim.scenario import (
     EXIT_ERROR,
     EXIT_SECURE,
     Moments,
+    _onto,
+    _pool,
     draw_moments,
     dump_pulses,
     last_positive_distance,
@@ -760,6 +762,41 @@ def test_a_dump_holds_one_row_per_open_pulse_whose_sums_are_the_reports():
     assert most_blocks >= 10
 
 
+def test_a_class_of_a_few_pulses_split_across_dump_blocks_adds_up():
+    # an intercept probability of 4e-5 leaves intercepted classes of a few pulses, and
+    # 70000 pulses cut the estimation set into 3 dump blocks: some class of 2 or 3
+    # pulses falls in two of them, and is mapped through its pooled rank-deficient factor
+    split = 0
+    for seed in range(40):
+        cfg = parse_config(f"pulses = 70000\nseed = {seed}\nmu = 0.00004\nnu = 0.5\ndelta_ns = 10\n")
+        moments, blocks, x, y, _ = _dump(cfg)
+        _assert_the_rows_add_up_to(cfg, moments, x, y)
+        n_key = moments.n_open - moments.m_est
+        est_blocks = blocks[-(-n_key // _DUMP_BLOCK):]
+        for c, (n, _) in enumerate(moments.est_classes):
+            split += n in (2, 3) and sum(bool(np.any(b[2] == c)) for b in est_blocks) > 1
+    assert split >= 1
+
+
+@pytest.mark.parametrize("cut", [3, 2, 1])
+def test_nearly_degenerate_pairs_are_mapped_onto_their_target_sums(cut):
+    # three pairs whose spread is small beside their mean and which lie nearly on one
+    # line: a scatter formed from raw sums (Σu² - (Σu)²/n) or a factor read off the
+    # scatter (b² = Szz - Suz²/Suu) keeps too few digits; pooled whole or in blocks
+    # of ``cut`` pairs, they are mapped onto the target's sums to 1e-12
+    u = 3.0 + np.array([0.0, 1e-2, 3e-2])
+    z = 0.5 * (u - 3.0) + np.array([0.0, 2e-5, -1e-5])
+    pooled = (0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    for s in range(0, 3, cut):
+        pooled = _pool(pooled, u[s:s + cut], z[s:s + cut])
+    target = (0.3, -0.2, 2.0, 0.4, 0.7)  # (Σu, Σz, a², c, b²) of a Bartlett factor
+    tu, tz, ta2, tc, tb2 = target
+    mu, mz = _onto(pooled, target, u, z)
+    got = [dot(mu, mu), dot(mu, mz), dot(mz, mz), mu.sum(), mz.sum()]
+    want = [tu * tu / 3 + ta2, tu * tz / 3 + math.sqrt(ta2) * tc, tz * tz / 3 + tc * tc + tb2, tu, tz]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_run_and_run_csv_print_one_report(tmp_path, capsys):
     cfg_path, out = tmp_path / "grid.cfg", tmp_path / "out"
     codes = []
@@ -1262,8 +1299,8 @@ def test_run_csv_dumps_the_pulses_the_report_used(tmp_path, capsys):
     split.write_text(SPLIT_MID_BLOCK)
     main(["run", "--config", str(split), "--out", str(tmp_path / "split"), "--csv"])
     for dump, digest in (
-        (out, "f5e8e6ebe20c6b59d705030baf0f58a3a8b928c8ab627e1c790122c3a30e9ced"),
-        (tmp_path / "split", "92920a30ff494e2e29ca13438f5900ed4f8e9fcb7519cbc3dea3c554670f10f9"),
+        (out, "33111881a610f23c54c87d880f313fd8d1a114fc16a4987db41bc3b047695ff8"),
+        (tmp_path / "split", "639425f9aaf671adcf5cd4a2ce8672e63d776f87003b14f7ab6295d2ec04d546"),
     ):
         assert hashlib.sha256((dump / "pulses.csv").read_bytes()).hexdigest() == digest
 
