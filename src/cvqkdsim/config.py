@@ -1,17 +1,19 @@
 """Scenario configuration: key=value files with strict validation.
 
-The format is UTF-8 text, one ``key = value`` pair per line, ``#`` starts
-a comment.  Unknown keys are rejected, and each value is checked against
-the range that its record field states, with errors naming the offending
-line.  The records check themselves too, on construction and on
-``dataclasses.replace``.  A parsed configuration serializes back to a
-canonical text that re-parses to an identical object.
+The format is UTF-8 text, a leading byte-order mark dropped, one ``key =
+value`` pair per line ending at LF, CR LF or CR; ``#`` starts a comment.
+Unknown keys and bytes that are not UTF-8 are refused, and each value is
+checked against the range that its record field states, with errors
+naming the offending line.  The records check themselves too, on
+construction and on ``dataclasses.replace``.  A parsed configuration
+serializes back to a canonical text that re-parses to an identical object.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import MISSING, Field, field, fields
+import os
+from dataclasses import MISSING, field, fields
 from numbers import Integral
 from operator import attrgetter
 
@@ -31,10 +33,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected on/off, got {text!r}")
 
 
-def _format_bool(value: bool) -> str:
-    return "on" if value else "off"
-
-
+_READ_CHUNK = 1 << 16  # bytes asked of each ``os.read`` of a config file
 # the converter of each type that a config key's field may declare
 _CONVERTERS = {"int": int, "float": float, "bool": _parse_bool}
 
@@ -140,15 +139,21 @@ _RECORDS = {"": ScenarioConfig} | {
 }
 
 
-def _path_field(path: str) -> Field:
+def _key_entry(path: str) -> tuple:
+    """(record prefix, name, converter, range) of the field at ``path``; KeyError: no converter."""
     group, _, name = path.rpartition(".")
-    return _RECORDS[group].__dataclass_fields__[name]
+    key_field = _RECORDS[group].__dataclass_fields__[name]
+    return group, name, _CONVERTERS[key_field.type], key_field.metadata["range"]
 
 
-# config key -> the field it sets, which states the key's type, default and range
-_FIELDS = {key: _path_field(path) for key, path in _KEY_TABLE.items()}
+# config key -> its field's record prefix, name, converter and range, in ``_KEY_TABLE`` order
+_KEYS = {key: _key_entry(path) for key, path in _KEY_TABLE.items()}
+_REQUIRED = [key for key, (group, name, _, _) in _KEYS.items()
+             if _RECORDS[group].__dataclass_fields__[name].default is MISSING]
 # a config's value of every key, in ``_KEY_TABLE`` order
 _KEY_VALUES = attrgetter(*_KEY_TABLE.values())
+# the canonical text: a switch as on/off, every other value as its repr
+_TEMPLATE = "".join(f"{k} = %{'s' if e[2] is _parse_bool else 'r'}\n" for k, e in _KEYS.items())
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -165,20 +170,20 @@ def parse_config(text: str) -> ScenarioConfig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, equals, value_text = line.partition("=")
+        if not equals:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value_text = line.partition("=")
         key = key.strip()
         value_text = value_text.strip()
-        if key not in _KEY_TABLE:
+        entry = _KEYS.get(key)
+        if entry is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in lines_seen:
             raise ConfigError(
                 f"line {lineno}: duplicate key {key!r} (first on line {lines_seen[key]})"
             )
         lines_seen[key] = lineno
-        key_field = _FIELDS[key]
-        converter, within = _CONVERTERS[key_field.type], key_field.metadata["range"]
+        group, name, converter, within = entry
         try:
             value = converter(value_text)
         except ValueError:
@@ -189,9 +194,9 @@ def parse_config(text: str) -> ScenarioConfig:
             within.check(key, value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-        values[_KEY_TABLE[key].rpartition(".")[0]][key_field.name] = value
-    for key, key_field in _FIELDS.items():
-        if key not in lines_seen and key_field.default is MISSING:
+        values[group][name] = value
+    for key in _REQUIRED:
+        if key not in lines_seen:
             raise ConfigError(f"missing required key {key!r}")
     try:
         nested = {group: _RECORDS[group](**kw) for group, kw in values.items() if group}
@@ -203,13 +208,22 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical text form; ``parse_config`` returns an identical object."""
-    return "".join([
-        f"{key} = {_format_bool(value) if isinstance(value, bool) else repr(value)}\n"
-        for key, value in zip(_KEY_TABLE, _KEY_VALUES(cfg))
-    ])
+    values = _KEY_VALUES(cfg)
+    return _TEMPLATE % tuple([("off", "on")[v] if type(v) is bool else v for v in values])
 
 
 def load_config(path) -> ScenarioConfig:
-    # read as bytes: ``splitlines`` ends a line at \r\n and \r as text mode does
-    with open(path, "rb") as fh:
-        return parse_config(fh.read().decode("utf-8"))
+    """Read the config file at ``path`` as raw bytes, decode it (see the module) and parse it."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = b"".join(iter(lambda: os.read(fd, _READ_CHUNK), b""))
+    except OSError as exc:  # a directory opens, and fails its first read without the path
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode() + "x").splitlines())  # "x" for the bad byte
+        raise ConfigError(f"line {lineno}: not UTF-8 text (byte {data[exc.start]:#04x})") from None
+    return parse_config(text.removeprefix("\ufeff"))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,14 +88,19 @@ def trigger_delay_from_attenuation(alpha: float) -> float:
     return trigger_time(shaped, threshold) - trigger_time(base, threshold)
 
 
-@contextmanager
-def _stage(name: str):
-    """Re-raise component failures with the failing stage named."""
-    try:
-        yield
-    except Exception as exc:
-        reason = str(exc) or type(exc).__name__
-        raise ScenarioStageError(f"stage '{name}' failed: {reason}") from exc
+class _stage:
+    """Re-raise component failures (an ``Exception``, not an interrupt) with the stage named."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, Exception):
+            reason = str(exc) or kind.__name__
+            raise ScenarioStageError(f"stage '{self.name}' failed: {reason}") from exc
 
 
 @dataclass
@@ -209,7 +213,7 @@ def _standard_sums(rng: np.random.Generator, n: int) -> tuple[float, ...]:
     L = [[a, 0], [c, b]], with a² ~ χ²(n - 1), b² ~ χ²(n - 2) and c ~
     N(0, 1).  A single pair has zero scatter.
     """
-    su, sz = [v * math.sqrt(n) for v in rng.standard_normal(2).tolist()]
+    su, sz = rng.standard_normal() * math.sqrt(n), rng.standard_normal() * math.sqrt(n)
     if n == 1:
         return su, sz, 0.0, 0.0, 0.0
     a2, b2, c = _chi2(rng, n - 1), _chi2(rng, n - 2), rng.standard_normal()
@@ -529,8 +533,4 @@ def sweep_keyrate(cfg: ScenarioConfig) -> tuple[list[SweepPoint], list[SweepPoin
 
 def last_positive_distance(points: list[SweepPoint]) -> float | None:
     """Largest grid distance with a positive rate, None if none is positive."""
-    best = None
-    for p in points:
-        if p.key_rate > 0.0:
-            best = p.distance_km
-    return best
+    return max((p.distance_km for p in points if p.key_rate > 0.0), default=None)

@@ -155,11 +155,16 @@ OUT_OF_RANGE = {
 }
 
 
-def _key_range(key: str):
-    """The range that the field set by config ``key`` states, read from the field itself."""
+def _key_field(key: str) -> dataclasses.Field:
+    """The record field that config ``key`` sets."""
     group, _, name = KEY_CASES[key][2][0].rpartition(".")
     record = getattr(DEFAULT, group) if group else DEFAULT
-    return {f.name: f for f in dataclasses.fields(record)}[name].metadata["range"]
+    return {f.name: f for f in dataclasses.fields(record)}[name]
+
+
+def _key_range(key: str):
+    """The range that the field set by config ``key`` states, read from the field itself."""
+    return _key_field(key).metadata["range"]
 
 
 def _flat_fields(cfg) -> dict:
@@ -187,16 +192,17 @@ class TestParseConfig:
     def test_every_key_field_declares_a_type_the_parser_converts(self, monkeypatch):
         # the field's annotation is the one statement of a key's type
         for key, (text, value, _) in KEY_CASES.items():
-            declared = config._FIELDS[key].type
-            assert declared in config._CONVERTERS, (key, declared)
+            declared = _key_field(key).type
+            assert config._KEYS[key][2] is config._CONVERTERS[declared], (key, declared)
             converted = config._CONVERTERS[declared](text)
             assert type(converted).__name__ == declared == type(value).__name__, key
-        # a field of a type without a converter fails the parse loudly, not by accident
-        odd = copy.copy(config._FIELDS["seed"])
+        # a field of a type without a converter fails the key table's construction at
+        # import, loudly, not a parse by accident
+        odd = copy.copy(_key_field("seed"))
         odd.type = "str"
-        monkeypatch.setitem(config._FIELDS, "seed", odd)
+        monkeypatch.setitem(ScenarioConfig.__dataclass_fields__, "seed", odd)
         with pytest.raises(KeyError, match="'str'"):
-            parse_config("pulses = 1000\nseed = 9\n")
+            config._key_entry("seed")
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2: unknown key 'bogus'"):
@@ -305,16 +311,21 @@ class TestParseConfig:
         cfg = parse_config("# header\n\npulses = 1000  # trailing\n")
         assert cfg.pulses == 1000
 
-    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
-    def test_a_file_ends_its_lines_at_crlf_and_cr_as_at_lf(self, end, tmp_path):
-        # the file is read as bytes and decoded: its lines and their numbers are text mode's
+    @pytest.mark.parametrize(
+        "end,bom", [("\r\n", ""), ("\r", ""), ("\n", "\ufeff"), ("\r\n", "\ufeff")],
+        ids=["crlf", "cr", "bom", "crlf-bom"],
+    )
+    def test_a_file_ends_its_lines_at_crlf_and_cr_as_at_lf(self, end, bom, tmp_path):
+        # the file is read as bytes and decoded: its lines and their numbers are text mode's,
+        # and a leading byte-order mark, as some editors save, is dropped
         lines = ["# header", "pulses = 1000", "", "mu = 0.3  # trailing", "countermeasure = on"]
-        for name, sep in (("lf", "\n"), ("twin", end)):
+        for name, sep, head in (("lf", "\n", ""), ("twin", end, bom)):
             for suffix, extra in (("", []), ("-bad", ["extinction = 1"])):
                 path = tmp_path / f"{name}{suffix}.cfg"
-                path.write_bytes(sep.join([*lines, *extra, ""]).encode())
+                path.write_bytes((head + sep.join([*lines, *extra, ""])).encode())
         cfg = load_config(tmp_path / "twin.cfg")
         assert cfg == load_config(tmp_path / "lf.cfg") == parse_config("\n".join(lines))
+        assert cfg.config_hash() == parse_config("\n".join(lines)).config_hash()
         assert (cfg.attack.mu, cfg.countermeasure_enabled) == (0.3, True)
         for name in ("lf", "twin"):
             with pytest.raises(ConfigError) as info:
@@ -927,16 +938,33 @@ def test_the_moments_and_the_pulses_give_one_distribution(mu, nu, extinction):
 
 
 @pytest.mark.parametrize("name,stage", [("attack_gain", "pulse-model"),
-                                        ("outcome_law", "channel-simulation")])
+                                        ("outcome_law", "channel-simulation"),
+                                        ("realtime_shot_noise", "monitoring"),
+                                        ("ml_from_moments", "estimation"),
+                                        ("secret_key_rate", "key-rate")])
 @pytest.mark.parametrize("run", [run_scenario, _dumped], ids=["moments", "dump"])
 def test_a_failing_draw_fails_its_stage(run, name, stage, monkeypatch):
-    # a dump expands the moments, so it fails where they are drawn
+    # a dump expands the moments, so it fails where they are drawn; its report after it
+    # fails where the moments are read
+    error = MemoryError()
+
     def fail(*args):
-        raise MemoryError
+        raise error
 
     monkeypatch.setattr(scenario, name, fail)
-    with pytest.raises(ScenarioStageError, match=f"^stage '{stage}' failed: MemoryError$"):
-        run(parse_config("pulses = 1000\n"))
+    with pytest.raises(ScenarioStageError, match=f"^stage '{stage}' failed: MemoryError$") as info:
+        run(parse_config("pulses = 1000\ncountermeasure = on\n"))
+    assert info.value.__cause__ is error
+
+
+@pytest.mark.parametrize("name", ["attack_gain", "realtime_shot_noise", "secret_key_rate"])
+def test_an_interrupt_inside_a_stage_passes_through_unwrapped(name, monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(scenario, name, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_scenario(parse_config("pulses = 1000\ncountermeasure = on\n"))
 
 
 @pytest.mark.parametrize(
@@ -1079,10 +1107,45 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error (run): 'utf-8' codec can't decode byte 0xe9 in position 19: "
-            "invalid continuation byte\n"
-        )
+        assert captured.err == "config error: line 2: not UTF-8 text (byte 0xe9)\n"
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [(b"\xff", 1), (b"pulses = 1000\r\n\r\n\xc3", 3), (b"pulses = 1000\rseed = 2 \xa0", 2)],
+        ids=["first-byte", "truncated-after-crlf", "after-cr"],
+    )
+    def test_a_byte_that_is_not_utf8_names_its_line(self, text, line, tmp_path):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_bytes(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg_path)
+        assert str(info.value) == f"line {line}: not UTF-8 text (byte {text[-1]:#04x})"
+
+    @pytest.mark.parametrize(
+        "name,errno,reason",
+        [("missing.cfg", 2, "No such file or directory"), ("", 21, "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_a_config_path_that_is_no_file_exits_1_naming_it(
+        self, name, errno, reason, tmp_path, capsys
+    ):
+        # the message is the one that open() gives, the path included
+        cfg_path = tmp_path / name
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error (run): [Errno {errno}] {reason}: '{cfg_path}'\n"
+        with pytest.raises(OSError) as info:
+            load_config(cfg_path)
+        assert str(info.value) == f"[Errno {errno}] {reason}: '{cfg_path}'"
+
+    def test_a_config_longer_than_one_read_parses_as_its_text(self, tmp_path):
+        text = f"pulses = 1000\n# {'x' * 100 * 1024}\nmu = 0.25\n"
+        assert len(text) > config._READ_CHUNK
+        cfg_path = tmp_path / "long.cfg"
+        cfg_path.write_text(text)
+        cfg = load_config(cfg_path)
+        assert cfg == parse_config(text) == parse_config("pulses = 1000\nmu = 0.25\n")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
