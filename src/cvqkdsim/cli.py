@@ -95,7 +95,7 @@ def _cmd_run(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     report = run_scenario(cfg)
     if args.csv:
-        pulses_csv(out / "pulses.csv", dump_pulses(cfg))
+        pulses_csv(out / "pulses.csv", dump_pulses(cfg), report.n_key + report.m_estimation)
     print(report.to_text())
     if out:
         (out / "report.txt").write_text(report.to_text() + "\n")

@@ -21,7 +21,7 @@ from .countermeasure import SwitchModel
 from .errors import ConfigError
 from .protocol import AttackParams, ChannelParams
 from .pulses import DetectorModel
-from .ranges import NON_NEGATIVE, OPEN_UNIT, POSITIVE, UNIT, Range, checked, param
+from .ranges import NON_NEGATIVE, ON_OFF, OPEN_UNIT, POSITIVE, UNIT, Range, checked, param
 
 
 def _parse_bool(text: str) -> bool:
@@ -112,9 +112,7 @@ class ScenarioConfig:
     beta: float = param(0.948, within=UNIT)
     epsilon: float = param(0.05, within=OPEN_UNIT)
     n0_assumed: float = param(1.0, within=POSITIVE)
-    countermeasure_enabled: bool = param(
-        False, within=Range("on or off", lambda v: isinstance(v, bool))
-    )
+    countermeasure_enabled: bool = param(False, within=ON_OFF)
     monitor_fraction: float = param(0.1, within=OPEN_UNIT)
     switch: SwitchModel = field(default_factory=SwitchModel)
     z_threshold: float = param(5.0, within=POSITIVE)

@@ -27,9 +27,10 @@ class Range(NamedTuple):
         """Raise ``"{name} must be {text}, got {value}"`` unless ``value`` lies in the range.
 
         An infinite float that the range's test lets through, as ``>= 0``
-        does, is refused as ``"{name} must be finite, got {value}"``.
+        does, is refused as ``"{name} must be finite, got {value}"``.  A
+        ``bool`` lies in ``ON_OFF`` only, though it compares as 0 or 1.
         """
-        if not self.holds(value):
+        if not self.holds(value) or value.__class__ is bool and self is not ON_OFF:
             raise ValueError(f"{name} must be {self.text}, got {value}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -42,6 +43,7 @@ UNIT = Range("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 OPEN_UNIT = Range("in (0, 1)", lambda v: 0.0 < v < 1.0)
 UNIT_ABOVE_0 = Range("in (0, 1]", lambda v: 0.0 < v <= 1.0)
 UNIT_BELOW_1 = Range("in [0, 1)", lambda v: 0.0 <= v < 1.0)
+ON_OFF = Range("on or off", lambda v: isinstance(v, bool))
 
 
 def param(default=MISSING, *, within: Range):

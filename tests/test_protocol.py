@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import re
+import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from cvqkdsim import (
     AttackParams,
     ChannelParams,
     DetectorModel,
+    cli,
     generate_alice,
     protocol,
     simulate_bob,
@@ -293,7 +298,7 @@ def test_pulse_csv_dump(tmp_path):
     x = generate_alice(500, CH.va, seed=15)
     batch = simulate_bob(x, CH, AttackParams(mu=0.5), DET, seed=15)
     path = tmp_path / "pulses.csv"
-    pulses_csv(path, [(batch.x, batch.y, batch.intercepted + 2 * batch.lo_attacked)])
+    pulses_csv(path, [(batch.x, batch.y, batch.intercepted + 2 * batch.lo_attacked)], 500)
     lines = path.read_text().splitlines()
     assert lines[0] == "index,x,y,intercepted,lo_attacked"
     assert len(lines) == 501
@@ -334,5 +339,128 @@ def test_pulse_csv_dump_matches_row_by_row_writer(tmp_path):
     cuts = [*range(0, short, 64), short, short + long]
     classes = batch.intercepted + 2 * batch.lo_attacked
     blocks = ((batch.x[sl], batch.y[sl], classes[sl]) for sl in map(slice, cuts, cuts[1:]))
-    pulses_csv(tmp_path / "pulses.csv", blocks)
+    pulses_csv(tmp_path / "pulses.csv", blocks, short + long)
     assert (tmp_path / "pulses.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+SPECIAL = [-0.0, 5e-324, float("inf"), float("nan")]
+
+
+def _batch(n, seed):
+    """A batch of ``n`` attacked pulses, every attack class among them."""
+    x = generate_alice(n, CH.va, seed=seed)
+    return simulate_bob(x, CH, AttackParams(mu=0.5, nu=0.5, delta_ns=10.0), DET, seed=seed)
+
+
+def _stream(batch, sizes, drawn, fail=None):
+    """The batch's ``(x, y, class)`` blocks of ``sizes``, each index appended to ``drawn``.
+
+    ``fail`` is ``(block, exception)``: the stream raises it in place of that block.
+    """
+    classes = batch.intercepted + 2 * batch.lo_attacked
+    cuts = np.cumsum([0, *sizes])
+    for k, sl in enumerate(map(slice, cuts, cuts[1:])):
+        if fail and fail[0] == k:
+            raise fail[1]
+        drawn.append(k)
+        yield batch.x[sl], batch.y[sl], classes[sl]
+
+
+@pytest.fixture
+def one_process():
+    """Leave at once in a forked writer that returned into the test; check no child is left."""
+    pid = os.getpid()
+    yield
+    if os.getpid() != pid:
+        os._exit(70)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "sizes, special_rows, drawn_here",
+    [
+        pytest.param([500], [], [0], id="one-block"),
+        pytest.param([300, 300, 300, 300], [], [0, 1], id="split-on-a-boundary"),
+        pytest.param([333, 334, 334], [], [0, 1], id="odd-rows"),
+        pytest.param([2100, 1000, 37], [0, 2096, 2100, 3133], [0], id="special-floats"),
+    ],
+)
+def test_a_dump_split_between_two_processes_has_the_reference_bytes(
+    tmp_path, one_process, sizes, special_rows, drawn_here
+):
+    rows = sum(sizes)
+    batch = _batch(rows, seed=18)
+    for row in special_rows:
+        batch.x[row : row + 4] = SPECIAL
+        batch.y[row : row + 4] = SPECIAL[::-1]
+    _reference_pulses_csv(batch, tmp_path / "reference.csv")
+    drawn = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the fork warning of Python 3.12 and later included
+        pulses_csv(tmp_path / "pulses.csv", _stream(batch, sizes, drawn), rows)
+    assert [str(w.message) for w in caught] == []
+    # this process draws the blocks before the first one that starts at or after rows // 2
+    assert drawn == drawn_here
+    assert (tmp_path / "pulses.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pulses.csv", "reference.csv"]
+
+
+# block sizes 300 each, so rows 0-599 are formatted here and 600-1199 by the forked writer
+FAILURES = [
+    pytest.param(1, ValueError("broken block"), ValueError, "^broken block$", id="here"),
+    pytest.param(1, KeyboardInterrupt(), KeyboardInterrupt, "^$", id="here-interrupted"),
+    pytest.param(
+        3, ValueError("broken block"), OSError,
+        r"^pulse dump writer \(child \d+\) failed: ValueError: broken block$",
+        id="in-the-child",
+    ),
+    pytest.param(
+        2, KeyboardInterrupt(), OSError,
+        r"^pulse dump writer \(child \d+\) failed: KeyboardInterrupt$",
+        id="in-the-child-interrupted",
+    ),
+]
+
+
+@pytest.mark.parametrize("block, error, raised, message", FAILURES)
+def test_a_failed_dump_raises_in_the_caller_and_leaves_no_process_or_file(
+    tmp_path, one_process, block, error, raised, message
+):
+    batch = _batch(1200, seed=19)
+    with pytest.raises(raised, match=message):
+        pulses_csv(tmp_path / "pulses.csv", _stream(batch, [300] * 4, [], (block, error)), 1200)
+    assert [p.name for p in tmp_path.iterdir()] == ["pulses.csv"]
+
+
+def test_a_killed_writer_is_named(tmp_path, one_process):
+    batch = _batch(1200, seed=21)
+    pid = os.getpid()
+
+    def stream():
+        for k, block in enumerate(_stream(batch, [300] * 4, [])):
+            if k == 2 and os.getpid() != pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield block
+
+    message = r"^pulse dump writer \(child \d+\) failed: killed by signal 9$"
+    with pytest.raises(OSError, match=message):
+        pulses_csv(tmp_path / "pulses.csv", stream(), 1200)
+    assert [p.name for p in tmp_path.iterdir()] == ["pulses.csv"]
+
+
+@pytest.mark.parametrize("block, error, raised, message", FAILURES[::2])
+def test_a_failed_dump_exits_1_without_a_traceback(
+    tmp_path, monkeypatch, capsys, one_process, block, error, raised, message
+):
+    batch = _batch(1200, seed=20)
+    monkeypatch.setattr(
+        cli, "dump_pulses", lambda cfg: _stream(batch, [300] * 4, [], (block, error))
+    )
+    (tmp_path / "run.cfg").write_text("pulses = 1200\n")  # 600 key and 600 estimation rows
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(tmp_path / "run.cfg"), "--out", str(out), "--csv"])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert re.fullmatch(f"error \\(run\\): {message.strip('^$')}\n", err), err
+    assert [p.name for p in out.iterdir()] == ["pulses.csv"]

@@ -395,6 +395,22 @@ class TestRecordsCheckThemselves:
         with pytest.raises(ValueError, match=message):
             _set_on_its_record(key, value)
 
+    @pytest.mark.parametrize("key", [key for key in KEY_CASES if key != "countermeasure"])
+    def test_a_numeric_field_refuses_a_bool(self, key):
+        # True compares as 1, so it once lay in the ranges, and its text did not re-parse
+        name = KEY_CASES[key][2][0].rpartition(".")[2]
+        message = f"^{re.escape(f'{name} must be {_key_range(key).text}, got True')}$"
+        with pytest.raises(ValueError, match=message):
+            _set_on_its_record(key, True)
+
+    @pytest.mark.parametrize("key", list(KEY_CASES))
+    def test_each_value_round_trips_through_its_text(self, key):
+        text, _, _ = KEY_CASES[key]
+        cfg = parse_config(f"{'pulses = 1000' if key != 'pulses' else ''}\n{key} = {text}\n")
+        assert parse_config(serialize_config(cfg)) == cfg
+        switched = dataclasses.replace(DEFAULT, countermeasure_enabled=True)
+        assert parse_config(serialize_config(switched)) == switched
+
     @pytest.mark.parametrize(
         "key", [key for key in KEY_CASES if isinstance(KEY_CASES[key][1], float)]
     )
@@ -1020,13 +1036,17 @@ def test_a_dump_run_starts_no_thread_and_holds_one_block(tmp_path):
     tracemalloc.start()
     try:
         report = run_scenario(cfg)
-        pulses_csv(tmp_path / "pulses.csv", counted())
+        rows = report.n_key + report.m_estimation
+        pulses_csv(tmp_path / "pulses.csv", counted(), rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one block at a time, the key set's dump blocks, then the estimation set's
-    blocks = sum(-(-n // _DUMP_BLOCK) for n in (report.n_key, report.m_estimation))
-    assert blocks == 3 and threads == [before] * blocks
+    # one block at a time, the key set's dump blocks, then the estimation set's; this
+    # process draws those that start before the middle row, the forked writer the rest
+    starts = [*range(0, report.n_key, _DUMP_BLOCK), *range(report.n_key, rows, _DUMP_BLOCK)]
+    drawn_here = sum(start < rows // 2 for start in starts)
+    assert len(starts) == 3 and drawn_here == 2 and threads == [before] * drawn_here
+    assert threading.active_count() == before
     # a dump block's arrays take about 1 MiB, one CSV part's row strings about 128 bytes a row
     assert peak < 4 * 2**20, peak
 
