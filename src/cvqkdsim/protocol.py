@@ -27,16 +27,15 @@ arrays, drawn on the calling thread.  A scenario draws no pulse this
 way: it draws the sums of its pulses from their exact law
 (``scenario.draw_moments``), and a pulse dump draws the pulses given
 those sums (``scenario.dump_pulses``) in the blocks ``pulses_csv(path,
-blocks, rows)`` writes; ``outcome_law`` states the law once for all of
-them.  The writer forks one process, which draws the same blocks and
-formats the second half of the rows, so the bytes do not depend on the
-CPU count.
+blocks)`` writes; ``outcome_law`` states the law once for all of them.
+The writer forks one process, which draws and formats only the second
+half's blocks, so the bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -227,44 +226,34 @@ _ROW_ENDS = (",0,0\r\n", ",1,0\r\n", ",0,1\r\n", ",1,1\r\n")
 _CSV_PART = 1024
 
 
-def _write_rows(fh, blocks: Iterable[tuple[np.ndarray, ...]], first: int, stop: float) -> None:
-    """Format the blocks that start at row ``first`` or later and before row ``stop`` into ``fh``.
-
-    Rows are numbered from the stream's first block on; a block that
-    starts at or after ``stop`` is not drawn from the stream.
-    """
-    blocks = iter(blocks)
-    written = 0
-    while written < stop and (block := next(blocks, None)) is not None:
-        x, y, classes = block
-        if written >= first:
-            for start in range(0, x.size, _CSV_PART):
-                part = slice(start, start + _CSV_PART)
-                rows = zip(
-                    range(written + start, written + x.size),
-                    x[part].tolist(),
-                    y[part].tolist(),
-                    classes[part].tolist(),
-                )
-                fh.write("".join([f"{i},{a!r},{b!r}{_ROW_ENDS[k]}" for i, a, b, k in rows]))
-        written += x.size
+def _write_rows(fh, blocks: Sequence[tuple[int, Callable]], first: int) -> None:
+    """Draw and format the ``(rows, draw)`` blocks into ``fh``, numbering rows from ``first``."""
+    for _, draw in blocks:
+        x, y, classes = draw()
+        for start in range(0, x.size, _CSV_PART):
+            part = slice(start, start + _CSV_PART)
+            rows = zip(range(first + start, first + x.size), x[part].tolist(),
+                       y[part].tolist(), classes[part].tolist())
+            fh.write("".join([f"{i},{a!r},{b!r}{_ROW_ENDS[k]}" for i, a, b, k in rows]))
+        first += x.size
 
 
-def pulses_csv(path: str | Path, blocks: Iterable[tuple[np.ndarray, ...]], rows: int) -> None:
-    """Write a pulse dump (index, x, y, intercepted, lo_attacked) of ``(x, y, class)`` blocks.
+def pulses_csv(path: str | Path, blocks: Sequence[tuple[int, Callable]]) -> None:
+    """Write a pulse dump (index, x, y, intercepted, lo_attacked) of ``(rows, draw)`` blocks.
 
-    Rows are numbered on across the blocks, with shortest-repr floats and
-    CRLF line endings, the bytes ``csv.writer`` would write, 1024
+    Each ``draw()`` returns ``rows`` pulses as ``(x, y, class)``, numbered
+    on across the blocks and written with shortest-repr floats and CRLF
+    line endings, the bytes ``csv.writer`` would write, 1024
     (``_CSV_PART``) rows to one f-string join and one write, so that only
     one part's strings are in memory at once.  One ``os.fork`` splits the
-    dump at the first block that starts at or after row ``rows // 2``
-    (``rows``, the dump's row count, only places the split).  The child
-    draws the same stream, formats the blocks from the split on into an
-    unnamed temporary file in the dump's directory, and leaves through
+    dump at the first block that starts at or after its middle row.  The
+    child draws only the blocks from there on, formats them into an
+    unnamed temporary file in the dump's directory and leaves through
     ``os._exit`` on every path, with the error's text in that file if it
     failed; a failed child is an ``OSError`` that names it.  The parent
-    formats the blocks before the split, reaps the child and appends the
-    file; if the parent fails, it kills and reaps the child first.
+    draws and formats the blocks before the split, reaps the child and
+    appends the file; if the parent fails, it kills and reaps the child
+    first.  A failed dump deletes ``path`` before its error propagates.
 
     Python 3.12 and later warn of a fork in a process with threads, such
     as numpy's OpenBLAS pool (``DeprecationWarning``, silenced around the
@@ -277,40 +266,46 @@ def pulses_csv(path: str | Path, blocks: Iterable[tuple[np.ndarray, ...]], rows:
     import tempfile
     import warnings
 
-    path, half = Path(path), rows // 2
-    with open(path, "w", newline="") as fh, tempfile.TemporaryFile(dir=path.parent) as tail:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
-                                    DeprecationWarning)
-            pid = os.fork()
-        if not pid:
-            code = 1
-            try:
-                with open(tail.fileno(), "w", newline="", closefd=False) as out:
-                    _write_rows(out, blocks, half, math.inf)
-                code = 0
-            except BaseException as exc:
-                import traceback
+    path, starts = Path(path), np.cumsum([0, *(rows for rows, _ in blocks)]).tolist()
+    half = next(k for k, start in enumerate(starts) if start >= starts[-1] // 2)
+    fh = open(path, "w", newline="")
+    try:
+        with fh, tempfile.TemporaryFile(dir=path.parent) as tail:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                        DeprecationWarning)
+                pid = os.fork()
+            if not pid:
+                code = 1
+                try:
+                    with open(tail.fileno(), "w", newline="", closefd=False) as out:
+                        _write_rows(out, blocks[half:], starts[half])
+                    code = 0
+                except BaseException as exc:
+                    import traceback
 
-                error = traceback.format_exception_only(exc)[-1].strip()
-                os.ftruncate(tail.fileno(), 0)
-                os.pwrite(tail.fileno(), error.encode(), 0)
-            finally:
-                os._exit(code)
-        try:
-            fh.write("index,x,y,intercepted,lo_attacked\r\n")
-            _write_rows(fh, blocks, 0, half)
-            fh.flush()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-        size = os.fstat(tail.fileno()).st_size
-        if status:  # 1 with the error's text in the file, or minus the signal that killed it
-            error = (os.pread(tail.fileno(), size, 0).decode(errors="replace") if status == 1
-                     else f"killed by signal {-status}")
-            raise OSError(f"pulse dump writer (child {pid}) failed: {error}")
-        offset = 0
-        while offset < size:
-            offset += os.sendfile(fh.fileno(), tail.fileno(), offset, size - offset)
+                    error = traceback.format_exception_only(exc)[-1].strip()
+                    os.ftruncate(tail.fileno(), 0)
+                    os.pwrite(tail.fileno(), error.encode(), 0)
+                finally:
+                    os._exit(code)
+            try:
+                fh.write("index,x,y,intercepted,lo_attacked\r\n")
+                _write_rows(fh, blocks[:half], 0)
+                fh.flush()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                raise
+            size = os.fstat(tail.fileno()).st_size
+            if status:  # 1 with the error's text in the file, or minus the signal that killed it
+                error = (os.pread(tail.fileno(), size, 0).decode(errors="replace") if status == 1
+                         else f"killed by signal {-status}")
+                raise OSError(f"pulse dump writer (child {pid}) failed: {error}")
+            offset = 0
+            while offset < size:
+                offset += os.sendfile(fh.fileno(), tail.fileno(), offset, size - offset)
+    except BaseException:
+        path.unlink()
+        raise

@@ -10,8 +10,9 @@ pulse dump is drawn given those sums, so ``run --csv`` prints the same.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -329,58 +330,62 @@ def _onto(pooled: tuple, target: tuple, u: np.ndarray, z: np.ndarray):
     return math.sqrt(ta2) * e1 + tu / n, tc * e1 + math.sqrt(tb2) * e2 + tz / n
 
 
-def _dump_heads(seed: int, part: int, classes: tuple):
-    """Each dump block's generator, class counts and normals, in order (see ``dump_pulses``)."""
-    left = [k for k, _ in classes]
-    for block, _, size in pulse_blocks(sum(left), _DUMP_BLOCK):
-        rng = _rng(seed, _TAG_DUMP, part, block)
-        counts = rng.multivariate_hypergeometric(left, size).tolist()
-        left = [k - c for k, c in zip(left, counts)]
-        yield rng, counts, [rng.standard_normal((2, k)) for k in counts]
+def dump_pulses(cfg: ScenarioConfig) -> list[tuple[int, Callable[[], tuple[np.ndarray, ...]]]]:
+    """``(rows, draw)`` of each block of the open-switch pulses of ``cfg``'s run, in order.
 
-
-def dump_pulses(cfg: ScenarioConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``(x, y, attack_class)`` blocks of the open-switch pulses of ``cfg``'s run.
-
-    Drawn from their exact law given the moments the run's report reads
-    (``draw_moments``), the class a uint8 intercepted + 2*lo_attacked.
-    The key set comes first, then the estimation set, each in blocks of
+    ``draw()`` returns the block's pulses ``(x, y, attack_class)``, the
+    class a uint8 intercepted + 2*lo_attacked, drawn from their exact law
+    given the moments the run's report reads (``draw_moments``).  The key
+    set comes first, then the estimation set, each in blocks of
     ``_DUMP_BLOCK`` pulses.  Block k of set s (0 key, 1 estimation) draws
     from a generator seeded from (seed, ``_TAG_DUMP``, s, k): its class
-    counts (``multivariate_hypergeometric`` from the counts still left),
-    two standard normals (u, z) per pulse, class by class, then one
-    permutation of its rows.  Pass 1 draws the counts and normals and
-    pools each class's pairs (``_pool``).  Pass 2 redraws each block and
-    maps each estimation class's pairs with one affine map onto its sums
-    in the moments (``_onto``); in the key set it scales y = u onto the
-    class's Σy² by its pooled Σu² and draws x from its law given y.  A
-    Gaussian sample's standardized configuration is independent of its
-    sums (Basu), so each pulse keeps the law of ``outcome_law``; the rows
-    add up to the report.
+    counts (``multivariate_hypergeometric`` from the counts still left), two
+    standard normals (u, z) per pulse, class by class, then one permutation
+    of its rows.  This call draws each block's counts and normals and pools
+    each class's pairs (``_pool``) into the factors that every ``draw()``
+    reads.  A ``draw()`` redraws its block alone, in any order or process,
+    and maps each estimation class's pairs with one affine map onto its sums
+    (``_onto``); in the key set it scales y = u onto the class's Σy² by its
+    pooled Σu² and draws x from its law given y.  A Gaussian sample's
+    standardized configuration is independent of its sums (Basu), so each
+    pulse keeps the law of ``outcome_law``; the rows add up to the report.
     """
     moments = draw_moments(cfg)
     va, (slope, sds) = cfg.channel.va, outcome_law(cfg.channel, moments.gain)
+
+    def raw(part, block, left, size):
+        rng = _rng(cfg.seed, _TAG_DUMP, part, block)
+        counts = rng.multivariate_hypergeometric(left, size).tolist()
+        return rng, counts, [rng.standard_normal((2, k)) for k in counts]
+
+    def draw(part, classes, pooled, block, left, size):
+        rng, counts, pairs = raw(part, block, left, size)
+        x, y, start = np.empty(size), np.empty(size), 0
+        for c, (u, z) in enumerate(pairs):
+            if not u.size:
+                continue
+            rows, start, sd = slice(start, start + u.size), start + u.size, sds[c]
+            if part:
+                u, z = _onto(pooled[c], classes[c][1], u, z)
+                x[rows] = math.sqrt(va) * u
+                y[rows] = slope * x[rows] + sd * z
+            else:
+                n, mu, _, ra, _, _ = pooled[c]
+                s2 = slope * slope * va + sd * sd
+                y[rows] = u * math.sqrt(s2 * classes[c][1] / (ra * ra + n * mu * mu))
+                x[rows] = slope * va / s2 * y[rows] + math.sqrt(va / s2) * sd * z
+        order = rng.permutation(size)
+        return x[order], y[order], np.repeat(np.arange(4, dtype=np.uint8), counts)[order]
+
+    blocks = []
     for part, classes in enumerate((moments.key_classes, moments.est_classes)):
-        pooled = [(0,) * 6] * 4
-        for _, _, normals in _dump_heads(cfg.seed, part, classes):
-            pooled = [_pool(p, u, z) for p, (u, z) in zip(pooled, normals)]
-        for rng, counts, normals in _dump_heads(cfg.seed, part, classes):
-            x, y, start = np.empty(sum(counts)), np.empty(sum(counts)), 0
-            for c, (u, z) in enumerate(normals):
-                if not u.size:
-                    continue
-                rows, start, sd = slice(start, start + u.size), start + u.size, sds[c]
-                if part:
-                    u, z = _onto(pooled[c], classes[c][1], u, z)
-                    x[rows] = math.sqrt(va) * u
-                    y[rows] = slope * x[rows] + sd * z
-                else:
-                    n, mu, _, ra, _, _ = pooled[c]
-                    s2 = slope * slope * va + sd * sd
-                    y[rows] = u * math.sqrt(s2 * classes[c][1] / (ra * ra + n * mu * mu))
-                    x[rows] = slope * va / s2 * y[rows] + math.sqrt(va / s2) * sd * z
-            order = rng.permutation(x.size)
-            yield x[order], y[order], np.repeat(np.arange(4, dtype=np.uint8), counts)[order]
+        pooled, left = [(0,) * 6] * 4, [k for k, _ in classes]
+        for block, _, size in pulse_blocks(sum(left), _DUMP_BLOCK):
+            blocks.append((size, partial(draw, part, classes, pooled, block, left, size)))
+            _, counts, pairs = raw(part, block, left, size)
+            pooled[:] = [_pool(p, u, z) for p, (u, z) in zip(pooled, pairs)]
+            left = [k - c for k, c in zip(left, counts)]
+    return blocks
 
 
 def _snu_params(

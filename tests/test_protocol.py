@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 import os
 import re
@@ -298,7 +299,7 @@ def test_pulse_csv_dump(tmp_path):
     x = generate_alice(500, CH.va, seed=15)
     batch = simulate_bob(x, CH, AttackParams(mu=0.5), DET, seed=15)
     path = tmp_path / "pulses.csv"
-    pulses_csv(path, [(batch.x, batch.y, batch.intercepted + 2 * batch.lo_attacked)], 500)
+    pulses_csv(path, [(500, lambda: (batch.x, batch.y, batch.intercepted + 2 * batch.lo_attacked))])
     lines = path.read_text().splitlines()
     assert lines[0] == "index,x,y,intercepted,lo_attacked"
     assert len(lines) == 501
@@ -338,8 +339,9 @@ def test_pulse_csv_dump_matches_row_by_row_writer(tmp_path):
     # one that crosses two part boundaries and ends on an uneven tail
     cuts = [*range(0, short, 64), short, short + long]
     classes = batch.intercepted + 2 * batch.lo_attacked
-    blocks = ((batch.x[sl], batch.y[sl], classes[sl]) for sl in map(slice, cuts, cuts[1:]))
-    pulses_csv(tmp_path / "pulses.csv", blocks, short + long)
+    blocks = [(sl.stop - sl.start, lambda sl=sl: (batch.x[sl], batch.y[sl], classes[sl]))
+              for sl in map(slice, cuts, cuts[1:])]
+    pulses_csv(tmp_path / "pulses.csv", blocks)
     assert (tmp_path / "pulses.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
@@ -353,17 +355,21 @@ def _batch(n, seed):
 
 
 def _stream(batch, sizes, drawn, fail=None):
-    """The batch's ``(x, y, class)`` blocks of ``sizes``, each index appended to ``drawn``.
+    """The batch's ``(rows, draw)`` blocks of ``sizes``; ``draw()`` appends its index to ``drawn``.
 
-    ``fail`` is ``(block, exception)``: the stream raises it in place of that block.
+    ``fail`` is ``(block, exception)``: that block's ``draw()`` raises it.
     """
     classes = batch.intercepted + 2 * batch.lo_attacked
     cuts = np.cumsum([0, *sizes])
-    for k, sl in enumerate(map(slice, cuts, cuts[1:])):
+
+    def draw(k, sl):
         if fail and fail[0] == k:
             raise fail[1]
         drawn.append(k)
-        yield batch.x[sl], batch.y[sl], classes[sl]
+        return batch.x[sl], batch.y[sl], classes[sl]
+
+    return [(size, functools.partial(draw, k, slice(cuts[k], cuts[k + 1])))
+            for k, size in enumerate(sizes)]
 
 
 @pytest.fixture
@@ -398,7 +404,7 @@ def test_a_dump_split_between_two_processes_has_the_reference_bytes(
     drawn = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # the fork warning of Python 3.12 and later included
-        pulses_csv(tmp_path / "pulses.csv", _stream(batch, sizes, drawn), rows)
+        pulses_csv(tmp_path / "pulses.csv", _stream(batch, sizes, drawn))
     assert [str(w.message) for w in caught] == []
     # this process draws the blocks before the first one that starts at or after rows // 2
     assert drawn == drawn_here
@@ -429,24 +435,25 @@ def test_a_failed_dump_raises_in_the_caller_and_leaves_no_process_or_file(
 ):
     batch = _batch(1200, seed=19)
     with pytest.raises(raised, match=message):
-        pulses_csv(tmp_path / "pulses.csv", _stream(batch, [300] * 4, [], (block, error)), 1200)
-    assert [p.name for p in tmp_path.iterdir()] == ["pulses.csv"]
+        pulses_csv(tmp_path / "pulses.csv", _stream(batch, [300] * 4, [], (block, error)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_killed_writer_is_named(tmp_path, one_process):
     batch = _batch(1200, seed=21)
     pid = os.getpid()
+    blocks = _stream(batch, [300] * 4, [])
 
-    def stream():
-        for k, block in enumerate(_stream(batch, [300] * 4, [])):
-            if k == 2 and os.getpid() != pid:
-                os.kill(os.getpid(), signal.SIGKILL)
-            yield block
+    def killed(draw):
+        if os.getpid() != pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return draw()
 
+    blocks[2] = (blocks[2][0], functools.partial(killed, blocks[2][1]))
     message = r"^pulse dump writer \(child \d+\) failed: killed by signal 9$"
     with pytest.raises(OSError, match=message):
-        pulses_csv(tmp_path / "pulses.csv", stream(), 1200)
-    assert [p.name for p in tmp_path.iterdir()] == ["pulses.csv"]
+        pulses_csv(tmp_path / "pulses.csv", blocks)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("block, error, raised, message", FAILURES[::2])
@@ -463,4 +470,4 @@ def test_a_failed_dump_exits_1_without_a_traceback(
     err = capsys.readouterr().err
     assert code == 1 and "Traceback" not in err
     assert re.fullmatch(f"error \\(run\\): {message.strip('^$')}\n", err), err
-    assert [p.name for p in out.iterdir()] == ["pulses.csv"]
+    assert list(out.iterdir()) == []

@@ -1,6 +1,7 @@
 import ast
 import copy
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -73,8 +74,8 @@ xi = 0.1
 
 def _dumped(cfg, on_block=lambda block: None):
     """The report of a run after its pulse dump, each block handed to ``on_block``."""
-    for block in dump_pulses(cfg):
-        on_block(block)
+    for _, draw in dump_pulses(cfg):
+        on_block(draw())
     return run_scenario(cfg)
 
 
@@ -712,8 +713,10 @@ DUMP_GRID = [
 
 
 def _dump(cfg):
-    """The moments of a run, its pulse dump's blocks, and their rows' x, y and class."""
-    blocks = list(dump_pulses(cfg))
+    """The moments of a run, its dump's blocks drawn in order, and their rows' x, y and class."""
+    pairs = dump_pulses(cfg)
+    blocks = [draw() for _, draw in pairs]
+    assert [rows for rows, _ in pairs] == [b[0].size for b in blocks]
     x, y, classes = (np.concatenate([b[i] for b in blocks] or [np.empty(0)]) for i in range(3))
     return draw_moments(cfg), blocks, x, y, classes.astype(int)
 
@@ -1026,16 +1029,17 @@ def test_a_dump_run_starts_no_thread_and_holds_one_block(tmp_path):
     threads = []
     before = threading.active_count()
 
-    def counted():
-        for block in dump_pulses(cfg):
-            threads.append(threading.active_count())
-            yield block
+    def counted(draw):
+        threads.append(threading.active_count())
+        return draw()
 
     tracemalloc.start()
     try:
         report = run_scenario(cfg)
         rows = report.n_key + report.m_estimation
-        pulses_csv(tmp_path / "pulses.csv", counted(), rows)
+        # dump_pulses pools every block in this process before the fork
+        blocks = [(n, functools.partial(counted, draw)) for n, draw in dump_pulses(cfg)]
+        pulses_csv(tmp_path / "pulses.csv", blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1043,10 +1047,56 @@ def test_a_dump_run_starts_no_thread_and_holds_one_block(tmp_path):
     # process draws those that start before the middle row, the forked writer the rest
     starts = [*range(0, report.n_key, _DUMP_BLOCK), *range(report.n_key, rows, _DUMP_BLOCK)]
     drawn_here = sum(start < rows // 2 for start in starts)
+    assert sum(n for n, _ in blocks) == rows
     assert len(starts) == 3 and drawn_here == 2 and threads == [before] * drawn_here
     assert threading.active_count() == before
     # a dump block's arrays take about 1 MiB, one CSV part's row strings about 128 bytes a row
     assert peak < 4 * 2**20, peak
+
+
+# four-fifths of the pulses monitored and a tenth kept for the key: two dump blocks
+# in each set
+TWO_BLOCKS_A_SET = (
+    f"pulses = {3 * BLOCK_SIZE + 1234}\nseed = 3\nmu = 0.5\nnu = 0.5\ndelta_ns = 10.0\n"
+    "countermeasure = on\nmonitor_fraction = 0.8\nkey_fraction = 0.1\n"
+)
+
+
+def test_a_dump_draws_each_block_once_and_the_forked_writer_only_its_half(tmp_path):
+    log = tmp_path / "drawn.txt"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def logged(k, draw):
+        os.write(fd, f"{os.getpid()} {k}\n".encode())
+        return draw()
+
+    pairs = dump_pulses(parse_config(TWO_BLOCKS_A_SET))
+    blocks = [(rows, functools.partial(logged, k, draw)) for k, (rows, draw) in enumerate(pairs)]
+    try:
+        pulses_csv(tmp_path / "pulses.csv", blocks)
+    finally:
+        os.close(fd)
+    drawn = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    starts = np.cumsum([0, *(rows for rows, _ in blocks)])
+    half = int(np.argmax(starts >= starts[-1] // 2))  # the first block at or past the middle row
+    assert len(blocks) == 4 and half == 2
+    assert sorted(k for _, k in drawn) == list(range(len(blocks)))
+    assert [k for pid, k in drawn if pid == os.getpid()] == list(range(half))
+    assert sorted(k for pid, k in drawn if pid != os.getpid()) == list(range(half, len(blocks)))
+    assert len({pid for pid, _ in drawn}) == 2
+
+
+def test_dump_blocks_drawn_in_reverse_are_the_blocks_drawn_in_order():
+    most_blocks = 0
+    for text in DUMP_GRID:
+        pairs = dump_pulses(parse_config(text))
+        forward = [draw() for _, draw in pairs]
+        backward = [draw() for _, draw in reversed(pairs)][::-1]
+        for a, b in zip(forward, backward, strict=True):
+            for u, v in zip(a, b, strict=True):  # x, y and the class, bit for bit
+                assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), text
+        most_blocks = max(most_blocks, len(pairs))
+    assert most_blocks >= 10
 
 
 class TestSweep:
