@@ -8,7 +8,6 @@ from .countermeasure import (
     realtime_shot_noise,
 )
 from .estimation import (
-    EstimationReport,
     MlEstimates,
     confidence_bounds,
     infer_channel,

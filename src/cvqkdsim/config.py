@@ -87,6 +87,11 @@ def _integer_at_least(low: int) -> Range:
     return Range(f"an integer >= {low}", lambda v: isinstance(v, Integral) and v >= low)
 
 
+# numpy's binomial draws take a pulse count as an int64
+_PULSE_COUNT = Range("an integer in [10, 2**63)",
+                     lambda v: isinstance(v, Integral) and 10 <= v < 1 << 63)
+
+
 class _RuleError(ValueError):
     """A rule that spans fields is broken; ``keys`` are the config keys it reads."""
 
@@ -103,7 +108,7 @@ class ScenarioConfig:
     ``_KEY_TABLE`` gives each field its config key.
     """
 
-    pulses: int = param(within=_integer_at_least(10))
+    pulses: int = param(within=_PULSE_COUNT)
     channel: ChannelParams = field(default_factory=ChannelParams)
     attack: AttackParams = field(default_factory=AttackParams)
     detector: DetectorModel = field(default_factory=DetectorModel)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .ranges import NON_NEGATIVE, OPEN_UNIT, POSITIVE, Range, checked, param
 
 # Above this sample count the chi-square quantiles switch to the
-# Wilson-Hilferty normal approximation; below it they are exact.
+# Wilson-Hilferty normal approximation; up to it they are exact.
 CHI2_EXACT_MAX_M = 10_000
 
 _NORMAL = NormalDist()
@@ -53,48 +52,6 @@ class MlEstimates:
     @property
     def sum_x2(self) -> float:
         return self.m * self.va_hat
-
-
-def record_lines(record) -> list[str]:
-    """``name=value`` lines of a report record, one per field, in field order.
-
-    A nested record contributes its own lines in place, each prefixed
-    with its field's ``metadata["prefix"]``; an interval map ``{key:
-    (low, high)}`` contributes ``key_low`` and ``key_high``.  Strings
-    print bare, every other value through ``repr``.
-    """
-    lines = []
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if is_dataclass(value):
-            prefix = f.metadata.get("prefix", "")
-            lines += [prefix + line for line in record_lines(value)]
-        elif isinstance(value, dict):
-            lines += [
-                f"{key}_{side}={bound!r}"
-                for key, bounds in value.items()
-                for side, bound in zip(("low", "high"), bounds)
-            ]
-        else:
-            lines.append(f"{f.name}={value if isinstance(value, str) else repr(value)}")
-    return lines
-
-
-@dataclass
-class EstimationReport:
-    """Channel estimates with confidence intervals.
-
-    ``intervals`` maps "t", "sigma2" and "va" to (low, high) bounds at the
-    confidence level the report was built with;  ``xi_hat`` may be
-    negative and is never clamped here.
-    """
-
-    estimates: MlEstimates
-    transmittance_hat: float
-    xi_hat: float
-    n0_assumed: float
-    epsilon: float
-    intervals: dict[str, tuple[float, float]]
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -126,8 +83,8 @@ def ml_from_moments(m: int, sum_xx: float, sum_xy: float, sum_yy: float) -> MlEs
 
 
 def _chi2_ppf(q: float, df: int) -> float:
-    """Chi-square quantile; Wilson-Hilferty approximation for large df."""
-    if df <= CHI2_EXACT_MAX_M:
+    """Chi-square quantile at df = m - 1; exact for m <= CHI2_EXACT_MAX_M, approximate above."""
+    if df < CHI2_EXACT_MAX_M:
         # attribute lookup, so that a replacement of ``stats`` is honoured
         return float(sys.modules[__name__].stats.chi2.ppf(q, df))
     z = _NORMAL.inv_cdf(q)

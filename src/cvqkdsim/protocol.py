@@ -135,7 +135,7 @@ def attack_gain(atk: AttackParams, det: DetectorModel) -> float:
 
 
 def outcome_law(
-    ch: ChannelParams, gain: float, extinction: float | None = None
+    ch: ChannelParams, gain: float, transmission: float = 1.0
 ) -> tuple[float, tuple[float, ...]]:
     """The law of Bob's outcome given Alice's quadrature x and the pulse's attack class.
 
@@ -143,19 +143,16 @@ def outcome_law(
     normal scaled by ``sd[c]``, the noise standard deviation of class
     ``c = intercepted + 2*lo_attacked``,
 
-        sqrt(g*(s**2*eta*T*2*n0*intercepted + n0 + eta*T*xi) + v_el),
+        sqrt(g*(s**2*eta*T*2*n0*intercepted + n0 + eta*T*xi*s**2) + v_el),
 
-    with ``slope = s*sqrt(eta*T)``, s = 1 and g the timing ``gain`` on
-    LO-attacked pulses (1 otherwise): the law of the resend, optical and
-    electronic noise summed.  With ``extinction``, the law of a
-    closed-switch pulse: the switch transmits the fraction ``extinction``
-    of the signal-path variance (s = sqrt(extinction), and xi times
-    ``extinction``); shot noise arises at the detector and keeps the
-    pulse's timing gain.
+    with ``slope = s*sqrt(eta*T)``, s = sqrt(``transmission``) and g the
+    timing ``gain`` on LO-attacked pulses (1 otherwise): the law of the
+    resend, optical and electronic noise summed.  The switch transmits the
+    fraction ``transmission`` of the signal-path variance: 1 when open, the
+    extinction when closed; shot noise arises at the detector and keeps
+    the pulse's timing gain.
     """
-    signal_scale, xi = 1.0, ch.xi
-    if extinction is not None:
-        signal_scale, xi = math.sqrt(extinction), ch.xi * extinction
+    signal_scale, xi = math.sqrt(transmission), ch.xi * transmission
     eta_t = ch.eta * ch.transmittance
     resend = signal_scale**2 * eta_t * 2.0 * ch.n0
     optical = ch.n0 + eta_t * xi

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -19,14 +19,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .countermeasure import detect_attack, realtime_shot_noise
 from .errors import ScenarioStageError
-from .estimation import (
-    EstimationReport,
-    confidence_bounds,
-    dot,
-    infer_channel,
-    ml_from_moments,
-    record_lines,
-)
+from .estimation import MlEstimates, confidence_bounds, dot, infer_channel, ml_from_moments
 from .keyrate import (
     KeyRateParams,
     SweepPoint,
@@ -104,9 +97,39 @@ class _stage:
             raise ScenarioStageError(f"stage '{self.name}' failed: {reason}") from exc
 
 
+def record_lines(record) -> list[str]:
+    """``name=value`` lines of a report record, one per field, in field order.
+
+    A nested record contributes its own lines in place, and an interval
+    map ``{key: (low, high)}`` the lines ``key_low`` and ``key_high``, each
+    prefixed with its field's ``metadata["prefix"]``.  Strings print bare,
+    every other value through ``repr``.
+    """
+    lines = []
+    for f in fields(record):
+        value, prefix = getattr(record, f.name), f.metadata.get("prefix", "")
+        if is_dataclass(value):
+            lines += [prefix + line for line in record_lines(value)]
+        elif isinstance(value, dict):
+            lines += [
+                f"{prefix}{key}_{side}={bound!r}"
+                for key, bounds in value.items()
+                for side, bound in zip(("low", "high"), bounds)
+            ]
+        else:
+            lines.append(f"{f.name}={value if isinstance(value, str) else repr(value)}")
+    return lines
+
+
 @dataclass
 class ScenarioReport:
-    """Deterministic scenario outcome."""
+    """Deterministic scenario outcome.
+
+    ``estimation`` holds the estimator's point estimates and ``intervals``
+    maps "t", "sigma2" and "va" to their (low, high) bounds at confidence
+    1 - epsilon; both print with the prefix ``est_``.  ``xi_hat_snu`` may
+    be negative and is never clamped here.
+    """
 
     verdict: str
     k_estimated: float
@@ -126,7 +149,8 @@ class ScenarioReport:
     gain: float
     seed: int
     config_hash: str
-    estimation: EstimationReport = field(metadata={"prefix": "est_"})
+    estimation: MlEstimates = field(metadata={"prefix": "est_"})
+    intervals: dict[str, tuple[float, float]] = field(metadata={"prefix": "est_"})
 
     @property
     def exit_code(self) -> int:
@@ -417,14 +441,6 @@ def analyse_scenario(cfg: ScenarioConfig, moments: Moments) -> ScenarioReport:
         estimates = ml_from_moments(m_est, moments.est_xx, moments.est_xy, moments.est_yy)
         intervals = confidence_bounds(estimates, cfg.epsilon)
         t_hat, xi_hat = infer_channel(estimates, n0_line, ch.eta, ch.v_el)
-        report = EstimationReport(
-            estimates=estimates,
-            transmittance_hat=t_hat,
-            xi_hat=xi_hat,
-            intervals=intervals,
-            n0_assumed=n0_line,
-            epsilon=cfg.epsilon,
-        )
 
     n0_rt = alarm = statistic = None
     m_monitor = moments.m_monitor
@@ -472,7 +488,6 @@ def analyse_scenario(cfg: ScenarioConfig, moments: Moments) -> ScenarioReport:
         chi_be_estimated=est_breakdown.chi_be,
         transmittance_hat=t_hat,
         xi_hat_snu=xi_hat / n0_line,
-        estimation=report,
         n0_line=n0_line,
         n0_rt=n0_rt,
         alarm=alarm,
@@ -484,6 +499,8 @@ def analyse_scenario(cfg: ScenarioConfig, moments: Moments) -> ScenarioReport:
         gain=moments.gain,
         seed=cfg.seed,
         config_hash=cfg.config_hash(),
+        estimation=estimates,
+        intervals=intervals,
     )
 
 

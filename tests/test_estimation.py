@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqkdsim import (
-    EstimationReport,
     MlEstimates,
     confidence_bounds,
     infer_channel,
 )
-from cvqkdsim.estimation import _chi2_ppf, record_lines
+from cvqkdsim.estimation import _chi2_ppf
 from reference import ml_estimate, xi_pir, xi_under_calibration
 
 
@@ -201,31 +200,6 @@ class TestBiasFormulas:
             xi_under_calibration(0.1, 1.0, 0.0)
 
 
-class TestEstimationReport:
-    def _report(self):
-        est = MlEstimates(t_hat=0.5, sigma2_hat=1.2, va_hat=5.0, m=1000)
-        intervals = confidence_bounds(est, 0.05)
-        t_hat, xi_hat = infer_channel(est, 1.0, 0.5, 0.01)
-        return EstimationReport(
-            estimates=est,
-            transmittance_hat=t_hat,
-            xi_hat=xi_hat,
-            n0_assumed=1.0,
-            epsilon=0.05,
-            intervals=intervals,
-        )
-
-    def test_text_block_round_trips_keys(self):
-        entries = dict(line.split("=", 1) for line in record_lines(self._report()))
-        assert float(entries["t_hat"]) == 0.5
-        assert float(entries["xi_hat"]) == pytest.approx((1.2 - 1.0 - 0.01) / 0.25)
-        assert list(entries) == [
-            "m", "t_hat", "sigma2_hat", "va_hat", "transmittance_hat", "xi_hat",
-            "n0_assumed", "epsilon", "t_low", "t_high", "sigma2_low", "sigma2_high",
-            "va_low", "va_high",
-        ]
-
-
 def _run_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -245,6 +219,18 @@ class TestScipyOnlyForExactQuantiles:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("pulses,m,loaded", [(20_002, 10_001, False), (20_000, 10_000, True)])
+    def test_a_run_is_exact_up_to_ten_thousand_samples(self, pulses, m, loaded):
+        # m samples give m - 1 degrees of freedom: m = CHI2_EXACT_MAX_M is still exact
+        proc = _run_python(
+            "import sys\n"
+            "import cvqkdsim\n"
+            f"report = cvqkdsim.run_scenario(cvqkdsim.parse_config('pulses = {pulses}\\n'))\n"
+            f"assert report.m_estimation == {m} == report.estimation.m\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        assert proc.stdout.strip() == str(loaded)
 
     def test_exact_branch_loads_scipy_stats(self):
         proc = _run_python(

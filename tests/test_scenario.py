@@ -235,7 +235,7 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("pulses = 2e6\n", "line 1: pulses must be an integer >= 10, got '2e6'"),
+            ("pulses = 2e6\n", "line 1: pulses must be an integer in [10, 2**63), got '2e6'"),
             ("pulses = 1000\nseed = 1.5\n", "line 2: seed must be an integer >= 0, got '1.5'"),
         ],
         ids=["pulses", "seed"],
@@ -428,7 +428,7 @@ class TestRecordsCheckThemselves:
             (lambda: dataclasses.replace(DEFAULT, z_threshold=-1.0),
              "z_threshold must be > 0, got -1.0"),
             (lambda: dataclasses.replace(DEFAULT, pulses=5),
-             "pulses must be an integer >= 10, got 5"),
+             "pulses must be an integer in [10, 2**63), got 5"),
             (lambda: SweepSettings(snr_target=0.075, xi_bob=0.001, loss_db_per_km=0.2,
                                    d_max_km=120.0, step_km=0),
              "step_km must be > 0, got 0"),
@@ -448,6 +448,22 @@ class TestRecordsCheckThemselves:
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "flags", ["", "countermeasure = on\nmu = 0.3\nnu = 0.4\ndelta_ns = 10\n"],
+        ids=["defaults", "countermeasure"],
+    )
+    def test_pulse_counts_stop_below_2_63(self, flags):
+        # numpy draws a count as an int64: 2**63 once passed the parser and then
+        # failed the monitoring stage's binomial, or ran, depending on the flags
+        top = 2**63 - 1
+        report = run_scenario(parse_config(f"pulses = {top}\n{flags}"))
+        assert report.m_monitor + report.m_estimation + report.n_key == top
+        message = f"pulses must be an integer in [10, 2**63), got {top + 1}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'line 1: {message}')}$"):
+            parse_config(f"pulses = {top + 1}\n{flags}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(parse_config(f"pulses = {top}\n{flags}"), pulses=top + 1)
 
     def test_keys_left_out_take_the_field_defaults(self):
         assert ScenarioConfig(pulses=1000) == DEFAULT
@@ -582,8 +598,8 @@ class TestRunScenario:
         for seed in range(8):
             report = run(parse_config(f"{text}seed = {seed}\n"))
             assert report.exit_code in (EXIT_SECURE, EXIT_ABORT, EXIT_BREACHED)
-            low, _ = report.estimation.intervals["sigma2"]
-            above += low > report.estimation.estimates.sigma2_hat
+            low, _ = report.intervals["sigma2"]
+            above += low > report.estimation.sigma2_hat
         assert above >= 5
 
     @pytest.mark.parametrize("run", PATHS)
@@ -1456,7 +1472,7 @@ def test_rates_do_not_depend_on_the_unit_of_variance(c):
 
 def _estimated_se(report, cfg, fn):
     """Delta-method SE of fn(estimated key-rate inputs) over (va_hat, t_hat, sigma2_hat)."""
-    est = report.estimation.estimates
+    est = report.estimation
     ch, n0, m = cfg.channel, cfg.n0_assumed, est.m
     point = [est.va_hat, est.t_hat, est.sigma2_hat]
     se = [point[0] * math.sqrt(2.0 / m), math.sqrt(point[2] / (m * point[0])),
@@ -1539,6 +1555,29 @@ def test_every_public_name_of_the_package_is_reached():
     # the benchmark's scaling series times these two whole-array references
     benchmark_only = {name for _, name in definitions if name not in loaded}
     assert benchmark_only == {"generate_alice", "simulate_bob"}
+
+
+def _report_keys_the_benchmark_reads() -> set[str]:
+    """The report keys ``benchmarks/checks.py`` reads, found in its text as ``_benchmark_names`` does.
+
+    A key counts when read as ``_num(report, k)``, ``report[k]`` or
+    ``report.get(k)``; a read in a loop, ``report[k] for k in (...)``,
+    counts each of the loop's keys.
+    """
+    text = (REPO / "benchmarks" / "checks.py").read_text(encoding="utf-8")
+    keys = set(re.findall(r"""(?:_num\(report, |report\[|report\.get\()["'](\w+)["']""", text))
+    for _, loop in re.findall(r"report\[(\w+)\][^\n]*\bfor \1 in \(([^)]*)\)", text):
+        keys |= set(re.findall(r"""["'](\w+)["']""", loop))
+    return keys
+
+
+@pytest.mark.parametrize("name", ["quantitative-example", "countermeasure-example"])
+def test_run_prints_every_report_key_the_benchmark_reads(name, capsys):
+    keys = _report_keys_the_benchmark_reads()
+    assert {"est_m", "est_t_hat", "m_estimation", "m_monitor", "n_key", "verdict"} <= keys
+    main(["run", "--config", str(CONFIGS / f"{name}.cfg")])
+    printed = {line.split("=", 1)[0] for line in capsys.readouterr().out.splitlines()}
+    assert sorted(keys - printed) == []
 
 
 def test_every_name_the_benchmark_calls_exists_on_the_package():
