@@ -18,12 +18,15 @@ Draw-order contract of the whole-array references ``generate_alice``
 and ``simulate_bob``.  Pulses are processed in blocks of ``BLOCK_SIZE``,
 and block k of each stream draws from its own generator, seeded from
 (seed, stream, k), so a block's draws do not depend on how many blocks
-precede or follow it.  Alice's block k draws one standard normal per
-pulse.  Bob's block k (stream 1), given the block's pulses, draws one
-uniform per pulse for the intercept flags, one per pulse for the
-LO-attack flags, then one standard normal per pulse; a flag of
-probability 0 or 1 draws its uniforms too.  Each block returns fresh
-arrays, drawn on the calling thread.  A scenario draws no pulse this
+precede or follow it.  A generator seeded from (seed, *key) is ``PCG64``
+seeded as numpy's ``SeedSequence(seed, spawn_key=key)`` seeds it, with
+the seed words computed in Python (``_rng``); it is not spawnable, and
+nothing calls its ``spawn`` or ``seed_seq``.  Alice's block k draws one
+standard normal per pulse.  Bob's block k (stream 1), given the block's
+pulses, draws one uniform per pulse for the intercept flags, one per
+pulse for the LO-attack flags, then one standard normal per pulse; a
+flag of probability 0 or 1 draws its uniforms too.  Each block returns
+fresh arrays, drawn on the calling thread.  A scenario draws no pulse this
 way: it draws the sums of its pulses from their exact law
 (``scenario.draw_moments``), and a pulse dump draws the pulses given
 those sums (``scenario.dump_pulses``) in the blocks ``pulses_csv(path,
@@ -34,7 +37,9 @@ half's blocks, so the bytes do not depend on the CPU count.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,9 +111,110 @@ class PulseBatch:
     lo_attacked: np.ndarray
 
 
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian 32-bit words of ``n`` >= 0, at least one."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(h: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """(XOR, multiplier) of ``n`` hashes: each XORs ``h``, steps it by ``mult`` and multiplies by it."""
+    pairs = []
+    for _ in range(n):
+        x, h = h, h * mult & _MASK32
+        pairs.append((x, h))
+    return pairs
+
+
+@functools.cache
+def _seed_schedule(n_words: int) -> tuple[tuple, tuple, tuple]:
+    """The hash constants of ``n_words`` >= 4 entropy words, in the order of use.
+
+    (XOR, multiplier) of each of the four pool hashes; (src, dst, XOR,
+    multiplier) of each hash-and-mix step, ``src`` and ``dst`` indexing the
+    pool followed by the entropy words after the fourth; (pool word, XOR,
+    multiplier) of each of the eight output hashes.
+    """
+    hashes = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * n_words)
+    steps = [(src, dst) for src in range(n_words) for dst in range(4) if dst != src]
+    outputs = enumerate(_hash_constants(0x8B51F9DD, 0x58F38DED, 8))
+    return (tuple(hashes[:4]), tuple((*step, *c) for step, c in zip(steps, hashes[4:])),
+            tuple((i & 3, *c) for i, c in outputs))
+
+
+def _seed_words(seed: int, key: tuple[int, ...]) -> list[int]:
+    """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)`` in Python ints.
+
+    numpy's hash mix (``numpy/random/bit_generator.pyx``, after O'Neill's
+    ``seed_seq_fe``): the entropy is the words of ``seed``, zero-padded to
+    four when there is a key, then those of each key word.  Its first four
+    words (zeros past its end) are hashed into a pool of four; every pool
+    word is then hashed and mixed into each of the others, and every later
+    entropy word into each pool word.  The pool gives eight output words,
+    each hashed once, paired little-endian into four uint64 words.  The
+    hash constants run a fixed sequence whatever the data (``_seed_schedule``).
+    """
+    entropy = _uint32_words(seed)
+    if key:
+        entropy += [0] * (4 - len(entropy))
+        for n in key:
+            entropy += _uint32_words(n)
+    pool_hashes, steps, outputs = _seed_schedule(max(4, len(entropy)))
+    cells = []
+    for e, (x, m) in zip(entropy + [0, 0, 0], pool_hashes):
+        v = (e ^ x) * m & _MASK32
+        cells.append(v ^ v >> 16)
+    cells += entropy[4:]
+    for src, dst, x, m in steps:
+        v = (cells[src] ^ x) * m & _MASK32
+        r = 0xCA01F9DD * cells[dst] - 0x4973F715 * (v ^ v >> 16) & _MASK32
+        cells[dst] = r ^ r >> 16
+    out = []
+    for i, x, m in outputs:
+        v = (cells[i] ^ x) * m & _MASK32
+        out.append(v ^ v >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+@functools.cache
+def _seed_state_class() -> type:
+    """An ``ISeedSequence`` whose ``generate_state`` returns four given uint64 words.
+
+    Those are the words ``PCG64`` asks for, its only caller.  Defined on the
+    first call, as ``numpy.random`` is imported only then: ``import
+    cvqkdsim`` does not load it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        def __init__(self, words: list[int]) -> None:
+            self.words = np.array(words, dtype=np.uint64)
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return SeedState
+
+
 def _rng(seed: int, *key: int) -> np.random.Generator:
-    """The generator of the seed stream ``key`` of ``seed``, e.g. (stream, block)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    """The generator of the seed stream ``key`` of ``seed``, e.g. (stream, block).
+
+    ``PCG64`` seeded as numpy's ``SeedSequence(seed, spawn_key=key)`` seeds
+    it, so the state and every draw equal those of ``default_rng`` of that
+    sequence; the four seed words are computed in Python (``_seed_words``),
+    without numpy's seeding code, the largest stage of a cold run.  The
+    generator is not spawnable: its ``seed_seq`` is no ``SeedSequence``, and
+    nothing calls its ``spawn`` or ``seed_seq``.
+    """
+    return np.random.Generator(np.random.PCG64(_seed_state_class()(_seed_words(seed, key))))
 
 
 def alice_block(va: float, seed: int, block: int, size: int) -> np.ndarray:

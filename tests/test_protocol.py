@@ -4,10 +4,15 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqkdsim import (
     AttackParams,
@@ -53,6 +58,56 @@ def _outcomes_as_first_written(rng, x, ch, atk, gain, signal_scale):
     z *= sd[intercepted + 2 * lo_attacked]
     z += signal_scale * np.sqrt(eta_t) * x
     return z, intercepted, lo_attacked
+
+
+def _assert_numpy_stream(seed, key):
+    got = protocol._rng(seed, *key)
+    want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    assert got.bit_generator.state == want.bit_generator.state
+    np.testing.assert_array_equal(got.random(3), want.random(3))
+    np.testing.assert_array_equal(got.standard_normal(3), want.standard_normal(3))
+    assert got.integers(2**63, size=2).tolist() == want.integers(2**63, size=2).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 17, 2**200 + 3])
+@pytest.mark.parametrize("key", [(), (0,), (3,), (1, 2), (2**32,), (7, 2**40, 5)])
+def test_seed_words_are_numpys(seed, key):
+    _assert_numpy_stream(seed, key)
+    if not key:
+        assert protocol._rng(seed).bit_generator.state == \
+            np.random.default_rng(seed).bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**256 - 1), st.lists(st.integers(0, 2**64 - 1), max_size=4))
+def test_seed_words_are_numpys_for_any_seed_and_key(seed, key):
+    _assert_numpy_stream(seed, tuple(key))
+
+
+@pytest.mark.parametrize("seed, key", [(-1, ()), (5, (-1,))])
+def test_a_negative_seed_word_raises_as_numpy_does(seed, key):
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(seed, spawn_key=key)
+    with pytest.raises(ValueError):
+        protocol._rng(seed, *key)
+
+
+def test_importing_the_package_loads_no_numpy_random_nor_scipy():
+    # numpy before 2 imports numpy.random itself, so only what the package adds is checked
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "for module in ('cvqkdsim', 'cvqkdsim.cli'):\n"
+        "    before = set(sys.modules)\n"
+        "    __import__(module)\n"
+        "    print(sorted(m for m in set(sys.modules) - before\n"
+        "                 if m.startswith('numpy.random') or m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
 
 def test_samplers_draw_the_bits_of_the_first_writing():
