@@ -19,6 +19,7 @@ from operator import attrgetter
 
 from .countermeasure import SwitchModel
 from .errors import ConfigError
+from .estimation import TAIL_PROBABILITY
 from .protocol import AttackParams, ChannelParams
 from .pulses import DetectorModel
 from .ranges import NON_NEGATIVE, ON_OFF, OPEN_UNIT, POSITIVE, UNIT, Range, checked, param
@@ -72,6 +73,18 @@ _KEY_TABLE: dict[str, str] = {
 }
 
 
+class _RuleError(ValueError):
+    """A rule that spans fields is broken; ``keys`` are the config keys it reads."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
+
+
+# the most steps a sweep grid may take: 12 000 take about 0.3 s, and every point is kept in memory
+_MAX_SWEEP_STEPS = 100_000
+
+
 @checked
 class SweepSettings:
     """Distance-sweep parameters for the key-rate comparison curves."""
@@ -82,6 +95,16 @@ class SweepSettings:
     d_max_km: float = param(120.0, within=POSITIVE)
     step_km: float = param(1.0, within=POSITIVE)
 
+    def __post_init__(self):
+        # the grid takes int(ratio + 1e-9) steps (``scenario.sweep_keyrate``); the
+        # ratio may overflow to inf, which int() refuses, so it is compared as a float
+        ratio = self.d_max_km / self.step_km
+        if not ratio + 1e-9 < _MAX_SWEEP_STEPS + 1:
+            raise _RuleError(
+                f"sweep_d_max_km / sweep_step_km must give at most {_MAX_SWEEP_STEPS} steps,"
+                f" got {ratio:g}", "sweep_d_max_km", "sweep_step_km",
+            )
+
 
 def _integer_at_least(low: int) -> Range:
     return Range(f"an integer >= {low}", lambda v: isinstance(v, Integral) and v >= low)
@@ -90,14 +113,6 @@ def _integer_at_least(low: int) -> Range:
 # numpy's binomial draws take a pulse count as an int64
 _PULSE_COUNT = Range("an integer in [10, 2**63)",
                      lambda v: isinstance(v, Integral) and 10 <= v < 1 << 63)
-
-
-class _RuleError(ValueError):
-    """A rule that spans fields is broken; ``keys`` are the config keys it reads."""
-
-    def __init__(self, message: str, *keys: str):
-        super().__init__(message)
-        self.keys = keys
 
 
 @checked
@@ -115,7 +130,7 @@ class ScenarioConfig:
     key_fraction: float = param(0.5, within=OPEN_UNIT)
     seed: int = param(1, within=_integer_at_least(0))
     beta: float = param(0.948, within=UNIT)
-    epsilon: float = param(0.05, within=OPEN_UNIT)
+    epsilon: float = param(0.05, within=TAIL_PROBABILITY)
     n0_assumed: float = param(1.0, within=POSITIVE)
     countermeasure_enabled: bool = param(False, within=ON_OFF)
     monitor_fraction: float = param(0.1, within=OPEN_UNIT)
@@ -164,7 +179,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     Raises :class:`ConfigError` naming the line for unknown keys, bad
     values, out-of-range values, duplicates, missing required keys, and
-    the rules of :class:`ScenarioConfig` that span keys (naming the later
+    the rules of the records that span keys (naming the later
     of their lines).
     """
     values: dict[str, dict] = {group: {} for group in _RECORDS}  # each record's given fields

@@ -20,13 +20,17 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .ranges import NON_NEGATIVE, OPEN_UNIT, POSITIVE, Range, checked, param
+from .ranges import NON_NEGATIVE, POSITIVE, Range, checked, param
 
 # Above this sample count the chi-square quantiles switch to the
 # Wilson-Hilferty normal approximation; up to it they are exact.
 CHI2_EXACT_MAX_M = 10_000
 
 _NORMAL = NormalDist()
+
+# the confidence intervals' tail probability epsilon: below 2**-52, 1 - epsilon/2
+# may round to 1, a quantile the normal and chi-square laws do not have
+TAIL_PROBABILITY = Range("in [2**-52, 1)", lambda v: 2.0**-52 <= v < 1.0)
 
 
 def __getattr__(name: str):
@@ -101,7 +105,7 @@ def confidence_bounds(
     estimators follow chi-square with m-1 degrees of freedom (the normal
     approximation is used above m = 10^4).
     """
-    OPEN_UNIT.check("epsilon", epsilon)
+    TAIL_PROBABILITY.check("epsilon", epsilon)
     m = est.m
     z = _NORMAL.inv_cdf(1.0 - epsilon / 2.0)
     half_width = z * math.sqrt(est.sigma2_hat / est.sum_x2)

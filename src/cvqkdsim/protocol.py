@@ -125,63 +125,48 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _hash_constants(h: int, mult: int, n: int) -> list[tuple[int, int]]:
-    """(XOR, multiplier) of ``n`` hashes: each XORs ``h``, steps it by ``mult`` and multiplies by it."""
-    pairs = []
-    for _ in range(n):
-        x, h = h, h * mult & _MASK32
-        pairs.append((x, h))
-    return pairs
-
-
-@functools.cache
-def _seed_schedule(n_words: int) -> tuple[tuple, tuple, tuple]:
-    """The hash constants of ``n_words`` >= 4 entropy words, in the order of use.
-
-    (XOR, multiplier) of each of the four pool hashes; (src, dst, XOR,
-    multiplier) of each hash-and-mix step, ``src`` and ``dst`` indexing the
-    pool followed by the entropy words after the fourth; (pool word, XOR,
-    multiplier) of each of the eight output hashes.
-    """
-    hashes = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * n_words)
-    steps = [(src, dst) for src in range(n_words) for dst in range(4) if dst != src]
-    outputs = enumerate(_hash_constants(0x8B51F9DD, 0x58F38DED, 8))
-    return (tuple(hashes[:4]), tuple((*step, *c) for step, c in zip(steps, hashes[4:])),
-            tuple((i & 3, *c) for i, c in outputs))
-
-
 def _seed_words(seed: int, key: tuple[int, ...]) -> list[int]:
     """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)`` in Python ints.
 
-    numpy's hash mix (``numpy/random/bit_generator.pyx``, after O'Neill's
-    ``seed_seq_fe``): the entropy is the words of ``seed``, zero-padded to
-    four when there is a key, then those of each key word.  Its first four
-    words (zeros past its end) are hashed into a pool of four; every pool
-    word is then hashed and mixed into each of the others, and every later
-    entropy word into each pool word.  The pool gives eight output words,
-    each hashed once, paired little-endian into four uint64 words.  The
-    hash constants run a fixed sequence whatever the data (``_seed_schedule``).
+    numpy's loop (``mix_entropy`` and ``generate_state`` in
+    ``numpy/random/bit_generator.pyx``, after O'Neill's ``seed_seq_fe``),
+    written out.  The entropy is the words of ``seed``, zero-padded to four
+    when there is a key, then those of each key word.
     """
     entropy = _uint32_words(seed)
     if key:
         entropy += [0] * (4 - len(entropy))
         for n in key:
             entropy += _uint32_words(n)
-    pool_hashes, steps, outputs = _seed_schedule(max(4, len(entropy)))
-    cells = []
-    for e, (x, m) in zip(entropy + [0, 0, 0], pool_hashes):
-        v = (e ^ x) * m & _MASK32
-        cells.append(v ^ v >> 16)
-    cells += entropy[4:]
-    for src, dst, x, m in steps:
-        v = (cells[src] ^ x) * m & _MASK32
-        r = 0xCA01F9DD * cells[dst] - 0x4973F715 * (v ^ v >> 16) & _MASK32
-        cells[dst] = r ^ r >> 16
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(e) for e in (entropy + [0, 0, 0])[:4]]  # zeros past the entropy's end
+    for src in range(4):  # mix all bits together, so that late bits reach early ones
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:  # each remaining entropy word into each pool word
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    hash_const = 0x8B51F9DD
     out = []
-    for i, x, m in outputs:
-        v = (cells[i] ^ x) * m & _MASK32
-        out.append(v ^ v >> 16)
-    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]  # little-endian pairs
 
 
 @functools.cache

@@ -29,7 +29,7 @@ from cvqkdsim import (
     simulate_calibration_points,
     trigger_time,
 )
-from cvqkdsim.keyrate import KeyRateParams, rate_at_distance, secret_key_rate
+from cvqkdsim.keyrate import KeyRateParams, secret_key_rate
 from cvqkdsim.scenario import default_lo_pulse
 from reference import (
     discharge_tau,

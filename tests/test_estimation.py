@@ -124,6 +124,13 @@ class TestConfidenceBounds:
         with pytest.raises(ValueError):
             confidence_bounds(est, 0.0)
 
+    def test_an_epsilon_whose_quantile_rounds_to_1_is_refused(self):
+        # 1 - 1e-16/2 is 1.0, a quantile the normal and chi-square laws do not have
+        est = MlEstimates(t_hat=0.5, sigma2_hat=1.0, va_hat=1.0, m=10)
+        with pytest.raises(ValueError, match=r"^epsilon must be in \[2\*\*-52, 1\), got 1e-16$"):
+            confidence_bounds(est, 1e-16)
+        assert confidence_bounds(est, 2.0**-52)["sigma2"][0] > 0.0
+
 
 class TestInferChannel:
     def test_transmittance_from_slope(self):

@@ -602,6 +602,22 @@ class TestRunScenario:
             above += low > report.estimation.sigma2_hat
         assert above >= 5
 
+    @pytest.mark.parametrize("epsilon", ["1e-16", "5e-324"])
+    def test_an_epsilon_below_2_to_the_minus_52_is_refused(self, epsilon):
+        # 1 - epsilon/2 once rounded to 1, and every seed then failed the estimation
+        # stage with "p must be in the range 0.0 < p < 1.0"
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"pulses = 1000\nepsilon = {epsilon}\nseed = 2\n")
+        assert str(info.value) == f"line 2: epsilon must be in [2**-52, 1), got {float(epsilon)}"
+
+    # up to 10^4 estimation pulses the chi-square quantiles are exact, above approximated
+    @pytest.mark.parametrize("pulses", [1000, 10**7])
+    @pytest.mark.parametrize("epsilon", ["2.3e-16", repr(2.0**-52)])
+    def test_the_smallest_epsilons_still_give_a_verdict(self, epsilon, pulses):
+        report = run_scenario(parse_config(f"pulses = {pulses}\nepsilon = {epsilon}\n"))
+        assert report.exit_code in (EXIT_SECURE, EXIT_ABORT, EXIT_BREACHED)
+        assert all(low < high < math.inf for low, high in report.intervals.values())
+
     @pytest.mark.parametrize("run", PATHS)
     def test_key_set_is_the_first_open_pulses_estimation_the_rest(self, run):
         reports = 0
@@ -1137,6 +1153,36 @@ class TestSweep:
         plain, protected = sweep_keyrate(cfg)
         for a, b in zip(plain, protected):
             assert a.key_rate >= b.key_rate
+
+    @pytest.mark.parametrize(
+        "text,line,ratio",
+        [
+            ("pulses = 1000\nsweep_step_km = 1e-6\n", 2, "1.2e+08"),
+            ("sweep_step_km = 1e-6\npulses = 1000\nsweep_d_max_km = 120\n", 3, "1.2e+08"),
+            ("sweep_d_max_km = 100001\npulses = 1000\n", 1, "100001"),
+            ("pulses = 1000\nsweep_d_max_km = 1e300\nsweep_step_km = 1e-300\n", 3, "inf"),
+        ],
+        ids=["step", "d_max-later", "one-step-over", "overflowing-ratio"],
+    )
+    def test_a_grid_of_more_than_100000_steps_is_refused(self, text, line, ratio):
+        # a step of 1e-6 km once parsed, and sweep then took 1.2e8 points: some 48
+        # minutes, with every point kept in memory; no such grid is run here
+        message = f"sweep_d_max_km / sweep_step_km must give at most 100000 steps, got {ratio}"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == f"line {line}: {message}"
+
+    def test_replace_refuses_a_grid_of_more_than_100000_steps(self):
+        # 1 / 1e-5 = 99999.99999999999 is 100000 steps, as sweep_keyrate counts them
+        longest = parse_config("pulses = 1000\nsweep_d_max_km = 1\nsweep_step_km = 1e-5\n").sweep
+        assert int(longest.d_max_km / longest.step_km + 1e-9) == 100_000
+        assert dataclasses.replace(DEFAULT.sweep, d_max_km=100_000.0).d_max_km == 100_000.0
+        message = "sweep_d_max_km / sweep_step_km must give at most 100000 steps, got 1.2e+08"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(DEFAULT.sweep, step_km=1e-6)
+        one_over = message.replace("1.2e+08", "100001")
+        with pytest.raises(ValueError, match=f"^{re.escape(one_over)}$"):
+            dataclasses.replace(longest, d_max_km=1.00001)
 
 
 # The whole stdout of `pulse-demo --shift-ns <key>`, pinned byte for byte.
